@@ -8,23 +8,18 @@ threshold; estimation backends, brute-force oracles for small instances,
 and closed-form guarantee bounds round out the toolkit.
 """
 
-from .graph import (BudgetConfig, DirectedGraph, Edge, GraphFormatError,
-                    assign_random_costs, assign_trivalency_probabilities,
-                    cost_text, diameter, edge_list_text, generate_graph,
-                    load_costs, load_graph)
+from .graph import (DirectedGraph, Edge, GraphFormatError, assign_random_costs,
+                    assign_trivalency_probabilities, cost_text, diameter,
+                    edge_list_text, generate_graph, load_costs, load_graph)
 from .diffusion import (DiffusionTrace, EdgeState, FullRealization,
                         PartialRealization, SeedSchedule, cascade_size,
                         empty_partial, live_subgraph, observe,
                         partial_dump_text, propagate, sample_full_realization)
 from .estimation import (ActivationEstimate, EpsilonEstimator, Estimator,
                          ExactEstimator, InstanceTooLarge, MonteCarloEstimator,
-                         epsilon_wrap, exact_conditional_activation,
-                         marginal_gain, mc_conditional_activation,
-                         zero_probability_set)
+                         exact_conditional_activation, zero_probability_set)
 from .policies import (PolicyConfig, PolicyRun, RoundLog, best_single_node,
-                       condition_satisfied, run_alpha_greedy_nonuniform,
-                       run_alpha_greedy_uniform, run_enhanced, run_policy,
-                       transcript_lines)
+                       condition_satisfied, run_policy, transcript_lines)
 from .oracles import (ExactEvaluation, SampledEvaluation, evaluate_policy_exact,
                       evaluate_policy_sampled, optimal_full_feedback_adaptive,
                       optimal_nonadaptive)
@@ -35,19 +30,17 @@ from .bounds import (bound_enhanced, bound_enhanced_eps, bound_nonuniform,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BudgetConfig", "DirectedGraph", "Edge", "GraphFormatError",
+    "DirectedGraph", "Edge", "GraphFormatError",
     "assign_random_costs", "assign_trivalency_probabilities", "cost_text",
     "diameter", "edge_list_text", "generate_graph", "load_costs", "load_graph",
     "DiffusionTrace", "EdgeState", "FullRealization", "PartialRealization",
     "SeedSchedule", "cascade_size", "empty_partial", "live_subgraph", "observe",
     "partial_dump_text", "propagate", "sample_full_realization",
     "ActivationEstimate", "EpsilonEstimator", "Estimator", "ExactEstimator",
-    "InstanceTooLarge", "MonteCarloEstimator", "epsilon_wrap",
-    "exact_conditional_activation", "marginal_gain", "mc_conditional_activation",
+    "InstanceTooLarge", "MonteCarloEstimator", "exact_conditional_activation",
     "zero_probability_set",
     "PolicyConfig", "PolicyRun", "RoundLog", "best_single_node",
-    "condition_satisfied", "run_alpha_greedy_nonuniform",
-    "run_alpha_greedy_uniform", "run_enhanced", "run_policy", "transcript_lines",
+    "condition_satisfied", "run_policy", "transcript_lines",
     "ExactEvaluation", "SampledEvaluation", "evaluate_policy_exact",
     "evaluate_policy_sampled", "optimal_full_feedback_adaptive",
     "optimal_nonadaptive",

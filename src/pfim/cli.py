@@ -11,18 +11,22 @@ identical regardless because per-world streams are indexed, not shared.
 """
 
 import argparse
+import csv
+import io
 import os
+import random
 import sys
 from fractions import Fraction
 
 from ._util import derive_seed, fmt_g
 from . import bounds as bounds_mod
-from .diffusion import sample_full_realization
+from .diffusion import (SeedSchedule, empty_partial, live_subgraph, observe,
+                        sample_full_realization)
 from .estimation import (EpsilonEstimator, Estimator, ExactEstimator,
                          InstanceTooLarge, MonteCarloEstimator,
-                         exact_conditional_activation, mc_conditional_activation)
+                         exact_conditional_activation)
 from .graph import (DirectedGraph, GraphFormatError, assign_trivalency_probabilities,
-                    edge_list_text, generate_graph, load_graph)
+                    diameter, edge_list_text, generate_graph, load_graph)
 from .oracles import (ENUMERATION_EDGE_LIMIT, evaluate_policy_exact,
                       evaluate_policy_sampled, optimal_full_feedback_adaptive)
 from .policies import PolicyConfig, run_policy, transcript_lines
@@ -238,19 +242,21 @@ def cmd_sweep_alpha(args) -> int:
     threads = _threads()
     i_cell = "na" if trivalency is None else str(trivalency)
 
-    rows = [CSV_HEADER]
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(CSV_HEADER.split(","))
     for alpha in alphas:
         for budget in budgets:
             _check_policy_budget(graph, policy, budget)
             config = PolicyConfig(policy, alpha, budget)
             result = evaluate_policy_sampled(graph, config, realizations,
                                              seed, estimator, threads)
-            rows.append(",".join([
+            writer.writerow([
                 fmt_g(alpha), str(budget), i_cell, policy, tag,
                 str(realizations), fmt_g(result.mean_spread),
                 fmt_g(result.std_error), fmt_g(result.mean_slots),
-                fmt_g(result.mean_seeds), str(seed)]))
-    text = "\n".join(rows) + "\n"
+                fmt_g(result.mean_seeds), str(seed)])
+    text = buffer.getvalue()
     out = _merged(args, "out")
     if out is None:
         sys.stdout.write(text)
@@ -308,9 +314,7 @@ def _oracle_instances(count: int, seed: int):
         except ValueError:
             continue
         probs = []
-        rng_seed = derive_seed(seed, "probs", attempt)
-        import random as _random
-        rng = _random.Random(rng_seed)
+        rng = random.Random(derive_seed(seed, "probs", attempt))
         for _ in range(g.edge_count):
             probs.append(round(rng.uniform(0.2, 0.9), 3))
         made += 1
@@ -334,8 +338,6 @@ def cmd_oracle_check(args) -> int:
         graphs = list(_oracle_instances(5, seed))
 
     one_minus_inv_e = bounds_mod.bound_uniform(1.0)
-    from .policies import run_alpha_greedy_uniform
-    from .diffusion import empty_partial
     for k, g in enumerate(graphs):
         budget = min(2, g.node_count)
         config = PolicyConfig("uniform", 1.0, Fraction(budget))
@@ -355,8 +357,8 @@ def cmd_oracle_check(args) -> int:
     for k, g in enumerate(graphs):
         budget = min(2, g.node_count)
         realization = sample_full_realization(g, derive_seed(seed, "world", k))
-        run = run_alpha_greedy_uniform(g, 0.0, budget, realization,
-                                       ExactEstimator(), seed)
+        run = run_policy(g, PolicyConfig("uniform", 0.0, budget), realization,
+                         ExactEstimator(), seed)
         greedy: list[int] = []
         empty = empty_partial(g)
         for _ in range(budget):
@@ -383,7 +385,8 @@ def cmd_oracle_check(args) -> int:
         empty = empty_partial(g)
         seeds = [0]
         exact = exact_conditional_activation(g, seeds, empty)
-        mc = mc_conditional_activation(g, seeds, empty, 4000, derive_seed(seed, "mc", k))
+        mc = MonteCarloEstimator(4000, derive_seed(seed, "mc", k)).activation(
+            g, seeds, empty)
         bad = 0
         for v in range(g.node_count):
             p = exact.probability[v]
@@ -406,12 +409,11 @@ def cmd_oracle_check(args) -> int:
 
     if graphs:
         g = graphs[0]
+        config = PolicyConfig("uniform", 1.0, min(2, g.node_count))
         corrupted = EpsilonEstimator(ExactEstimator(), 0.9, "adversarial-low", 0)
         realization = sample_full_realization(g, derive_seed(seed, "corrupt"))
-        run = run_alpha_greedy_uniform(g, 1.0, min(2, g.node_count), realization,
-                                       corrupted, seed)
-        exact_run = run_alpha_greedy_uniform(g, 1.0, min(2, g.node_count),
-                                             realization, ExactEstimator(), seed)
+        run = run_policy(g, config, realization, corrupted, seed)
+        exact_run = run_policy(g, config, realization, ExactEstimator(), seed)
         print(f"degraded: corrupted estimator spread={run.realized_cascade} "
               f"vs exact-backend spread={exact_run.realized_cascade} "
               "(adversarial-low eps=0.9, reported only)")
@@ -424,12 +426,8 @@ def cmd_oracle_check(args) -> int:
 
 
 def _observation_invariant_sweep(seed: int, rounds: int) -> int:
-    import random as _random
-    from .diffusion import SeedSchedule, live_subgraph, observe
-    from .graph import diameter as graph_diameter
-
     violations = 0
-    rng = _random.Random(derive_seed(seed, "obs-sweep"))
+    rng = random.Random(derive_seed(seed, "obs-sweep"))
     for k in range(rounds):
         n = rng.randrange(3, 8)
         m = min(rng.randrange(0, 2 * n + 1), n * (n - 1))
@@ -450,7 +448,7 @@ def _observation_invariant_sweep(seed: int, rounds: int) -> int:
             if previous is not None and not previous.is_subset_of(psi):
                 violations += 1
             previous = psi
-        settle_bound = graph_diameter(live_subgraph(g, realization)) + 1
+        settle_bound = diameter(live_subgraph(g, realization)) + 1
         settled = observe(g, realization, schedule, start + settle_bound)
         later = observe(g, realization, schedule, start + settle_bound + 3)
         if settled.codes != later.codes:

@@ -197,23 +197,52 @@ class Estimator:
         raise NotImplementedError
 
 
+class _GraphCache(OrderedDict):
+    """Least-recently-used memo for the last graph it was handed.
+
+    Keys leave the graph out. A lookup with a different graph object
+    empties the cache first, so a hit can only come from the graph the
+    value was computed on; an id() in the key could be reused once its
+    graph is dropped. A pickled copy, as sent to a pool worker, starts
+    empty.
+    """
+
+    def __init__(self, size: int):
+        super().__init__()
+        self.size = size
+        self.graph = None
+
+    def __reduce__(self):
+        return type(self), (self.size,)
+
+    def lookup(self, graph: DirectedGraph, key):
+        if graph is not self.graph:
+            self.clear()
+            self.graph = graph
+        hit = self.get(key)
+        if hit is not None:
+            self.move_to_end(key)
+        return hit
+
+    def store(self, key, value):
+        self[key] = value
+        if len(self) > self.size:
+            self.popitem(last=False)
+        return value
+
+
 class ExactEstimator(Estimator):
     """Enumeration backend with a small memo over (seeds, observation)."""
 
     def __init__(self):
-        self._cache: OrderedDict = OrderedDict()
+        self._cache = _GraphCache(128)
 
     def activation(self, graph, seeds, partial):
-        key = (id(graph), frozenset(seeds), partial.codes)
-        hit = self._cache.get(key)
+        key = (frozenset(seeds), partial.codes)
+        hit = self._cache.lookup(graph, key)
         if hit is not None:
-            self._cache.move_to_end(key)
             return hit
-        est = exact_conditional_activation(graph, seeds, partial)
-        self._cache[key] = est
-        if len(self._cache) > 128:
-            self._cache.popitem(last=False)
-        return est
+        return self._cache.store(key, exact_conditional_activation(graph, seeds, partial))
 
     def gain(self, graph, seeds, partial, candidate):
         with_c = self.activation(graph, frozenset(seeds) | {candidate}, partial)
@@ -281,7 +310,7 @@ class MonteCarloEstimator(Estimator):
             raise ValueError("sample count must be positive")
         self.samples = samples
         self.rng_seed = rng_seed
-        self._batches: OrderedDict = OrderedDict()
+        self._batches = _GraphCache(8)
 
     def reseeded(self, salt):
         return MonteCarloEstimator(self.samples, derive_seed(self.rng_seed, salt))
@@ -291,10 +320,8 @@ class MonteCarloEstimator(Estimator):
         return f"mc({self.samples})"
 
     def _batch(self, graph: DirectedGraph, partial: PartialRealization) -> _Completions:
-        key = (id(graph), partial.codes)
-        hit = self._batches.get(key)
+        hit = self._batches.lookup(graph, partial.codes)
         if hit is not None:
-            self._batches.move_to_end(key)
             return hit
         rng = random.Random(derive_seed(self.rng_seed, "completions", partial.codes))
         draw = rng.random
@@ -318,10 +345,7 @@ class MonteCarloEstimator(Estimator):
                     else:
                         adj[u].append(v)
             batch.append(adj)
-        hit = self._batches[key] = _Completions(batch)
-        if len(self._batches) > 8:
-            self._batches.popitem(last=False)
-        return hit
+        return self._batches.store(partial.codes, _Completions(batch))
 
     def activation(self, graph, seeds, partial):
         seed_set = _check_state(graph, seeds, partial)
@@ -365,12 +389,6 @@ class MonteCarloEstimator(Estimator):
                     counts[u] += 1
             values.append(math.fsum(c / k for c in counts))
         return values
-
-
-def mc_conditional_activation(graph: DirectedGraph, seeds, partial: PartialRealization,
-                              samples: int, rng_seed: int) -> ActivationEstimate:
-    """Monte carlo activation estimate; zero-set nodes are exactly 0."""
-    return MonteCarloEstimator(samples, rng_seed).activation(graph, seeds, partial)
 
 
 _EPS_MODES = ("random", "adversarial-high", "adversarial-low")
@@ -424,23 +442,3 @@ class EpsilonEstimator(Estimator):
         with_c = self.inner.expected_cascade(graph, seed_set | {candidate}, partial)
         base = self.inner.expected_cascade(graph, seed_set, partial)
         return with_c * self._factor() - base * self._factor()
-
-
-def epsilon_wrap(inner: Estimator, epsilon: float, mode: str,
-                 rng_seed: int = 0) -> Estimator:
-    """Wrap an estimator in the multiplicative perturbation layer.
-
-    epsilon = 0 is the identity on values (every factor is exactly 1).
-    """
-    return EpsilonEstimator(inner, epsilon, mode, rng_seed)
-
-
-def marginal_gain(estimator: Estimator, graph: DirectedGraph, seeds,
-                  partial: PartialRealization, candidate: int) -> float:
-    """Estimated f(seeds + candidate) - f(seeds) under the backend."""
-    seed_set = _check_state(graph, seeds, partial)
-    if candidate in seed_set:
-        raise ValueError(f"candidate {candidate} is already a seed")
-    if not (0 <= candidate < graph.node_count):
-        raise ValueError(f"candidate {candidate} out of range")
-    return estimator.gain(graph, seed_set, partial, candidate)

@@ -23,7 +23,7 @@ Both formats round-trip exactly through ``edge_list_text`` and
 """
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, NamedTuple
@@ -108,13 +108,6 @@ class DirectedGraph:
         return tuple(tuple(b) for b in buckets)
 
     @cached_property
-    def in_edges(self) -> tuple[tuple[int, ...], ...]:
-        buckets: list[list[int]] = [[] for _ in range(self.node_count)]
-        for idx, e in enumerate(self.edges):
-            buckets[e.target].append(idx)
-        return tuple(tuple(b) for b in buckets)
-
-    @cached_property
     def successors(self) -> tuple[tuple[int, ...], ...]:
         """Target nodes per node, following edge index order."""
         return tuple(tuple(self.edges[i].target for i in out) for out in self.out_edges)
@@ -132,39 +125,6 @@ class DirectedGraph:
 
     def has_uniform_unit_costs(self) -> bool:
         return all(c == 1 for c in self.costs)
-
-
-@dataclass(frozen=True)
-class BudgetConfig:
-    """Seeding budget plus the policy knobs attached to it.
-
-    cost_mode is one of "uniform" (all costs forced to 1, budget acts as a
-    cardinality bound), "explicit" (costs come from a cost file or the
-    graph itself), or "random-range" (costs drawn uniformly from
-    cost_range).
-    """
-
-    budget: Fraction
-    alpha: float
-    epsilon: float = 0.0
-    cost_mode: str = "uniform"
-    cost_range: tuple[Fraction, Fraction] | None = field(default=None)
-
-    def __post_init__(self):
-        if self.budget <= 0:
-            raise ValueError("budget must be positive")
-        if not (0.0 <= self.alpha <= 1.0):
-            raise ValueError("alpha must lie in [0, 1]")
-        if not (0.0 <= self.epsilon < 1.0):
-            raise ValueError("epsilon must lie in [0, 1)")
-        if self.cost_mode not in ("uniform", "explicit", "random-range"):
-            raise ValueError(f"unknown cost mode {self.cost_mode!r}")
-        if self.cost_mode == "random-range":
-            if self.cost_range is None:
-                raise ValueError("random-range cost mode needs cost_range")
-            lo, hi = self.cost_range
-            if lo <= 0 or hi < lo:
-                raise ValueError("cost range must satisfy 0 < lo <= hi")
 
 
 # ---------------------------------------------------------------------------

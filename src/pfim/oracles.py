@@ -16,15 +16,17 @@ the policies, not as scalable solvers.
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import combinations
 
 from ._util import derive_seed
 from .diffusion import (FullRealization, PartialRealization, SeedSchedule,
-                        cascade_size, empty_partial, observe)
-from .estimation import (EXACT_EDGE_LIMIT, Estimator, ExactEstimator,
-                         InstanceTooLarge, exact_conditional_activation)
+                        cascade_size, empty_partial, live_adjacency, observe,
+                        sample_full_realization)
+from .estimation import (Estimator, ExactEstimator, InstanceTooLarge,
+                         exact_conditional_activation)
 from .graph import DirectedGraph, _as_fraction
-from .policies import (PolicyConfig, _GreedyCore, best_single_node, run_policy)
+from .policies import PolicyConfig, _GreedyCore, best_single_node, run_policy
+from .reach import mask_nodes, reachable_mask
 
 ENUMERATION_EDGE_LIMIT = 22          # 2^|E| realizations
 NONADAPTIVE_WORK_LIMIT = 1 << 24     # C(n, floor(B)) * 2^|E|
@@ -144,7 +146,6 @@ def evaluate_policy_exact(graph: DirectedGraph, config: PolicyConfig,
 
 def _world_outcome(args):
     graph, config, estimator, rng_seed, index = args
-    from .diffusion import sample_full_realization
     world_seed = rng_seed + index
     realization = sample_full_realization(graph, derive_seed(world_seed, "realization"))
     run = run_policy(graph, config, realization, estimator,
@@ -162,6 +163,8 @@ def evaluate_policy_sampled(graph: DirectedGraph, config: PolicyConfig,
         raise ValueError("need at least one realization")
     jobs = [(graph, config, estimator, rng_seed, w) for w in range(realizations)]
     if threads > 1:
+        # imported here: it loads multiprocessing, about 30 ms of start-up
+        # that single-process runs do not need
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=threads) as pool:
             outcomes = list(pool.map(_world_outcome, jobs, chunksize=16))
@@ -184,8 +187,6 @@ def evaluate_policy_sampled(graph: DirectedGraph, config: PolicyConfig,
 def optimal_nonadaptive(graph: DirectedGraph, budget) -> tuple[frozenset[int], float]:
     """Best fixed seed set by exhaustive search, ties to the
     lexicographically smallest set."""
-    from itertools import combinations
-
     frac_budget = _as_fraction(budget)
     if frac_budget <= 0:
         raise ValueError("budget must be positive")
@@ -208,20 +209,13 @@ def optimal_nonadaptive(graph: DirectedGraph, budget) -> tuple[frozenset[int], f
     return frozenset(best_set), best_value
 
 
-def _settled_observation(graph: DirectedGraph, live_adj, out_edges,
-                         realization: FullRealization, seeds) -> bytes:
+def _settled_observation(graph: DirectedGraph, live_adj,
+                         realization: FullRealization, seed_mask: int) -> bytes:
     """Full-feedback view: status of every edge leaving a node the
-    cascade from these seeds reaches."""
-    from .reach import node_mask, reachable_mask
-
-    reached = reachable_mask(live_adj, node_mask(seeds))
+    cascade from the seed set (a node mask) reaches."""
     codes = bytearray([2]) * graph.edge_count
-    v = 0
-    m = reached
-    while m:
-        low = m & -m
-        v = low.bit_length() - 1
-        m ^= low
+    out_edges = graph.out_edges
+    for v in mask_nodes(reachable_mask(live_adj, seed_mask)):
         for idx in out_edges[v]:
             codes[idx] = 1 if realization.live[idx] else 0
     return bytes(codes)
@@ -244,14 +238,7 @@ def optimal_full_feedback_adaptive(graph: DirectedGraph, budget) -> float:
     n = graph.node_count
     picks = min(n, int(frac_budget))
     worlds = _enumerate_worlds(graph)
-    live_adjs = []
-    for realization, _ in worlds:
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for k, e in enumerate(graph.edges):
-            if realization.live[k]:
-                adj[e.source].append(e.target)
-        live_adjs.append(adj)
-    out_edges = graph.out_edges
+    live_adjs = [live_adjacency(graph, realization) for realization, _ in worlds]
     memo: dict = {}
 
     def value(seed_mask: int, indices: tuple[int, ...]) -> float:
@@ -259,8 +246,8 @@ def optimal_full_feedback_adaptive(graph: DirectedGraph, budget) -> float:
         if bin(seed_mask).count("1") == picks:
             total = 0.0
             for i in indices:
-                realization, w = worlds[i]
-                total += w * reach_size(i, seed_mask)
+                reached = reachable_mask(live_adjs[i], seed_mask)
+                total += worlds[i][1] * reached.bit_count()
             return total
         key = (seed_mask, indices)
         hit = memo.get(key)
@@ -274,25 +261,13 @@ def optimal_full_feedback_adaptive(graph: DirectedGraph, budget) -> float:
             new_mask = seed_mask | bit
             parts: dict[bytes, list[int]] = {}
             for i in indices:
-                psi = _settled_observation(graph, live_adjs[i], out_edges,
-                                           worlds[i][0], _mask_list(new_mask))
+                psi = _settled_observation(graph, live_adjs[i], worlds[i][0],
+                                           new_mask)
                 parts.setdefault(psi, []).append(i)
             candidate = sum(value(new_mask, tuple(sub)) for sub in parts.values())
             if best is None or candidate > best:
                 best = candidate
         memo[key] = best
         return best
-
-    def _mask_list(mask: int) -> list[int]:
-        out = []
-        while mask:
-            low = mask & -mask
-            out.append(low.bit_length() - 1)
-            mask ^= low
-        return out
-
-    def reach_size(index: int, seed_mask: int) -> int:
-        from .reach import reachable_mask
-        return reachable_mask(live_adjs[index], seed_mask).bit_count()
 
     return value(0, tuple(range(len(worlds))))

@@ -22,7 +22,7 @@ at that point and the guard never fires.
 """
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from ._util import derive_seed, fmt_g
@@ -108,12 +108,11 @@ class _Decision:
 class _GreedyCore:
     """Per-round decision logic shared by the live runners and the exact
     policy evaluator. Holds no world state; the caller owns seeds, slot,
-    and observations."""
+    and observations. alpha and budget come from a PolicyConfig, which
+    has already checked their ranges."""
 
     def __init__(self, graph: DirectedGraph, alpha: float, budget,
                  estimator: Estimator, uniform: bool):
-        if not (0.0 <= alpha <= 1.0):
-            raise ValueError("alpha must lie in [0, 1]")
         self.graph = graph
         self.alpha = alpha
         self.estimator = estimator
@@ -128,8 +127,6 @@ class _GreedyCore:
             self.budget = frac
         else:
             self.budget = _as_fraction(budget)
-            if self.budget <= 0:
-                raise ValueError("budget must be positive")
             if graph.node_count == 0 or min(graph.costs) > self.budget:
                 raise ValueError("no affordable first node")
 
@@ -215,28 +212,6 @@ def _run_greedy(graph: DirectedGraph, alpha: float, budget,
                      core.budget - remaining, slot)
 
 
-def run_alpha_greedy_uniform(graph: DirectedGraph, alpha: float, budget,
-                             realization: FullRealization, estimator: Estimator,
-                             rng_seed: int) -> PolicyRun:
-    """Uniform-cost alpha-greedy: argmax marginal gain, exactly B seeds
-    (fewer only if the graph runs out of nodes)."""
-    return _run_greedy(graph, alpha, budget, realization, estimator, rng_seed,
-                       uniform=True)
-
-
-def run_alpha_greedy_nonuniform(graph: DirectedGraph, alpha: float, budget,
-                                realization: FullRealization, estimator: Estimator,
-                                rng_seed: int) -> PolicyRun:
-    """Cost-sensitive alpha-greedy: argmax gain per unit cost.
-
-    The first selection considers only affordable nodes; afterwards, if
-    the global ratio argmax does not fit the remaining budget the run
-    terminates without substituting a cheaper node.
-    """
-    return _run_greedy(graph, alpha, budget, realization, estimator, rng_seed,
-                       uniform=False)
-
-
 def best_single_node(graph: DirectedGraph, estimator: Estimator) -> tuple[int, float]:
     """The node with the largest unconditional expected cascade, smallest
     id on ties, together with that value."""
@@ -249,13 +224,23 @@ def best_single_node(graph: DirectedGraph, estimator: Estimator) -> tuple[int, f
     return best, best_value
 
 
-def run_enhanced(graph: DirectedGraph, alpha: float, budget,
-                 realization: FullRealization, estimator: Estimator,
-                 rng_seed: int) -> PolicyRun:
-    """Fair coin between seeding only the best single node and the full
-    non-uniform greedy run. The greedy arm reproduces
-    run_alpha_greedy_nonuniform with the same seeds exactly."""
-    frac_budget = _as_fraction(budget)
+def run_policy(graph: DirectedGraph, config: PolicyConfig,
+               realization: FullRealization, estimator: Estimator,
+               rng_seed: int) -> PolicyRun:
+    """Run a configured policy against one realization.
+
+    uniform: argmax marginal gain, exactly B seeds (fewer only if the
+    graph runs out of nodes). nonuniform: argmax gain per unit cost; the
+    first selection considers only affordable nodes, and afterwards the
+    run terminates if the ratio argmax does not fit the remaining budget,
+    without substituting a cheaper node. enhanced: a fair coin between
+    seeding only the best single node and the nonuniform run with the
+    same seeds.
+    """
+    if config.kind != "enhanced":
+        return _run_greedy(graph, config.alpha, config.budget, realization,
+                           estimator, rng_seed, uniform=config.kind == "uniform")
+    frac_budget = _as_fraction(config.budget)
     est_single = estimator.reseeded(derive_seed(rng_seed, "estimation", "single"))
     star, star_value = best_single_node(graph, est_single)
     star_cost = graph.costs[star]
@@ -270,21 +255,6 @@ def run_enhanced(graph: DirectedGraph, alpha: float, budget,
         return PolicyRun(schedule, rounds,
                          cascade_size(graph, realization, [star]),
                          star_cost, 0, arm="single")
-    run = run_alpha_greedy_nonuniform(graph, alpha, budget, realization,
-                                      estimator, rng_seed)
-    return PolicyRun(run.schedule, run.rounds, run.realized_cascade,
-                     run.total_cost, run.slots_elapsed, arm="greedy")
-
-
-def run_policy(graph: DirectedGraph, config: PolicyConfig,
-               realization: FullRealization, estimator: Estimator,
-               rng_seed: int) -> PolicyRun:
-    """Dispatch a configured policy against one realization."""
-    if config.kind == "uniform":
-        return run_alpha_greedy_uniform(graph, config.alpha, config.budget,
-                                        realization, estimator, rng_seed)
-    if config.kind == "nonuniform":
-        return run_alpha_greedy_nonuniform(graph, config.alpha, config.budget,
-                                           realization, estimator, rng_seed)
-    return run_enhanced(graph, config.alpha, config.budget, realization,
-                        estimator, rng_seed)
+    run = _run_greedy(graph, config.alpha, config.budget, realization, estimator,
+                      rng_seed, uniform=False)
+    return replace(run, arm="greedy")

@@ -20,12 +20,11 @@ from pfim.cli import main as cli_main
 from pfim.diffusion import (SeedSchedule, empty_partial, live_subgraph, observe,
                             sample_full_realization)
 from pfim.estimation import (ExactEstimator, MonteCarloEstimator,
-                             exact_conditional_activation,
-                             mc_conditional_activation, zero_probability_set)
+                             exact_conditional_activation, zero_probability_set)
 from pfim.graph import diameter, generate_graph, load_graph
 from pfim.oracles import (evaluate_policy_exact, evaluate_policy_sampled,
                           optimal_full_feedback_adaptive)
-from pfim.policies import PolicyConfig, run_alpha_greedy_nonuniform
+from pfim.policies import PolicyConfig, run_policy
 
 from bruteforce import greedy_nonadaptive_uniform
 
@@ -99,9 +98,8 @@ def test_zero_threshold_matches_nonadaptive_greedy(report):
 
 
 def run_policy_uniform_alpha0(g, budget, realization):
-    from pfim.policies import run_alpha_greedy_uniform
-    return run_alpha_greedy_uniform(g, 0.0, budget, realization,
-                                    ExactEstimator(), 0)
+    return run_policy(g, PolicyConfig("uniform", 0.0, budget),
+                      realization, ExactEstimator(), 0)
 
 
 def test_full_threshold_has_full_information(report):
@@ -146,7 +144,7 @@ def test_estimator_agreement(report):
             schedule = SeedSchedule(tuple((v, 0) for v in seeds))
             psi = observe(g, realization, schedule, rng.randrange(0, n))
         exact = exact_conditional_activation(g, seeds, psi)
-        mc = mc_conditional_activation(g, seeds, psi, k, derive_seed(402, idx))
+        mc = MonteCarloEstimator(k, derive_seed(402, idx)).activation(g, seeds, psi)
         if mc.zero_set != frozenset(
                 v for v, p in exact.probability.items() if p == 0.0):
             zero_set_bad += 1
@@ -258,8 +256,8 @@ def test_budget_safety_and_determinism(tmp_path, capsys, report):
         g = g.with_costs(costs)
         realization = sample_full_realization(g, rng.randrange(1 << 30))
         alpha = rng.choice([0.0, 0.4, 0.8, 1.0])
-        run = run_alpha_greedy_nonuniform(g, alpha, budget, realization,
-                                          estimator, rng.randrange(1 << 30))
+        run = run_policy(g, PolicyConfig("nonuniform", alpha, budget),
+                         realization, estimator, rng.randrange(1 << 30))
         runs += 1
         if run.total_cost > budget:
             over_budget += 1

@@ -7,9 +7,8 @@ from hypothesis import given, settings, strategies as st
 from pfim.diffusion import (PartialRealization, SeedSchedule, empty_partial,
                             observe, sample_full_realization)
 from pfim.estimation import (EpsilonEstimator, ExactEstimator, InstanceTooLarge,
-                             MonteCarloEstimator, epsilon_wrap,
-                             exact_conditional_activation, marginal_gain,
-                             mc_conditional_activation, zero_probability_set)
+                             MonteCarloEstimator, exact_conditional_activation,
+                             zero_probability_set)
 from pfim.graph import DirectedGraph, generate_graph, load_graph
 
 from bruteforce import naive_activation_probability
@@ -128,7 +127,7 @@ class TestMonteCarlo:
         for seed in range(25):
             g, seeds, psi = observed_instance(seed)
             exact = exact_conditional_activation(g, seeds, psi)
-            mc = mc_conditional_activation(g, seeds, psi, k, seed)
+            mc = MonteCarloEstimator(k, seed).activation(g, seeds, psi)
             for v in range(g.node_count):
                 p = exact.probability[v]
                 sigma = math.sqrt(p * (1 - p) / k)
@@ -139,14 +138,14 @@ class TestMonteCarlo:
     def test_zero_set_is_exact_not_sampled(self):
         for seed in range(40):
             g, seeds, psi = observed_instance(seed)
-            mc = mc_conditional_activation(g, seeds, psi, 50, seed)
+            mc = MonteCarloEstimator(50, seed).activation(g, seeds, psi)
             assert mc.zero_set == zero_probability_set(g, seeds, psi)
             for v in mc.zero_set:
                 assert mc.probability[v] == 0.0
 
     def test_deterministic_in_seed(self):
-        a = mc_conditional_activation(DIAMOND, [0], empty_partial(DIAMOND), 500, 9)
-        b = mc_conditional_activation(DIAMOND, [0], empty_partial(DIAMOND), 500, 9)
+        a = MonteCarloEstimator(500, 9).activation(DIAMOND, [0], empty_partial(DIAMOND))
+        b = MonteCarloEstimator(500, 9).activation(DIAMOND, [0], empty_partial(DIAMOND))
         assert a.probability == b.probability
 
     def test_gain_never_negative_via_common_completions(self):
@@ -170,7 +169,7 @@ class TestMonteCarlo:
         assert forward == backward
 
     def test_backend_tag(self):
-        mc = mc_conditional_activation(DIAMOND, [0], empty_partial(DIAMOND), 128, 0)
+        mc = MonteCarloEstimator(128, 0).activation(DIAMOND, [0], empty_partial(DIAMOND))
         assert mc.backend == "mc(128)"
 
 
@@ -192,39 +191,31 @@ class TestGain:
                 assert est.gain(g, seeds, psi, v) == pytest.approx(
                     with_v - base, abs=1e-9)
 
-    def test_marginal_gain_rejects_seeded_candidate(self):
-        with pytest.raises(ValueError):
-            marginal_gain(ExactEstimator(), CHAIN, [0], empty_partial(CHAIN), 0)
-
-    def test_marginal_gain_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            marginal_gain(ExactEstimator(), CHAIN, [0], empty_partial(CHAIN), 9)
-
 
 class TestEpsilonWrapper:
     def test_adversarial_high_scales_up(self):
         inner = ExactEstimator()
-        wrapped = epsilon_wrap(inner, 0.2, "adversarial-high", 0)
+        wrapped = EpsilonEstimator(inner, 0.2, "adversarial-high", 0)
         base = inner.activation(DIAMOND, [0], empty_partial(DIAMOND))
         high = wrapped.activation(DIAMOND, [0], empty_partial(DIAMOND))
         assert high.expected_cascade == pytest.approx(
             1.2 * base.expected_cascade, rel=1e-12)
 
     def test_adversarial_low_scales_down(self):
-        wrapped = epsilon_wrap(ExactEstimator(), 0.3, "adversarial-low", 0)
+        wrapped = EpsilonEstimator(ExactEstimator(), 0.3, "adversarial-low", 0)
         est = wrapped.activation(DIAMOND, [0], empty_partial(DIAMOND))
         assert est.expected_cascade == pytest.approx(0.7 * 2.4375, rel=1e-12)
 
     def test_random_mode_stays_inside_band(self):
-        wrapped = epsilon_wrap(ExactEstimator(), 0.25, "random", 3)
+        wrapped = EpsilonEstimator(ExactEstimator(), 0.25, "random", 3)
         for _ in range(50):
             est = wrapped.activation(DIAMOND, [0], empty_partial(DIAMOND))
             ratio = est.expected_cascade / 2.4375
             assert 0.75 - 1e-12 <= ratio <= 1.25 + 1e-12
 
     def test_random_mode_deterministic_per_seed(self):
-        a = epsilon_wrap(ExactEstimator(), 0.25, "random", 3)
-        b = epsilon_wrap(ExactEstimator(), 0.25, "random", 3)
+        a = EpsilonEstimator(ExactEstimator(), 0.25, "random", 3)
+        b = EpsilonEstimator(ExactEstimator(), 0.25, "random", 3)
         seq_a = [a.activation(DIAMOND, [0], empty_partial(DIAMOND)).expected_cascade
                  for _ in range(10)]
         seq_b = [b.activation(DIAMOND, [0], empty_partial(DIAMOND)).expected_cascade
@@ -232,7 +223,7 @@ class TestEpsilonWrapper:
         assert seq_a == seq_b
 
     def test_gain_may_go_negative(self):
-        wrapped = epsilon_wrap(ExactEstimator(), 0.9, "random", 11)
+        wrapped = EpsilonEstimator(ExactEstimator(), 0.9, "random", 11)
         gains = [wrapped.gain(CHAIN, [0], empty_partial(CHAIN), 2)
                  for _ in range(200)]
         assert any(g < 0 for g in gains)
@@ -240,17 +231,17 @@ class TestEpsilonWrapper:
 
     def test_zero_set_untouched(self):
         g = load_graph("0 1 0\n1 2 1\n")
-        wrapped = epsilon_wrap(ExactEstimator(), 0.5, "adversarial-high", 0)
+        wrapped = EpsilonEstimator(ExactEstimator(), 0.5, "adversarial-high", 0)
         est = wrapped.activation(g, [0], empty_partial(g))
         assert est.zero_set == {1, 2}
 
     def test_mode_validation(self):
         with pytest.raises(ValueError):
-            epsilon_wrap(ExactEstimator(), 0.5, "sideways", 0)
+            EpsilonEstimator(ExactEstimator(), 0.5, "sideways", 0)
 
     def test_epsilon_validation(self):
         with pytest.raises(ValueError):
-            epsilon_wrap(ExactEstimator(), 1.5, "random", 0)
+            EpsilonEstimator(ExactEstimator(), 1.5, "random", 0)
 
 
 class TestBatchedQueries:
@@ -304,3 +295,18 @@ class TestBatchedQueries:
         single = fresh()
         assert fresh().gains(g, seeds, psi, others) == [
             single.gain(g, seeds, psi, v) for v in others]
+
+
+def test_shared_estimators_never_answer_for_a_dropped_graph():
+    # Each graph is dropped after its queries, so a later graph may be
+    # allocated at its address and get its id().
+    exact, mc = ExactEstimator(), MonteCarloEstimator(20, 3)
+    stale_exact = stale_mc = 0
+    for seed in range(1500):
+        g = generate_graph(5, 6, "erdos-renyi", 60, seed)
+        empty = empty_partial(g)
+        fresh_exact = ExactEstimator().activation(g, [0], empty)
+        fresh_mc = MonteCarloEstimator(20, 3).activation(g, [0], empty)
+        stale_exact += exact.activation(g, [0], empty) != fresh_exact
+        stale_mc += mc.activation(g, [0], empty) != fresh_mc
+    assert (stale_exact, stale_mc) == (0, 0)

@@ -3,10 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pfim.graph import (BudgetConfig, DirectedGraph, Edge, GraphFormatError,
-                        assign_random_costs, assign_trivalency_probabilities,
-                        cost_text, diameter, edge_list_text, generate_graph,
-                        load_costs, load_graph)
+from pfim.graph import (DirectedGraph, Edge, GraphFormatError, assign_random_costs,
+                        assign_trivalency_probabilities, cost_text, diameter,
+                        edge_list_text, generate_graph, load_costs, load_graph)
 
 
 class TestLoadGraph:
@@ -179,16 +178,3 @@ class TestDiameter:
         g = load_graph("# nodes=3\n")
         assert diameter(g) == 0
 
-
-class TestBudgetConfig:
-    def test_valid(self):
-        cfg = BudgetConfig(Fraction(5), 0.5, 0.0, "uniform", None)
-        assert cfg.budget == 5
-
-    def test_alpha_range(self):
-        with pytest.raises(ValueError):
-            BudgetConfig(Fraction(5), 1.5, 0.0, "uniform", None)
-
-    def test_random_range_needs_bounds(self):
-        with pytest.raises(ValueError):
-            BudgetConfig(Fraction(5), 0.5, 0.0, "random-range", None)

@@ -7,8 +7,7 @@ from pfim.estimation import ExactEstimator, InstanceTooLarge, MonteCarloEstimato
 from pfim.graph import generate_graph, load_graph
 from pfim.oracles import (evaluate_policy_exact, evaluate_policy_sampled,
                           optimal_full_feedback_adaptive, optimal_nonadaptive)
-from pfim.policies import (PolicyConfig, run_alpha_greedy_nonuniform,
-                           run_alpha_greedy_uniform)
+from pfim.policies import PolicyConfig, run_policy
 
 from bruteforce import best_seed_set_exhaustive, policy_value_by_enumeration
 
@@ -37,8 +36,8 @@ class TestExactPolicyEvaluation:
                 got = evaluate_policy_exact(g, cfg).value
 
                 def run_one(real):
-                    return run_alpha_greedy_uniform(
-                        g, alpha, 2, real, ExactEstimator(), 0).realized_cascade
+                    return run_policy(g, PolicyConfig("uniform", alpha, 2),
+                                      real, ExactEstimator(), 0).realized_cascade
 
                 want = policy_value_by_enumeration(g, run_one)
                 assert got == pytest.approx(want, abs=1e-9), (alpha, g.edges)
@@ -51,8 +50,8 @@ class TestExactPolicyEvaluation:
             got = evaluate_policy_exact(g, cfg).value
 
             def run_one(real):
-                return run_alpha_greedy_nonuniform(
-                    g, 0.5, Fraction(3), real, ExactEstimator(), 0).realized_cascade
+                return run_policy(g, PolicyConfig("nonuniform", 0.5, Fraction(3)),
+                                  real, ExactEstimator(), 0).realized_cascade
 
             want = policy_value_by_enumeration(g, run_one)
             assert got == pytest.approx(want, abs=1e-9)

@@ -8,8 +8,7 @@ from pfim.estimation import (ActivationEstimate, EpsilonEstimator, ExactEstimato
                              MonteCarloEstimator, exact_conditional_activation)
 from pfim.graph import generate_graph, load_graph
 from pfim.policies import (PolicyConfig, best_single_node, condition_satisfied,
-                           run_alpha_greedy_nonuniform, run_alpha_greedy_uniform,
-                           run_enhanced, run_policy, transcript_lines)
+                           run_policy, transcript_lines)
 
 from bruteforce import greedy_nonadaptive_uniform
 
@@ -43,7 +42,8 @@ class TestCondition:
 class TestUniformPolicy:
     def test_alpha_zero_seeds_all_at_slot_zero(self):
         real = sample_full_realization(DIAMOND, 3)
-        run = run_alpha_greedy_uniform(DIAMOND, 0.0, 2, real, ExactEstimator(), 0)
+        run = run_policy(DIAMOND, PolicyConfig("uniform", 0.0, 2),
+                         real, ExactEstimator(), 0)
         assert [slot for _, slot in run.schedule.entries] == [0, 0]
         assert run.slots_elapsed == 0
         assert all(r.action == "select" for r in run.rounds)
@@ -52,7 +52,8 @@ class TestUniformPolicy:
         for seed in range(15):
             g = generate_graph(6, 10, "erdos-renyi", 60, seed)
             real = sample_full_realization(g, seed + 100)
-            run = run_alpha_greedy_uniform(g, 0.0, 3, real, ExactEstimator(), 0)
+            run = run_policy(g, PolicyConfig("uniform", 0.0, 3),
+                             real, ExactEstimator(), 0)
             empty = empty_partial(g)
 
             def value(seeds):
@@ -63,13 +64,14 @@ class TestUniformPolicy:
 
     def test_first_selection_skips_condition(self):
         real = sample_full_realization(DIAMOND, 3)
-        run = run_alpha_greedy_uniform(DIAMOND, 1.0, 2, real, ExactEstimator(), 0)
+        run = run_policy(DIAMOND, PolicyConfig("uniform", 1.0, 2),
+                         real, ExactEstimator(), 0)
         assert run.rounds[0].action == "select"
         assert run.rounds[0].condition_value is None
 
     def test_waits_until_condition_then_selects(self):
-        run = run_alpha_greedy_uniform(DIAMOND, 1.0, 2, ALL_LIVE_DIAMOND,
-                                       ExactEstimator(), 0)
+        run = run_policy(DIAMOND, PolicyConfig("uniform", 1.0, 2),
+                         ALL_LIVE_DIAMOND, ExactEstimator(), 0)
         actions = [r.action for r in run.rounds]
         assert actions[0] == "select"
         assert "wait" in actions
@@ -83,7 +85,8 @@ class TestUniformPolicy:
         for seed in range(10):
             g = generate_graph(7, 12, "erdos-renyi", 40, seed)
             real = sample_full_realization(g, seed)
-            run = run_alpha_greedy_uniform(g, 0.5, 4, real, ExactEstimator(), 1)
+            run = run_policy(g, PolicyConfig("uniform", 0.5, 4),
+                             real, ExactEstimator(), 1)
             assert len(run.schedule) == 4
             assert run.total_cost == 4
 
@@ -91,20 +94,20 @@ class TestUniformPolicy:
         # two identical stars; both roots have the same gain
         g = load_graph("0 1 0.5\n0 2 0.5\n3 4 0.5\n3 5 0.5\n")
         real = sample_full_realization(g, 0)
-        run = run_alpha_greedy_uniform(g, 0.0, 1, real, ExactEstimator(), 0)
+        run = run_policy(g, PolicyConfig("uniform", 0.0, 1), real, ExactEstimator(), 0)
         assert run.schedule.entries[0][0] == 0
 
     def test_fractional_budget_rejected(self):
         real = sample_full_realization(CHAIN, 0)
         with pytest.raises(ValueError):
-            run_alpha_greedy_uniform(CHAIN, 0.5, Fraction(3, 2), real,
-                                     ExactEstimator(), 0)
+            run_policy(CHAIN, PolicyConfig("uniform", 0.5, Fraction(3, 2)),
+                       real, ExactEstimator(), 0)
 
     def test_nonunit_costs_rejected(self):
         g = CHAIN.with_costs((Fraction(2), Fraction(1), Fraction(1)))
         real = sample_full_realization(g, 0)
         with pytest.raises(ValueError):
-            run_alpha_greedy_uniform(g, 0.5, 2, real, ExactEstimator(), 0)
+            run_policy(g, PolicyConfig("uniform", 0.5, 2), real, ExactEstimator(), 0)
 
 
 class TestNonuniformPolicy:
@@ -113,24 +116,24 @@ class TestNonuniformPolicy:
         g = load_graph("0 1 1\n0 2 1\n3 4 1\n")
         g = g.with_costs(tuple(Fraction(c) for c in (5, 1, 1, 1, 1)))
         real = sample_full_realization(g, 0)
-        run = run_alpha_greedy_nonuniform(g, 0.0, Fraction(5), real,
-                                          ExactEstimator(), 0)
+        run = run_policy(g, PolicyConfig("nonuniform", 0.0, Fraction(5)),
+                         real, ExactEstimator(), 0)
         assert run.schedule.entries[0][0] == 3
 
     def test_first_selection_must_be_affordable(self):
         g = load_graph("0 1 1\n0 2 1\n3 4 1\n")
         g = g.with_costs(tuple(Fraction(c) for c in (9, 9, 9, 2, 9)))
         real = sample_full_realization(g, 0)
-        run = run_alpha_greedy_nonuniform(g, 0.0, Fraction(2), real,
-                                          ExactEstimator(), 0)
+        run = run_policy(g, PolicyConfig("nonuniform", 0.0, Fraction(2)),
+                         real, ExactEstimator(), 0)
         assert [v for v, _ in run.schedule.entries] == [3]
 
     def test_no_affordable_node_at_all(self):
         g = CHAIN.with_costs((Fraction(5), Fraction(5), Fraction(5)))
         real = sample_full_realization(g, 0)
         with pytest.raises(ValueError):
-            run_alpha_greedy_nonuniform(g, 0.0, Fraction(2), real,
-                                        ExactEstimator(), 0)
+            run_policy(g, PolicyConfig("nonuniform", 0.0, Fraction(2)),
+                       real, ExactEstimator(), 0)
 
     def test_stops_when_best_ratio_unaffordable(self):
         # after the cheap node, the remaining argmax is too expensive:
@@ -138,8 +141,8 @@ class TestNonuniformPolicy:
         g = load_graph("0 1 1\n0 2 1\n3 4 0.5\n")
         g = g.with_costs(tuple(Fraction(c) for c in (4, 1, 1, 1, 1)))
         real = sample_full_realization(g, 0)
-        run = run_alpha_greedy_nonuniform(g, 0.0, Fraction(2), real,
-                                          ExactEstimator(), 0)
+        run = run_policy(g, PolicyConfig("nonuniform", 0.0, Fraction(2)),
+                         real, ExactEstimator(), 0)
         chosen = [v for v, _ in run.schedule.entries]
         assert chosen[0] == 3
         assert 0 not in chosen
@@ -156,8 +159,8 @@ class TestNonuniformPolicy:
             if min(costs) > budget:
                 continue
             real = sample_full_realization(g, trial)
-            run = run_alpha_greedy_nonuniform(g, rng.choice([0.0, 0.5, 1.0]),
-                                              budget, real, ExactEstimator(), trial)
+            run = run_policy(g, PolicyConfig("nonuniform", rng.choice([0.0, 0.5, 1.0]),
+                                             budget), real, ExactEstimator(), trial)
             assert run.total_cost <= budget
 
 
@@ -165,24 +168,26 @@ class TestEnhancedPolicy:
     def test_single_arm_seeds_best_node(self):
         # seed 2 lands the single arm (checked below by its transcript)
         real = sample_full_realization(DIAMOND, 7)
-        run = run_enhanced(DIAMOND, 0.5, Fraction(2), real, ExactEstimator(), 2)
+        run = run_policy(DIAMOND, PolicyConfig("enhanced", 0.5, Fraction(2)),
+                         real, ExactEstimator(), 2)
         assert run.arm == "single"
         v_star, _ = best_single_node(DIAMOND, ExactEstimator())
         assert [v for v, _ in run.schedule.entries] == [v_star]
 
     def test_greedy_arm_replays_nonuniform_run(self):
         real = sample_full_realization(DIAMOND, 7)
-        run = run_enhanced(DIAMOND, 0.5, Fraction(2), real, ExactEstimator(), 1)
+        run = run_policy(DIAMOND, PolicyConfig("enhanced", 0.5, Fraction(2)),
+                         real, ExactEstimator(), 1)
         assert run.arm == "greedy"
-        direct = run_alpha_greedy_nonuniform(DIAMOND, 0.5, Fraction(2), real,
-                                             ExactEstimator(), 1)
+        direct = run_policy(DIAMOND, PolicyConfig("nonuniform", 0.5, Fraction(2)),
+                            real, ExactEstimator(), 1)
         assert transcript_lines(run) == transcript_lines(direct)
         assert run.schedule.entries == direct.schedule.entries
 
     def test_coin_is_roughly_fair(self):
         real = sample_full_realization(DIAMOND, 0)
-        arms = [run_enhanced(DIAMOND, 0.0, Fraction(1), real,
-                             ExactEstimator(), s).arm for s in range(200)]
+        arms = [run_policy(DIAMOND, PolicyConfig("enhanced", 0.0, Fraction(1)),
+                           real, ExactEstimator(), s).arm for s in range(200)]
         singles = arms.count("single")
         assert 70 <= singles <= 130
 
@@ -190,7 +195,8 @@ class TestEnhancedPolicy:
         g = DIAMOND.with_costs(tuple(Fraction(c) for c in (9, 1, 1, 1)))
         real = sample_full_realization(g, 0)
         with pytest.raises(ValueError):
-            run_enhanced(g, 0.0, Fraction(2), real, ExactEstimator(), 2)
+            run_policy(g, PolicyConfig("enhanced", 0.0, Fraction(2)),
+                       real, ExactEstimator(), 2)
 
     def test_best_single_node_tie_breaks_low(self):
         g = load_graph("0 1 1\n2 3 1\n")
@@ -203,7 +209,7 @@ class TestStallGuard:
     def test_corrupted_estimator_still_terminates(self):
         real = sample_full_realization(DIAMOND, 5)
         bad = EpsilonEstimator(ExactEstimator(), 0.9, "adversarial-low", 0)
-        run = run_alpha_greedy_uniform(DIAMOND, 1.0, 2, real, bad, 0)
+        run = run_policy(DIAMOND, PolicyConfig("uniform", 1.0, 2), real, bad, 0)
         assert len(run.schedule) == 2
         assert run.slots_elapsed <= 3 * DIAMOND.node_count
 
@@ -211,7 +217,8 @@ class TestStallGuard:
         for seed in range(20):
             g = generate_graph(6, 9, "erdos-renyi", 50, seed)
             real = sample_full_realization(g, seed)
-            run = run_alpha_greedy_uniform(g, 1.0, 2, real, ExactEstimator(), 0)
+            run = run_policy(g, PolicyConfig("uniform", 1.0, 2),
+                             real, ExactEstimator(), 0)
             waits = [r for r in run.rounds if r.action == "wait"]
             # settling takes at most the live diameter, far below the guard
             assert len(waits) <= 2 * g.node_count
@@ -221,13 +228,13 @@ class TestTranscripts:
     def test_deterministic_per_seed(self):
         real = sample_full_realization(DIAMOND, 2)
         est = MonteCarloEstimator(200, 0)
-        a = run_alpha_greedy_uniform(DIAMOND, 0.5, 2, real, est, 13)
-        b = run_alpha_greedy_uniform(DIAMOND, 0.5, 2, real, est, 13)
+        a = run_policy(DIAMOND, PolicyConfig("uniform", 0.5, 2), real, est, 13)
+        b = run_policy(DIAMOND, PolicyConfig("uniform", 0.5, 2), real, est, 13)
         assert transcript_lines(a) == transcript_lines(b)
 
     def test_line_shape(self):
-        run = run_alpha_greedy_uniform(DIAMOND, 1.0, 2, ALL_LIVE_DIAMOND,
-                                       ExactEstimator(), 0)
+        run = run_policy(DIAMOND, PolicyConfig("uniform", 1.0, 2),
+                         ALL_LIVE_DIAMOND, ExactEstimator(), 0)
         lines = transcript_lines(run)
         assert lines[0].startswith("r=0 slot=0 action=select:")
         assert all(" cond=" in ln and " |O|=" in ln for ln in lines)
@@ -244,3 +251,9 @@ class TestDispatch:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             PolicyConfig("simulated-annealing", 0.5, Fraction(1))
+
+    @pytest.mark.parametrize("alpha, budget", [(1.5, 1), (-0.1, 1), (0.5, 0)])
+    def test_config_is_the_range_check(self, alpha, budget):
+        # the policy loop trusts these, so the config must reject them
+        with pytest.raises(ValueError):
+            PolicyConfig("enhanced", alpha, Fraction(budget))
