@@ -1,0 +1,91 @@
+"""Referee check bodies shared by ``pfim oracle-check`` and the acceptance
+tests. Each function measures one property on one instance and returns the
+measurement; the caller owns its instances, its floor and its report."""
+
+import math
+from fractions import Fraction
+
+from .diffusion import empty_partial, live_subgraph, observe
+from .estimation import (EpsilonEstimator, ExactEstimator, MonteCarloEstimator,
+                         exact_conditional_activation)
+from .graph import diameter
+from .oracles import evaluate_policy_exact, optimal_full_feedback_adaptive
+from .policies import PolicyConfig, run_policy
+
+
+def guarantee_ratio(graph, budget) -> float:
+    """Exact value of the uniform policy at alpha = 1 over the full-feedback
+    adaptive optimum; at least 1 - 1/e by adaptive submodularity (Golovin
+    and Krause, JAIR 2011)."""
+    budget = Fraction(budget)
+    value = evaluate_policy_exact(graph, PolicyConfig("uniform", 1.0, budget)).value
+    return value / optimal_full_feedback_adaptive(graph, budget)
+
+
+def greedy_nonadaptive(graph, budget: int) -> list[int]:
+    """Greedy on exact unconditional cascade values, smallest id on ties:
+    the CLI's referee for the alpha = 0 check."""
+    empty = empty_partial(graph)
+
+    def value(seeds):
+        return exact_conditional_activation(graph, seeds, empty).expected_cascade
+
+    seeds: list[int] = []
+    for _ in range(budget):
+        base = value(seeds)
+        seeds.append(max((v for v in range(graph.node_count) if v not in seeds),
+                         key=lambda v: value(seeds + [v]) - base))
+    return seeds
+
+
+def alpha_zero_seeds(graph, budget: int, realization,
+                     greedy: list[int]) -> tuple[list[int], bool]:
+    """Seeds of the uniform policy at alpha = 0 with the exact backend, and
+    whether they equal ``greedy`` with every seed placed at slot 0."""
+    run = run_policy(graph, PolicyConfig("uniform", 0.0, budget), realization,
+                     ExactEstimator(), 0)
+    chosen = [v for v, _ in run.schedule.entries]
+    return chosen, chosen == greedy and all(s == 0 for _, s in run.schedule.entries)
+
+
+def estimator_agreement(graph, seeds, partial, samples: int,
+                        rng_seed: int) -> tuple[int, bool]:
+    """Monte Carlo against exact activation: the number of nodes estimated
+    more than 3 sigma off, and whether the zero sets are equal."""
+    exact = exact_conditional_activation(graph, seeds, partial)
+    mc = MonteCarloEstimator(samples, rng_seed).activation(graph, seeds, partial)
+    off = 0
+    for v, p in exact.probability.items():
+        off += abs(mc.probability[v] - p) > 3.0 * math.sqrt(p * (1.0 - p) / samples) + 1e-12
+    zero = frozenset(v for v, p in exact.probability.items() if p == 0.0)
+    return off, mc.zero_set == zero
+
+
+def observation_violations(graph, realization, schedule, slots, far: int) -> int:
+    """Observation invariants broken in one world. Each state observed at
+    ``slots`` (ascending) is consistent with the world and contained in the
+    next. The revealed set freezes once the realized cascade has run its
+    course, a horizon set by the live component rather than the full graph:
+    the state there equals the state ``far`` slots later."""
+    violations = 0
+    previous = None
+    for t in slots:
+        psi = observe(graph, realization, schedule, t)
+        violations += not psi.is_consistent_with(realization)
+        violations += previous is not None and not previous.is_subset_of(psi)
+        previous = psi
+    settle = (max(slot for _, slot in schedule.entries)
+              + diameter(live_subgraph(graph, realization)) + 1)
+    settled = observe(graph, realization, schedule, settle)
+    return violations + (settled.codes != observe(graph, realization, schedule,
+                                                  settle + far).codes)
+
+
+def corrupted_spreads(graph, budget: int, realization, rng_seed: int) -> tuple[int, int]:
+    """Realized spread of the uniform alpha = 1 policy under an
+    adversarial-low eps = 0.9 estimator, then under the exact backend.
+    Reported only: the corrupted run has to finish, not to do well."""
+    config = PolicyConfig("uniform", 1.0, budget)
+    corrupted = EpsilonEstimator(ExactEstimator(), 0.9, "adversarial-low", 0)
+    return tuple(run_policy(graph, config, realization, est, rng_seed).realized_cascade
+                 for est in (corrupted, ExactEstimator()))

@@ -20,15 +20,14 @@ from fractions import Fraction
 
 from ._util import derive_seed, fmt_g
 from . import bounds as bounds_mod
-from .diffusion import (SeedSchedule, empty_partial, live_subgraph, observe,
-                        sample_full_realization)
+from . import checks
+from .diffusion import SeedSchedule, empty_partial, sample_full_realization
 from .estimation import (EpsilonEstimator, Estimator, ExactEstimator,
-                         InstanceTooLarge, MonteCarloEstimator,
-                         exact_conditional_activation)
+                         InstanceTooLarge, MonteCarloEstimator)
 from .graph import (DirectedGraph, GraphFormatError, assign_trivalency_probabilities,
-                    diameter, edge_list_text, generate_graph, load_graph)
+                    edge_list_text, generate_graph, load_graph)
 from .oracles import (ENUMERATION_EDGE_LIMIT, evaluate_policy_exact,
-                      evaluate_policy_sampled, optimal_full_feedback_adaptive)
+                      evaluate_policy_sampled)
 from .policies import PolicyConfig, run_policy, transcript_lines
 
 CSV_HEADER = ("alpha,budget,i,policy,estimator,realizations,"
@@ -38,8 +37,6 @@ CSV_HEADER = ("alpha,budget,i,policy,estimator,realizations,"
 class CliError(Exception):
     def __init__(self, code: str, message: str):
         super().__init__(f"error: {code}: {message}")
-        self.code = code
-        self.detail = message
 
 
 def _config_error(field: str, problem: str) -> CliError:
@@ -54,12 +51,26 @@ _CONFIG_KEYS = {"graph", "costs", "alpha", "budget", "i", "samples", "estimator"
                 "epsilon", "eps_mode", "realizations", "seed", "out", "policy"}
 
 
-def _read_config_file(path: str) -> dict:
+def _read_text(path, what: str) -> str:
     try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+        with open(str(path), encoding="utf-8") as fh:
+            return fh.read()
     except OSError as exc:
-        raise CliError("io", f"cannot read config file {path}: {exc.strerror}")
+        raise CliError("io", f"cannot read {what} file {path}: {exc.strerror}")
+
+
+def _write_output(args, text: str):
+    """Write to --out if given, else to stdout."""
+    out = _merged(args, "out")
+    if out is None:
+        sys.stdout.write(text)
+    else:
+        with open(str(out), "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+
+
+def _read_config_file(path: str) -> dict:
+    text = _read_text(path, "config")
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -79,40 +90,32 @@ def _merged(args: argparse.Namespace, key: str, fallback=None):
     explicit = getattr(args, key, None)
     if explicit is not None:
         return explicit
-    file_values = getattr(args, "_file_values", {})
-    if key in file_values:
-        return file_values[key]
-    return fallback
+    return getattr(args, "_file_values", {}).get(key, fallback)
+
+
+def _parse_list(field: str, text, parse, problem) -> list:
+    """Comma-separated values; problem(value) names what is wrong with a
+    parsed value, or is None."""
+    out = []
+    for token in str(text).split(","):
+        try:
+            value = parse(token)
+        except (ValueError, ZeroDivisionError):
+            raise _config_error(field, f"{token!r} is not a number")
+        if why := problem(value):
+            raise _config_error(field, why)
+        out.append(value)
+    return out
 
 
 def _parse_alpha_list(text) -> list[float]:
-    out = []
-    for token in str(text).split(","):
-        try:
-            a = float(token)
-        except ValueError:
-            raise _config_error("alpha", f"{token!r} is not a number")
-        if not (0.0 <= a <= 1.0):
-            raise _config_error("alpha", f"{a:g} outside [0, 1]")
-        out.append(a)
-    if not out:
-        raise _config_error("alpha", "empty list")
-    return out
+    return _parse_list("alpha", text, float,
+                       lambda a: None if 0.0 <= a <= 1.0 else f"{a:g} outside [0, 1]")
 
 
 def _parse_budget_list(text) -> list[Fraction]:
-    out = []
-    for token in str(text).split(","):
-        try:
-            b = Fraction(token.strip())
-        except (ValueError, ZeroDivisionError):
-            raise _config_error("budget", f"{token!r} is not a number")
-        if b <= 0:
-            raise _config_error("budget", f"{b} must be positive")
-        out.append(b)
-    if not out:
-        raise _config_error("budget", "empty list")
-    return out
+    return _parse_list("budget", text, lambda t: Fraction(t.strip()),
+                       lambda b: None if b > 0 else f"{b} must be positive")
 
 
 def _parse_int(field: str, text, minimum: int) -> int:
@@ -173,19 +176,9 @@ def _load_experiment_graph(args, seed: int) -> tuple[DirectedGraph, int | None]:
         except ValueError as exc:
             raise _config_error("graph", str(exc))
         return graph, trivalency or 1
-    try:
-        with open(source, encoding="utf-8") as fh:
-            edge_text = fh.read()
-    except OSError as exc:
-        raise CliError("io", f"cannot read graph file {source}: {exc.strerror}")
+    edge_text = _read_text(source, "graph")
     cost_path = _merged(args, "costs")
-    cost_data = None
-    if cost_path is not None:
-        try:
-            with open(str(cost_path), encoding="utf-8") as fh:
-                cost_data = fh.read()
-        except OSError as exc:
-            raise CliError("io", f"cannot read cost file {cost_path}: {exc.strerror}")
+    cost_data = None if cost_path is None else _read_text(cost_path, "cost")
     try:
         graph = load_graph(edge_text, 1, cost_data)
     except GraphFormatError as exc:
@@ -256,13 +249,7 @@ def cmd_sweep_alpha(args) -> int:
                 str(realizations), fmt_g(result.mean_spread),
                 fmt_g(result.std_error), fmt_g(result.mean_slots),
                 fmt_g(result.mean_seeds), str(seed)])
-    text = buffer.getvalue()
-    out = _merged(args, "out")
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(str(out), "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+    _write_output(args, buffer.getvalue())
     return 0
 
 
@@ -280,20 +267,16 @@ def cmd_evaluate(args) -> int:
     realizations = _parse_int("realizations", _merged(args, "realizations", 100), 1)
     config = PolicyConfig(policy, alpha, budget)
 
-    exact_requested = tag == "exact"
-    if exact_requested and graph.edge_count <= ENUMERATION_EDGE_LIMIT:
-        result = evaluate_policy_exact(graph, config)
-        mean, stderr = result.value, 0.0
+    if tag == "exact" and graph.edge_count <= ENUMERATION_EDGE_LIMIT:
+        mean, stderr = evaluate_policy_exact(graph, config).value, 0.0
     else:
         sampled = evaluate_policy_sampled(graph, config, realizations, seed,
                                           estimator, _threads())
         mean, stderr = sampled.mean_spread, sampled.std_error
 
     # transcript of the first sampled world, for inspection
-    world_seed = seed
-    realization = sample_full_realization(graph, derive_seed(world_seed, "realization"))
-    run = run_policy(graph, config, realization, estimator,
-                     derive_seed(world_seed, "policy"))
+    realization = sample_full_realization(graph, derive_seed(seed, "realization"))
+    run = run_policy(graph, config, realization, estimator, derive_seed(seed, "policy"))
     base = _merged(args, "out")
     transcript_path = (str(base) if base is not None else "evaluate") + ".transcript.txt"
     with open(transcript_path, "w", encoding="utf-8", newline="\n") as fh:
@@ -303,27 +286,23 @@ def cmd_evaluate(args) -> int:
 
 
 def _oracle_instances(count: int, seed: int):
-    made = 0
-    attempt = 0
-    while made < count:
-        attempt += 1
+    for attempt in range(1, count + 1):
         n = 4 + attempt % 3
-        m = min(2 * n, 10)
-        try:
-            g = generate_graph(n, m, "erdos-renyi", 1, derive_seed(seed, attempt))
-        except ValueError:
-            continue
-        probs = []
+        g = generate_graph(n, min(2 * n, 10), "erdos-renyi", 1,
+                           derive_seed(seed, attempt))
         rng = random.Random(derive_seed(seed, "probs", attempt))
-        for _ in range(g.edge_count):
-            probs.append(round(rng.uniform(0.2, 0.9), 3))
-        made += 1
-        yield g.with_probabilities(probs)
+        yield g.with_probabilities(
+            [round(rng.uniform(0.2, 0.9), 3) for _ in range(g.edge_count)])
 
 
 def cmd_oracle_check(args) -> int:
     seed = _parse_int("seed", _merged(args, "seed", 7), 0)
     failures = 0
+
+    def report(ok: bool, passed: str, failed: str):
+        nonlocal failures
+        failures += not ok
+        print(f"ok: {passed}" if ok else f"FAIL: {failed}")
 
     if _merged(args, "graph") is not None:
         graph, _ = _load_experiment_graph(args, seed)
@@ -337,85 +316,40 @@ def cmd_oracle_check(args) -> int:
     else:
         graphs = list(_oracle_instances(5, seed))
 
-    one_minus_inv_e = bounds_mod.bound_uniform(1.0)
     for k, g in enumerate(graphs):
-        budget = min(2, g.node_count)
-        config = PolicyConfig("uniform", 1.0, Fraction(budget))
         try:
-            policy_value = evaluate_policy_exact(g, config).value
-            optimum = optimal_full_feedback_adaptive(g, Fraction(budget))
+            ratio = checks.guarantee_ratio(g, min(2, g.node_count))
         except InstanceTooLarge:
             print(f"skipped: alpha-1 guarantee instance {k} (guard exceeded)")
             continue
-        ratio = policy_value / optimum
-        if ratio >= one_minus_inv_e - 1e-9:
-            print(f"ok: alpha-1 guarantee instance {k} ratio={fmt_g(ratio, 7)}")
-        else:
-            failures += 1
-            print(f"FAIL: alpha-1 guarantee instance {k} ratio={fmt_g(ratio, 7)}")
+        line = f"alpha-1 guarantee instance {k} ratio={fmt_g(ratio, 7)}"
+        report(ratio >= bounds_mod.bound_uniform(1.0) - 1e-9, line, line)
 
     for k, g in enumerate(graphs):
         budget = min(2, g.node_count)
+        greedy = checks.greedy_nonadaptive(g, budget)
         realization = sample_full_realization(g, derive_seed(seed, "world", k))
-        run = run_policy(g, PolicyConfig("uniform", 0.0, budget), realization,
-                         ExactEstimator(), seed)
-        greedy: list[int] = []
-        empty = empty_partial(g)
-        for _ in range(budget):
-            best, best_gain = None, -1.0
-            for v in range(g.node_count):
-                if v in greedy:
-                    continue
-                with_v = exact_conditional_activation(g, greedy + [v], empty)
-                base = exact_conditional_activation(g, greedy, empty)
-                gain = with_v.expected_cascade - base.expected_cascade
-                if gain > best_gain:
-                    best, best_gain = v, gain
-            greedy.append(best)
-        chosen = [node for node, _ in run.schedule.entries]
-        slots_ok = all(slot == 0 for _, slot in run.schedule.entries)
-        if chosen == greedy and slots_ok:
-            print(f"ok: alpha-0 equivalence instance {k} seeds={chosen}")
-        else:
-            failures += 1
-            print(f"FAIL: alpha-0 equivalence instance {k} "
-                  f"policy={chosen} greedy={greedy}")
+        chosen, ok = checks.alpha_zero_seeds(g, budget, realization, greedy)
+        report(ok, f"alpha-0 equivalence instance {k} seeds={chosen}",
+               f"alpha-0 equivalence instance {k} policy={chosen} greedy={greedy}")
 
     for k, g in enumerate(graphs[:2]):
-        empty = empty_partial(g)
-        seeds = [0]
-        exact = exact_conditional_activation(g, seeds, empty)
-        mc = MonteCarloEstimator(4000, derive_seed(seed, "mc", k)).activation(
-            g, seeds, empty)
-        bad = 0
-        for v in range(g.node_count):
-            p = exact.probability[v]
-            sigma = (p * (1 - p) / 4000) ** 0.5
-            if abs(mc.probability[v] - p) > 3 * sigma + 1e-12:
-                bad += 1
-        if bad == 0 and mc.zero_set == frozenset(
-                v for v in range(g.node_count) if exact.probability[v] == 0.0):
-            print(f"ok: estimator agreement instance {k}")
-        else:
-            failures += 1
-            print(f"FAIL: estimator agreement instance {k} ({bad} nodes off)")
+        off, zero_ok = checks.estimator_agreement(g, [0], empty_partial(g), 4000,
+                                                  derive_seed(seed, "mc", k))
+        report(off == 0 and zero_ok, f"estimator agreement instance {k}",
+               f"estimator agreement instance {k} ({off} nodes off)")
 
     violations = _observation_invariant_sweep(seed, rounds=200)
-    if violations == 0:
-        print("ok: observation invariants (200 randomized checks)")
-    else:
-        failures += 1
-        print(f"FAIL: observation invariants ({violations} violations)")
+    report(violations == 0, "observation invariants (200 randomized checks)",
+           f"observation invariants ({violations} violations)")
 
     if graphs:
         g = graphs[0]
-        config = PolicyConfig("uniform", 1.0, min(2, g.node_count))
-        corrupted = EpsilonEstimator(ExactEstimator(), 0.9, "adversarial-low", 0)
         realization = sample_full_realization(g, derive_seed(seed, "corrupt"))
-        run = run_policy(g, config, realization, corrupted, seed)
-        exact_run = run_policy(g, config, realization, ExactEstimator(), seed)
-        print(f"degraded: corrupted estimator spread={run.realized_cascade} "
-              f"vs exact-backend spread={exact_run.realized_cascade} "
+        corrupted, exact = checks.corrupted_spreads(g, min(2, g.node_count),
+                                                    realization, seed)
+        print(f"degraded: corrupted estimator spread={corrupted} "
+              f"vs exact-backend spread={exact} "
               "(adversarial-low eps=0.9, reported only)")
 
     if failures:
@@ -437,23 +371,24 @@ def _observation_invariant_sweep(seed: int, rounds: int) -> int:
             continue
         realization = sample_full_realization(g, rng.randrange(1 << 30))
         seeds = rng.sample(range(n), rng.randrange(1, min(3, n) + 1))
-        entries = tuple((v, idx) for idx, v in enumerate(seeds))
-        schedule = SeedSchedule(entries)
-        start = max(slot for _, slot in entries)
-        previous = None
-        for t in range(start, start + n + 2):
-            psi = observe(g, realization, schedule, t)
-            if not psi.is_consistent_with(realization):
-                violations += 1
-            if previous is not None and not previous.is_subset_of(psi):
-                violations += 1
-            previous = psi
-        settle_bound = diameter(live_subgraph(g, realization)) + 1
-        settled = observe(g, realization, schedule, start + settle_bound)
-        later = observe(g, realization, schedule, start + settle_bound + 3)
-        if settled.codes != later.codes:
-            violations += 1
+        schedule = SeedSchedule(tuple((v, idx) for idx, v in enumerate(seeds)))
+        start = len(seeds) - 1
+        violations += checks.observation_violations(
+            g, realization, schedule, range(start, start + n + 2), 3)
     return violations
+
+
+# bound variant: (calculator, parameters after alpha in call order)
+_BOUNDS = {
+    "uniform": (bounds_mod.bound_uniform, ()),
+    "nonuniform": (bounds_mod.bound_nonuniform, ("budget", "c_max")),
+    "enhanced": (bounds_mod.bound_enhanced, ()),
+    "uniform-eps": (bounds_mod.bound_uniform_eps, ("epsilon", "n", "f_star")),
+    "nonuniform-eps": (bounds_mod.bound_nonuniform_eps,
+                       ("epsilon", "n", "f_star", "budget", "c_max", "c_min")),
+    "enhanced-eps": (bounds_mod.bound_enhanced_eps,
+                     ("epsilon", "n", "f_star", "budget", "c_min")),
+}
 
 
 def cmd_bound(args) -> int:
@@ -471,33 +406,15 @@ def cmd_bound(args) -> int:
         except (ValueError, ZeroDivisionError):
             raise _config_error(name, f"{value!r} is not a number")
 
+    if variant not in _BOUNDS:
+        raise _config_error("variant", f"unknown variant {variant!r}")
+    fn, names = _BOUNDS[variant]
+    supplied = {"epsilon": _merged(args, "epsilon", 0.0), "n": args.n,
+                "f_star": args.f_star, "budget": _merged(args, "budget"),
+                "c_max": args.c_max, "c_min": args.c_min}
+    params = [need(k, supplied[k], int if k == "n" else float) for k in names]
     try:
-        if variant == "uniform":
-            value = bounds_mod.bound_uniform(a)
-        elif variant == "nonuniform":
-            value = bounds_mod.bound_nonuniform(
-                a, need("budget", _merged(args, "budget")),
-                need("c_max", args.c_max))
-        elif variant == "enhanced":
-            value = bounds_mod.bound_enhanced(a)
-        elif variant == "uniform-eps":
-            value = bounds_mod.bound_uniform_eps(
-                a, need("epsilon", _merged(args, "epsilon", 0.0)),
-                need("n", args.n, int), need("f_star", args.f_star))
-        elif variant == "nonuniform-eps":
-            value = bounds_mod.bound_nonuniform_eps(
-                a, need("epsilon", _merged(args, "epsilon", 0.0)),
-                need("n", args.n, int), need("f_star", args.f_star),
-                need("budget", _merged(args, "budget")),
-                need("c_max", args.c_max), need("c_min", args.c_min))
-        elif variant == "enhanced-eps":
-            value = bounds_mod.bound_enhanced_eps(
-                a, need("epsilon", _merged(args, "epsilon", 0.0)),
-                need("n", args.n, int), need("f_star", args.f_star),
-                need("budget", _merged(args, "budget")),
-                need("c_min", args.c_min))
-        else:
-            raise _config_error("variant", f"unknown variant {variant!r}")
+        value = fn(a, *params)
     except ValueError as exc:
         raise _config_error("bound", str(exc))
     marker = " (vacuous)" if bounds_mod.is_vacuous(value) else ""
@@ -515,13 +432,7 @@ def cmd_gen_graph(args) -> int:
         graph = generate_graph(n, m, model, trivalency, seed)
     except ValueError as exc:
         raise _config_error("gen-graph", str(exc))
-    text = edge_list_text(graph)
-    out = _merged(args, "out")
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(str(out), "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+    _write_output(args, edge_list_text(graph))
     return 0
 
 
@@ -561,9 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bound")
     _add_common(p)
-    p.add_argument("--variant", required=True,
-                   choices=["uniform", "nonuniform", "enhanced", "uniform-eps",
-                            "nonuniform-eps", "enhanced-eps"])
+    p.add_argument("--variant", required=True, choices=list(_BOUNDS))
     p.add_argument("--n", help="node count (eps variants)")
     p.add_argument("--f-star", dest="f_star", help="optimal spread (eps variants)")
     p.add_argument("--c-max", dest="c_max", help="largest node cost")
@@ -584,10 +493,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "config", None):
-            args._file_values = _read_config_file(args.config)
-        else:
-            args._file_values = {}
+        config = getattr(args, "config", None)
+        args._file_values = _read_config_file(config) if config else {}
         return args.func(args)
     except CliError as exc:
         print(str(exc), file=sys.stderr)

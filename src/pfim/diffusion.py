@@ -35,9 +35,6 @@ class FullRealization:
 
     live: tuple[bool, ...]
 
-    def state(self, edge_index: int) -> EdgeState:
-        return EdgeState.LIVE if self.live[edge_index] else EdgeState.BLOCKED
-
 
 @dataclass(frozen=True)
 class PartialRealization:

@@ -93,22 +93,27 @@ def _split_edges(graph: DirectedGraph, partial: PartialRealization, seed_set):
     is not already certain.
     """
     certain_adj: list[list[int]] = [[] for _ in range(graph.node_count)]
-    for k, e in enumerate(graph.edges):
-        c = partial.codes[k]
+    for c, e in zip(partial.codes, graph.edges):
         if c == EdgeState.LIVE or (c == EdgeState.UNOBSERVED and e.probability == 1.0):
             certain_adj[e.source].append(e.target)
     certain_mask = reachable_mask(certain_adj, node_mask(seed_set))
     zero = zero_probability_set(graph, seed_set, partial)
-    relevant = []
-    for k, e in enumerate(graph.edges):
-        if partial.codes[k] != EdgeState.UNOBSERVED:
-            continue
-        if not 0.0 < e.probability < 1.0:
-            continue
-        if e.source in zero or certain_mask >> e.target & 1:
-            continue
-        relevant.append((k, e))
+    relevant = [e for c, e in zip(partial.codes, graph.edges)
+                if c == EdgeState.UNOBSERVED and 0.0 < e.probability < 1.0
+                and e.source not in zero and not certain_mask >> e.target & 1]
     return certain_adj, certain_mask, zero, relevant
+
+
+def _assignments(probs):
+    """Yield (bits, weight) for each of the 2^len(probs) live/blocked
+    assignments of a list of independent edges; bit k set means edge k is
+    live. Weights multiply edge 0 first and are produced one at a time,
+    so a 22-edge enumeration holds no list of 2^22 weights."""
+    for bits in range(1 << len(probs)):
+        w = 1.0
+        for k, p in enumerate(probs):
+            w *= p if bits >> k & 1 else 1.0 - p
+        yield bits, w
 
 
 def exact_conditional_activation(graph: DirectedGraph, seeds,
@@ -124,17 +129,13 @@ def exact_conditional_activation(graph: DirectedGraph, seeds,
     n = graph.node_count
     # extra edges grouped by source so each assignment avoids rebuilding adjacency
     extra: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    probs = []
-    for bit_pos, (_, e) in enumerate(relevant):
+    for bit_pos, e in enumerate(relevant):
         extra[e.source].append((1 << bit_pos, e.target))
-        probs.append(e.probability)
+    probs = [e.probability for e in relevant]
 
     acc = [0.0] * n
     start_mask = node_mask(seed_set)
-    for bits in range(1 << len(relevant)):
-        w = 1.0
-        for b, p in enumerate(probs):
-            w *= p if bits >> b & 1 else 1.0 - p
+    for bits, w in _assignments(probs):
         seen = start_mask
         stack = list(seed_set)
         while stack:
@@ -162,7 +163,8 @@ def exact_conditional_activation(graph: DirectedGraph, seeds,
 
 
 class Estimator:
-    """Backend interface: activation detail, cascade values, gains."""
+    """Backend interface: activation detail, cascade values, batched
+    marginal gains (`gains`), and single-node values."""
 
     def activation(self, graph: DirectedGraph, seeds,
                    partial: PartialRealization) -> ActivationEstimate:
@@ -172,14 +174,23 @@ class Estimator:
                          partial: PartialRealization) -> float:
         return self.activation(graph, seeds, partial).expected_cascade
 
-    def gain(self, graph: DirectedGraph, seeds, partial: PartialRealization,
-             candidate: int) -> float:
-        raise NotImplementedError
-
     def gains(self, graph: DirectedGraph, seeds, partial: PartialRealization,
               candidates) -> list[float]:
-        """gain() for each candidate, queried in the order given."""
-        return [self.gain(graph, seeds, partial, c) for c in candidates]
+        """Marginal gain f(S + c) - f(S) of each candidate, in the order
+        given, with f(S) read once.
+
+        This default serves the exact backend, which is monotone in exact
+        arithmetic: a negative gain within float dust is clamped to 0, a
+        larger one raises. The sampled and perturbed backends override it.
+        """
+        seed_set = frozenset(seeds)
+        base = self.expected_cascade(graph, seed_set, partial)
+        gains = [self.expected_cascade(graph, seed_set | {c}, partial) - base
+                 for c in candidates]
+        below = [g for g in gains if g < -1e-9]
+        if below:
+            raise AssertionError(f"exact gain {below[0]} below zero")
+        return [max(g, 0.0) for g in gains]
 
     def single_node_values(self, graph: DirectedGraph) -> list[float]:
         """Unconditional expected cascade of each node seeded alone,
@@ -243,17 +254,6 @@ class ExactEstimator(Estimator):
         if hit is not None:
             return hit
         return self._cache.store(key, exact_conditional_activation(graph, seeds, partial))
-
-    def gain(self, graph, seeds, partial, candidate):
-        with_c = self.activation(graph, frozenset(seeds) | {candidate}, partial)
-        base = self.activation(graph, seeds, partial)
-        g = with_c.expected_cascade - base.expected_cascade
-        if g < 0.0:
-            # monotone in exact arithmetic; tolerate float dust only
-            if g < -1e-9:
-                raise AssertionError(f"exact gain {g} below zero")
-            g = 0.0
-        return g
 
     @property
     def tag(self):
@@ -357,14 +357,9 @@ class MonteCarloEstimator(Estimator):
                 for v in mask_nodes(reached):
                     counts[v] += 1
         k = self.samples
-        probability = {}
-        for v in range(n):
-            probability[v] = 0.0 if v in zero else counts[v] / k
+        probability = {v: 0.0 if v in zero else counts[v] / k for v in range(n)}
         return ActivationEstimate(probability, math.fsum(probability.values()),
                                   zero, self.tag)
-
-    def gain(self, graph, seeds, partial, candidate):
-        return self.gains(graph, seeds, partial, [candidate])[0]
 
     def gains(self, graph, seeds, partial, candidates):
         seed_set = _check_state(graph, seeds, partial)
@@ -437,8 +432,10 @@ class EpsilonEstimator(Estimator):
     def expected_cascade(self, graph, seeds, partial):
         return self.inner.expected_cascade(graph, seeds, partial) * self._factor()
 
-    def gain(self, graph, seeds, partial, candidate):
+    def gains(self, graph, seeds, partial, candidates):
+        # the inner f(S) is read once; per candidate the with-candidate
+        # factor is drawn before the base factor
         seed_set = _check_state(graph, seeds, partial)
-        with_c = self.inner.expected_cascade(graph, seed_set | {candidate}, partial)
         base = self.inner.expected_cascade(graph, seed_set, partial)
-        return with_c * self._factor() - base * self._factor()
+        return [self.inner.expected_cascade(graph, seed_set | {c}, partial)
+                * self._factor() - base * self._factor() for c in candidates]

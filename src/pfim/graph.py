@@ -42,11 +42,8 @@ class Edge(NamedTuple):
 
 
 def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, float):
-        return Fraction(value)  # exact: every float is a rational
-    return Fraction(value)
+    # exact for floats too: every float is a rational
+    return value if isinstance(value, Fraction) else Fraction(value)
 
 
 @dataclass(frozen=True)
@@ -132,14 +129,12 @@ class DirectedGraph:
 
 
 def _parse_node_hint(line: str) -> int | None:
-    body = line.lstrip("#").strip()
-    if body.startswith("nodes") and "=" in body:
-        key, _, value = body.partition("=")
-        if key.strip() == "nodes":
-            try:
-                return int(value.strip())
-            except ValueError:
-                raise GraphFormatError(f"bad node count declaration: {line.strip()!r}")
+    key, sep, value = line.lstrip("#").strip().partition("=")
+    if sep and key.strip() == "nodes":
+        try:
+            return int(value.strip())
+        except ValueError:
+            raise GraphFormatError(f"bad node count declaration: {line.strip()!r}")
     return None
 
 

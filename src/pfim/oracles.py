@@ -23,7 +23,7 @@ from .diffusion import (FullRealization, PartialRealization, SeedSchedule,
                         cascade_size, empty_partial, live_adjacency, observe,
                         sample_full_realization)
 from .estimation import (Estimator, ExactEstimator, InstanceTooLarge,
-                         exact_conditional_activation)
+                         _assignments, exact_conditional_activation)
 from .graph import DirectedGraph, _as_fraction
 from .policies import PolicyConfig, _GreedyCore, best_single_node, run_policy
 from .reach import mask_nodes, reachable_mask
@@ -51,19 +51,9 @@ def _enumerate_worlds(graph: DirectedGraph):
     """All full realizations with nonzero probability, as (live flags,
     weight) pairs; edge index is the bit position."""
     m = graph.edge_count
-    probs = [e.probability for e in graph.edges]
-    worlds = []
-    for bits in range(1 << m):
-        w = 1.0
-        for k, p in enumerate(probs):
-            w *= p if bits >> k & 1 else 1.0 - p
-            if w == 0.0:
-                break
-        if w == 0.0:
-            continue
-        live = tuple(bool(bits >> k & 1) for k in range(m))
-        worlds.append((FullRealization(live), w))
-    return worlds
+    return [(FullRealization(tuple(bool(bits >> k & 1) for k in range(m))), w)
+            for bits, w in _assignments([e.probability for e in graph.edges])
+            if w != 0.0]
 
 
 def _grouped_policy_value(graph: DirectedGraph, core: _GreedyCore,
@@ -134,13 +124,11 @@ def evaluate_policy_exact(graph: DirectedGraph, config: PolicyConfig,
         if graph.costs[star] > config.budget:
             raise ValueError(f"best single node {star} is unaffordable")
         single = sum(w * cascade_size(graph, r, [star]) for r, w in worlds)
-        core = _GreedyCore(graph, config.alpha, config.budget, estimator,
-                           uniform=False)
-        greedy = _grouped_policy_value(graph, core, worlds, selection_hook)
-        return ExactEvaluation(0.5 * (single + greedy), len(worlds))
     core = _GreedyCore(graph, config.alpha, config.budget, estimator,
                        uniform=config.kind == "uniform")
     value = _grouped_policy_value(graph, core, worlds, selection_hook)
+    if config.kind == "enhanced":
+        value = 0.5 * (single + value)
     return ExactEvaluation(value, len(worlds))
 
 
@@ -166,14 +154,14 @@ def evaluate_policy_sampled(graph: DirectedGraph, config: PolicyConfig,
         # imported here: it loads multiprocessing, about 30 ms of start-up
         # that single-process runs do not need
         from concurrent.futures import ProcessPoolExecutor
+        # one chunk per worker, so each runs an even share of the worlds
+        chunk = -(-realizations // threads)
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(_world_outcome, jobs, chunksize=16))
+            outcomes = list(pool.map(_world_outcome, jobs, chunksize=chunk))
     else:
         outcomes = [_world_outcome(j) for j in jobs]
-    spread_sum = sum(o[0] for o in outcomes)
+    spread_sum, slot_sum, seed_sum = (sum(column) for column in zip(*outcomes))
     spread_sq = sum(o[0] * o[0] for o in outcomes)
-    slot_sum = sum(o[1] for o in outcomes)
-    seed_sum = sum(o[2] for o in outcomes)
     k = realizations
     mean = spread_sum / k
     if k > 1:

@@ -164,11 +164,10 @@ class _GreedyCore:
             score = g if self.uniform else g / float(graph.costs[v])
             if best is None or score > best_score:
                 best, best_score, best_gain = v, score, g
-        if best is None:
-            return _Decision("stop", condition_value=cond_value,
-                             zero_set_size=zero_size)
-        if not self.uniform and not first and remaining - graph.costs[best] < 0:
-            # the ratio argmax is unaffordable: terminate, no substitution
+        # no candidate, or the ratio argmax is unaffordable: terminate,
+        # no substitution
+        if best is None or (not self.uniform and not first
+                            and remaining - graph.costs[best] < 0):
             return _Decision("stop", condition_value=cond_value,
                              zero_set_size=zero_size)
         return _Decision("select", node=best, gain=best_gain,

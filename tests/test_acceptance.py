@@ -16,14 +16,13 @@ import pytest
 from pfim._util import derive_seed
 from pfim.bounds import (bound_enhanced, bound_enhanced_eps, bound_nonuniform,
                          bound_nonuniform_eps, bound_uniform, bound_uniform_eps)
+from pfim.checks import (alpha_zero_seeds, estimator_agreement, guarantee_ratio,
+                         observation_violations)
 from pfim.cli import main as cli_main
-from pfim.diffusion import (SeedSchedule, empty_partial, live_subgraph, observe,
-                            sample_full_realization)
-from pfim.estimation import (ExactEstimator, MonteCarloEstimator,
-                             exact_conditional_activation, zero_probability_set)
-from pfim.graph import diameter, generate_graph, load_graph
-from pfim.oracles import (evaluate_policy_exact, evaluate_policy_sampled,
-                          optimal_full_feedback_adaptive)
+from pfim.diffusion import SeedSchedule, empty_partial, observe, sample_full_realization
+from pfim.estimation import MonteCarloEstimator, exact_conditional_activation
+from pfim.graph import generate_graph
+from pfim.oracles import evaluate_policy_exact, evaluate_policy_sampled
 from pfim.policies import PolicyConfig, run_policy
 
 from bruteforce import greedy_nonadaptive_uniform
@@ -43,9 +42,7 @@ def report(capsys):
 def small_instances():
     """Twenty fixed tiny graphs with varied edge probabilities."""
     out = []
-    attempt = 0
-    while len(out) < 20:
-        attempt += 1
+    for attempt in range(1, 21):
         n = 4 + attempt % 3            # 4..6
         m = min(2 * n - 2, 10)
         g = generate_graph(n, m, "erdos-renyi", 45, derive_seed(101, attempt))
@@ -61,12 +58,7 @@ INSTANCES = small_instances()
 
 def test_guarantee_at_full_threshold(report):
     t0 = time.monotonic()
-    worst = 1.0
-    for g, budget in INSTANCES:
-        policy_value = evaluate_policy_exact(
-            g, PolicyConfig("uniform", 1.0, Fraction(budget))).value
-        optimum = optimal_full_feedback_adaptive(g, Fraction(budget))
-        worst = min(worst, policy_value / optimum)
+    worst = min(guarantee_ratio(g, budget) for g, budget in INSTANCES)
     elapsed = time.monotonic() - t0
     ok = worst >= 0.6321206 - 1e-9 and elapsed < 60
     report("guarantee-at-alpha-1", ok,
@@ -78,28 +70,16 @@ def test_zero_threshold_matches_nonadaptive_greedy(report):
     t0 = time.monotonic()
     mismatches = 0
     for g, budget in INSTANCES:
-        realization = sample_full_realization(g, 7)
-        run = run_policy_uniform_alpha0(g, budget, realization)
         empty = empty_partial(g)
-
-        def value(seeds):
-            return exact_conditional_activation(g, seeds, empty).expected_cascade
-
-        want = greedy_nonadaptive_uniform(g, budget, value)
-        got = [v for v, _ in run.schedule.entries]
-        slots = [s for _, s in run.schedule.entries]
-        if got != want or any(s != 0 for s in slots):
-            mismatches += 1
+        want = greedy_nonadaptive_uniform(
+            g, budget, lambda s: exact_conditional_activation(g, s, empty).expected_cascade)
+        _, ok = alpha_zero_seeds(g, budget, sample_full_realization(g, 7), want)
+        mismatches += not ok
     elapsed = time.monotonic() - t0
     ok = mismatches == 0 and elapsed < 10
     report("alpha-0-nonadaptive-equivalence", ok,
            f"{mismatches} mismatches across {len(INSTANCES)} instances "
            f"in {elapsed:.1f}s")
-
-
-def run_policy_uniform_alpha0(g, budget, realization):
-    return run_policy(g, PolicyConfig("uniform", 0.0, budget),
-                      realization, ExactEstimator(), 0)
 
 
 def test_full_threshold_has_full_information(report):
@@ -143,17 +123,11 @@ def test_estimator_agreement(report):
             realization = sample_full_realization(g, rng.randrange(1 << 30))
             schedule = SeedSchedule(tuple((v, 0) for v in seeds))
             psi = observe(g, realization, schedule, rng.randrange(0, n))
-        exact = exact_conditional_activation(g, seeds, psi)
-        mc = MonteCarloEstimator(k, derive_seed(402, idx)).activation(g, seeds, psi)
-        if mc.zero_set != frozenset(
-                v for v, p in exact.probability.items() if p == 0.0):
-            zero_set_bad += 1
-        for v in range(n):
-            pairs += 1
-            p = exact.probability[v]
-            sigma = math.sqrt(p * (1.0 - p) / k)
-            if abs(mc.probability[v] - p) > 3.0 * sigma + 1e-12:
-                off += 1
+        nodes_off, zero_set_ok = estimator_agreement(g, seeds, psi, k,
+                                                     derive_seed(402, idx))
+        pairs += n
+        off += nodes_off
+        zero_set_bad += not zero_set_ok
     elapsed = time.monotonic() - t0
     share = 1.0 - off / pairs
     ok = share >= 0.99 and zero_set_bad == 0 and elapsed < 120
@@ -178,21 +152,7 @@ def test_observation_invariants(report):
         start = k - 1
         t = start + rng.randrange(0, n + 2)
         triples += 1
-        earlier = observe(g, realization, schedule, t)
-        later = observe(g, realization, schedule, t + 1)
-        if not earlier.is_subset_of(later):
-            violations += 1
-        if not (earlier.is_consistent_with(realization)
-                and later.is_consistent_with(realization)):
-            violations += 1
-        # the revealed set freezes once the realized cascade has run its
-        # course; the realized live component, not the full graph, sets
-        # that horizon
-        settle = diameter(live_subgraph(g, realization)) + 1
-        settled = observe(g, realization, schedule, start + settle)
-        far = observe(g, realization, schedule, start + settle + 5)
-        if settled.codes != far.codes:
-            violations += 1
+        violations += observation_violations(g, realization, schedule, (t, t + 1), 5)
     elapsed = time.monotonic() - t0
     ok = violations == 0 and elapsed < 10
     report("observation-invariants", ok,

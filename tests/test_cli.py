@@ -247,40 +247,44 @@ def test_epsilon_sweep_rows_parse_to_header_width(diamond_path, capsys):
 
 
 def test_fixed_seed_outputs_keep_their_bytes(tmp_path, capsys, monkeypatch):
-    """sha256 of fixed-seed outputs, recorded before the library's
-    wrappers were removed and its caches merged; a refactor keeps them."""
+    """sha256 of fixed-seed outputs: the enhanced-MC sweep, a cheap
+    evaluate, the eps sweep and the oracle-check report. A refactor keeps
+    them."""
     monkeypatch.chdir(tmp_path)
 
-    def digest(data: bytes) -> str:
-        return hashlib.sha256(data).hexdigest()
+    def digests(argv, *files):
+        """sha256 of stdout, then of each named output file."""
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        return [hashlib.sha256(data).hexdigest() for data in
+                [out.encode()] + [(tmp_path / name).read_bytes() for name in files]]
 
-    assert run_cli(["gen-graph", "--nodes", "60", "--edges", "240", "--i", "40",
-                    "--seed", "7", "--out", "g.edges"], capsys)[0] == 0
-    code, _, _ = run_cli(
+    digests(["gen-graph", "--nodes", "60", "--edges", "240", "--i", "40",
+             "--seed", "7", "--out", "g.edges"])
+    assert digests(
         ["sweep-alpha", "--graph", "g.edges", "--alpha", "0,0.4,0.8",
          "--budget", "4,6", "--policy", "enhanced", "--estimator", "mc",
          "--samples", "30", "--realizations", "30", "--seed", "1",
-         "--out", "sweep.csv"], capsys)
-    assert code == 0
-    assert digest((tmp_path / "sweep.csv").read_bytes()) == (
+         "--out", "sweep.csv"], "sweep.csv")[1] == (
         "04cab5255bff618de334989f1b4fbc89e9dfffc57cbbcd88effa2ac30906f29c")
-    code, out, _ = run_cli(
+    assert digests(
         ["evaluate", "--graph", "g.edges", "--alpha", "0.8", "--budget", "6",
          "--policy", "nonuniform", "--estimator", "mc", "--samples", "30",
-         "--realizations", "2", "--seed", "3", "--out", "cheap"], capsys)
-    assert code == 0
-    assert digest(out.encode()) == (
-        "0220f2e488c73dfcebbc269acfa85403f71fa622a15402d75946c345ed733a9f")
-    assert digest((tmp_path / "cheap.transcript.txt").read_bytes()) == (
-        "fa23a76879841c1916e8d65b0ca074b2002a9dafffa627b1a2f0849058bef91d")
+         "--realizations", "2", "--seed", "3", "--out", "cheap"],
+        "cheap.transcript.txt") == [
+        "0220f2e488c73dfcebbc269acfa85403f71fa622a15402d75946c345ed733a9f",
+        "fa23a76879841c1916e8d65b0ca074b2002a9dafffa627b1a2f0849058bef91d"]
+    assert digests(
+        ["sweep-alpha", "--graph", "g.edges", "--alpha", "0,0.8,1", "--budget", "3",
+         "--policy", "uniform", "--estimator", "mc", "--samples", "20",
+         "--epsilon", "0.2", "--eps-mode", "random", "--realizations", "10",
+         "--seed", "2"]) == [
+        "41ca36e85354967e51c70a5f2193663f50e5e6bec3d7a8b32360f0cdaf349aee"]
+    assert digests(["oracle-check"]) == [
+        "55286e5aebd597119dfb1b7396234368ddbc7715acef9d3be09c46d83063171a"]
 
 
 class TestOracleCheck:
-    def test_built_in_instances_pass(self, capsys):
-        code, out, _ = run_cli(["oracle-check"], capsys)
-        assert code == 0
-        assert out.splitlines()[-1] == "oracle-check: all checks passed"
-
     def test_graph_above_enumeration_guard_is_skipped(self, capsys):
         code, out, _ = run_cli(["oracle-check", "--graph", "gen:erdos-renyi:10:30"],
                                capsys)

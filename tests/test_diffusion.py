@@ -3,11 +3,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pfim.checks import observation_violations
 from pfim.diffusion import (EdgeState, FullRealization, PartialRealization,
-                            SeedSchedule, cascade_size, empty_partial,
-                            live_subgraph, observe, partial_dump_text,
-                            propagate, sample_full_realization)
-from pfim.graph import diameter, generate_graph, load_graph
+                            SeedSchedule, cascade_size, observe,
+                            partial_dump_text, propagate, sample_full_realization)
+from pfim.graph import generate_graph, load_graph
 
 from bruteforce import activation_slots, bfs_cascade, naive_observe
 
@@ -118,11 +118,8 @@ class TestObserve:
     def test_settles_within_live_diameter(self):
         for seed in range(120):
             g, realization, schedule = random_instance(seed)
-            start = max(s for _, s in schedule.entries)
-            live_diam = diameter(live_subgraph(g, realization))
-            settled = observe(g, realization, schedule, start + live_diam + 1)
-            much_later = observe(g, realization, schedule, start + live_diam + 50)
-            assert settled.codes == much_later.codes
+            # with no slots listed, only the settled state is compared
+            assert observation_violations(g, realization, schedule, (), 49) == 0
 
 
 @given(st.integers(min_value=0, max_value=5000), st.integers(min_value=0, max_value=8))
@@ -130,11 +127,7 @@ class TestObserve:
 def test_observation_grows_monotonically(seed, offset):
     g, realization, schedule = random_instance(seed)
     t = max(s for _, s in schedule.entries) + offset
-    earlier = observe(g, realization, schedule, t)
-    later = observe(g, realization, schedule, t + 1)
-    assert earlier.is_subset_of(later)
-    assert earlier.is_consistent_with(realization)
-    assert later.is_consistent_with(realization)
+    assert observation_violations(g, realization, schedule, (t, t + 1), 1) == 0
 
 
 class TestPartialRealization:

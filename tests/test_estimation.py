@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pfim.checks import estimator_agreement
 from pfim.diffusion import (PartialRealization, SeedSchedule, empty_partial,
                             observe, sample_full_realization)
 from pfim.estimation import (EpsilonEstimator, ExactEstimator, InstanceTooLarge,
@@ -122,18 +123,9 @@ class TestZeroProbabilitySet:
 
 class TestMonteCarlo:
     def test_agrees_with_exact_within_three_sigma(self):
-        k = 6000
-        bad = 0
         for seed in range(25):
             g, seeds, psi = observed_instance(seed)
-            exact = exact_conditional_activation(g, seeds, psi)
-            mc = MonteCarloEstimator(k, seed).activation(g, seeds, psi)
-            for v in range(g.node_count):
-                p = exact.probability[v]
-                sigma = math.sqrt(p * (1 - p) / k)
-                if abs(mc.probability[v] - p) > 3 * sigma + 1e-12:
-                    bad += 1
-        assert bad == 0
+            assert estimator_agreement(g, seeds, psi, 6000, seed)[0] == 0
 
     def test_zero_set_is_exact_not_sampled(self):
         for seed in range(40):
@@ -155,17 +147,17 @@ class TestMonteCarlo:
             for v in range(g.node_count):
                 if v in seeds:
                     continue
-                assert est.gain(g, seeds, psi, v) >= 0.0
+                assert est.gains(g, seeds, psi, [v])[0] >= 0.0
 
     def test_query_order_does_not_change_answers(self):
         g, seeds, psi = observed_instance(4)
         others = [v for v in range(g.node_count) if v not in seeds]
-        forward = {v: MonteCarloEstimator(300, 5).gain(g, seeds, psi, v)
+        forward = {v: MonteCarloEstimator(300, 5).gains(g, seeds, psi, [v])[0]
                    for v in others}
         backward = {}
         est = MonteCarloEstimator(300, 5)
         for v in reversed(others):
-            backward[v] = est.gain(g, seeds, psi, v)
+            backward[v] = est.gains(g, seeds, psi, [v])[0]
         assert forward == backward
 
     def test_backend_tag(self):
@@ -176,7 +168,7 @@ class TestMonteCarlo:
 class TestGain:
     def test_chain_marginal(self):
         est = ExactEstimator()
-        gain = est.gain(CHAIN, [0], empty_partial(CHAIN), 2)
+        gain = est.gains(CHAIN, [0], empty_partial(CHAIN), [2])[0]
         assert gain == pytest.approx(0.75, abs=1e-12)
 
     def test_matches_activation_difference(self):
@@ -188,7 +180,7 @@ class TestGain:
                 if v in seeds:
                     continue
                 with_v = est.activation(g, seeds + [v], psi).expected_cascade
-                assert est.gain(g, seeds, psi, v) == pytest.approx(
+                assert est.gains(g, seeds, psi, [v])[0] == pytest.approx(
                     with_v - base, abs=1e-9)
 
 
@@ -224,7 +216,7 @@ class TestEpsilonWrapper:
 
     def test_gain_may_go_negative(self):
         wrapped = EpsilonEstimator(ExactEstimator(), 0.9, "random", 11)
-        gains = [wrapped.gain(CHAIN, [0], empty_partial(CHAIN), 2)
+        gains = [wrapped.gains(CHAIN, [0], empty_partial(CHAIN), [2])[0]
                  for _ in range(200)]
         assert any(g < 0 for g in gains)
         assert any(g > 0 for g in gains)
@@ -255,7 +247,7 @@ class TestBatchedQueries:
         others = [v for v in range(g.node_count) if v not in seeds]
         batched = MonteCarloEstimator(40, seed).gains(g, seeds, psi, others)
         single = MonteCarloEstimator(40, seed)
-        assert batched == [single.gain(g, seeds, psi, v) for v in others]
+        assert batched == [single.gains(g, seeds, psi, [v])[0] for v in others]
 
         def hits(seed_list):
             # completions reaching each node, summed, read back from activation
@@ -294,7 +286,7 @@ class TestBatchedQueries:
 
         single = fresh()
         assert fresh().gains(g, seeds, psi, others) == [
-            single.gain(g, seeds, psi, v) for v in others]
+            single.gains(g, seeds, psi, [v])[0] for v in others]
 
 
 def test_shared_estimators_never_answer_for_a_dropped_graph():

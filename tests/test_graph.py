@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from pfim.graph import (DirectedGraph, Edge, GraphFormatError, assign_random_costs,
                         assign_trivalency_probabilities, cost_text, diameter,
-                        edge_list_text, generate_graph, load_costs, load_graph)
+                        edge_list_text, generate_graph, load_graph)
 
 
 class TestLoadGraph:

@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 
 import pytest
@@ -28,33 +27,27 @@ def tiny_instances(count, base_seed, max_edges=8):
         yield g
 
 
+def literal_value(g, cfg):
+    """The policy run with the exact backend on every world, weighted."""
+    return policy_value_by_enumeration(g, lambda real: run_policy(
+        g, cfg, real, ExactEstimator(), 0).realized_cascade)
+
+
 class TestExactPolicyEvaluation:
     def test_matches_literal_enumeration_uniform(self):
         for alpha in (0.0, 0.5, 1.0):
             for g in tiny_instances(4, int(alpha * 100)):
                 cfg = PolicyConfig("uniform", alpha, Fraction(2))
-                got = evaluate_policy_exact(g, cfg).value
-
-                def run_one(real):
-                    return run_policy(g, PolicyConfig("uniform", alpha, 2),
-                                      real, ExactEstimator(), 0).realized_cascade
-
-                want = policy_value_by_enumeration(g, run_one)
-                assert got == pytest.approx(want, abs=1e-9), (alpha, g.edges)
+                assert evaluate_policy_exact(g, cfg).value == pytest.approx(
+                    literal_value(g, cfg), abs=1e-9), (alpha, g.edges)
 
     def test_matches_literal_enumeration_nonuniform(self):
         for g in tiny_instances(4, 300):
             costs = tuple(Fraction(1 + (v % 2)) for v in range(g.node_count))
             g = g.with_costs(costs)
             cfg = PolicyConfig("nonuniform", 0.5, Fraction(3))
-            got = evaluate_policy_exact(g, cfg).value
-
-            def run_one(real):
-                return run_policy(g, PolicyConfig("nonuniform", 0.5, Fraction(3)),
-                                  real, ExactEstimator(), 0).realized_cascade
-
-            want = policy_value_by_enumeration(g, run_one)
-            assert got == pytest.approx(want, abs=1e-9)
+            assert evaluate_policy_exact(g, cfg).value == pytest.approx(
+                literal_value(g, cfg), abs=1e-9)
 
     def test_enhanced_averages_both_arms(self):
         cfg = PolicyConfig("enhanced", 0.5, Fraction(2))

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from pfim.checks import alpha_zero_seeds
 from pfim.diffusion import FullRealization, empty_partial, sample_full_realization
 from pfim.estimation import (ActivationEstimate, EpsilonEstimator, ExactEstimator,
                              MonteCarloEstimator, exact_conditional_activation)
@@ -52,15 +53,10 @@ class TestUniformPolicy:
         for seed in range(15):
             g = generate_graph(6, 10, "erdos-renyi", 60, seed)
             real = sample_full_realization(g, seed + 100)
-            run = run_policy(g, PolicyConfig("uniform", 0.0, 3),
-                             real, ExactEstimator(), 0)
             empty = empty_partial(g)
-
-            def value(seeds):
-                return exact_conditional_activation(g, seeds, empty).expected_cascade
-
-            want = greedy_nonadaptive_uniform(g, 3, value)
-            assert [v for v, _ in run.schedule.entries] == want
+            want = greedy_nonadaptive_uniform(
+                g, 3, lambda s: exact_conditional_activation(g, s, empty).expected_cascade)
+            assert alpha_zero_seeds(g, 3, real, want)[1]
 
     def test_first_selection_skips_condition(self):
         real = sample_full_realization(DIAMOND, 3)
