@@ -285,6 +285,11 @@ def test_fixed_seed_outputs_keep_their_bytes(tmp_path, capsys, monkeypatch):
 
 
 class TestOracleCheck:
+    def test_built_in_instances_pass(self, capsys):
+        code, out, _ = run_cli(["oracle-check"], capsys)
+        assert code == 0
+        assert out.splitlines()[-1] == "oracle-check: all checks passed"
+
     def test_graph_above_enumeration_guard_is_skipped(self, capsys):
         code, out, _ = run_cli(["oracle-check", "--graph", "gen:erdos-renyi:10:30"],
                                capsys)
