@@ -48,15 +48,49 @@ def alpha_zero_seeds(graph, budget: int, realization,
     return chosen, chosen == greedy and all(s == 0 for _, s in run.schedule.entries)
 
 
+# two-sided false-alarm level of a 3 sigma normal band
+_FALSE_ALARM = math.erfc(3.0 / math.sqrt(2.0))
+
+
+def _upper_tail(n: int, p: float, c: int) -> float:
+    """P(X >= c) for X ~ Binomial(n, p), 0 < p < 1 and c > n p, summed
+    outward from c. Past the mean the terms only shrink, so the sum stops
+    once they no longer change it."""
+    term = math.exp(math.lgamma(n + 1) - math.lgamma(c + 1) - math.lgamma(n - c + 1)
+                    + c * math.log(p) + (n - c) * math.log1p(-p))
+    odds = p / (1.0 - p)
+    total = 0.0
+    while term > total * 1e-17:
+        total += term
+        if c == n:
+            break
+        term *= (n - c) / (c + 1) * odds
+        c += 1
+    return total
+
+
+def _binomial_outlier(n: int, p: float, c: int) -> bool:
+    """Whether count c of n trials falls in either tail of Binomial(n, p)
+    holding less than half the 3 sigma band's false-alarm level. Exact for
+    any n p, where the normal band misfires once n p is far below 1."""
+    if p in (0.0, 1.0):
+        return c != n * p
+    if c > n * p:
+        return _upper_tail(n, p, c) < _FALSE_ALARM / 2
+    if c < n * p:
+        return _upper_tail(n, 1.0 - p, n - c) < _FALSE_ALARM / 2
+    return False
+
+
 def estimator_agreement(graph, seeds, partial, samples: int,
                         rng_seed: int) -> tuple[int, bool]:
-    """Monte Carlo against exact activation: the number of nodes estimated
-    more than 3 sigma off, and whether the zero sets are equal."""
+    """Monte Carlo against exact activation: the number of nodes whose
+    hit count is a binomial outlier at the 3 sigma false-alarm level, and
+    whether the zero sets are equal."""
     exact = exact_conditional_activation(graph, seeds, partial)
     mc = MonteCarloEstimator(samples, rng_seed).activation(graph, seeds, partial)
-    off = 0
-    for v, p in exact.probability.items():
-        off += abs(mc.probability[v] - p) > 3.0 * math.sqrt(p * (1.0 - p) / samples) + 1e-12
+    off = sum(_binomial_outlier(samples, p, round(mc.probability[v] * samples))
+              for v, p in exact.probability.items())
     zero = frozenset(v for v, p in exact.probability.items() if p == 0.0)
     return off, mc.zero_set == zero
 

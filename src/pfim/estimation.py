@@ -166,6 +166,12 @@ class Estimator:
     """Backend interface: activation detail, cascade values, batched
     marginal gains (`gains`), and single-node values."""
 
+    # True when `gains` on one observation state are exact counts over one
+    # fixed batch of completions: a candidate's gain for seeds S is then
+    # never below, bit for bit, its gain for a superset of S on the same
+    # state, and the greedy loop may scan lazily.
+    submodular_gains = False
+
     def activation(self, graph: DirectedGraph, seeds,
                    partial: PartialRealization) -> ActivationEstimate:
         raise NotImplementedError
@@ -302,8 +308,12 @@ class MonteCarloEstimator(Estimator):
 
     A batch of completions is a pure function of (rng_seed, observation),
     never of the seed set, so f(S), f(S + v), and every candidate in a
-    selection round are evaluated against the same worlds.
+    selection round are evaluated against the same worlds. A gain is a
+    coverage count over that batch divided by the sample count, so it is
+    exactly submodular in the seed set.
     """
+
+    submodular_gains = True
 
     def __init__(self, samples: int, rng_seed: int):
         if samples < 1:
@@ -373,17 +383,46 @@ class MonteCarloEstimator(Estimator):
     def single_node_values(self, graph):
         # A completion holds only live edges and unobserved edges with
         # p > 0, so zero-set nodes already count 0 and need no filter.
-        n = graph.node_count
-        k = self.samples
         closures = self._batch(graph, empty_partial(graph)).closure_batch()
-        values = []
-        for v in range(n):
-            counts = [0] * n
-            for masks in closures:
-                for u in mask_nodes(masks[v]):
-                    counts[u] += 1
-            values.append(math.fsum(c / k for c in counts))
-        return values
+        return [_coverage_value(column, self.samples) for column in zip(*closures)]
+
+
+def _coverage_value(masks, k: int) -> float:
+    """math.fsum of count / k over the nodes, where a node's count is the
+    number of masks holding it: equal to fsum(c / k for c in counts).
+
+    The masks are added into carry-save bit planes (plane i holds bit i of
+    every node's count). The nodes are then split plane by plane into
+    groups of equal count, so fsum sees the same multiset of terms without
+    a pass over the nodes of each mask."""
+    planes: list[int] = []
+    for carry in masks:
+        i = 0
+        while carry:
+            if i == len(planes):
+                planes.append(carry)
+                break
+            plane = planes[i]
+            planes[i] = plane ^ carry
+            carry &= plane
+            i += 1
+    counted = 0
+    for plane in planes:
+        counted |= plane
+    groups = [(0, counted)]
+    for i in reversed(range(len(planes))):
+        split = []
+        for count, nodes in groups:
+            high = nodes & planes[i]
+            if high:
+                split.append((count | 1 << i, high))
+            if nodes ^ high:
+                split.append((count, nodes ^ high))
+        groups = split
+    terms: list[float] = []
+    for count, nodes in groups:
+        terms += [count / k] * nodes.bit_count()
+    return math.fsum(terms)
 
 
 _EPS_MODES = ("random", "adversarial-high", "adversarial-low")

@@ -11,7 +11,17 @@ certainly active or certainly unreachable, which is full feedback.
 Three selection rules: uniform cost (argmax gain, exactly B seeds),
 non-uniform cost (argmax gain per cost; terminates early if the argmax
 is unaffordable), and the enhanced variant that flips a fair coin
-between the best single node and the non-uniform greedy run.
+between the best single node and the non-uniform greedy run. The coin
+comes first: the best single node is computed on its own arm, and on the
+greedy arm only when some node costs more than the budget, to reject an
+unaffordable best node on both arms alike.
+
+On the Monte Carlo backend the argmax scans lazily (CELF): a round on
+the same observation state as the last selection round, with more seeds,
+re-evaluates only the candidates whose last gain could still win. Its
+gains are counts over one fixed batch of completions, hence exactly
+submodular, so the lazy argmax is the full scan's, ties included. The
+exact and epsilon backends scan every candidate.
 
 Termination under estimators that can hold the condition below alpha
 forever (an adversarial low perturbation at alpha = 1): once the newest
@@ -107,9 +117,20 @@ class _Decision:
 
 class _GreedyCore:
     """Per-round decision logic shared by the live runners and the exact
-    policy evaluator. Holds no world state; the caller owns seeds, slot,
-    and observations. alpha and budget come from a PolicyConfig, which
-    has already checked their ranges."""
+    policy evaluator. The caller owns seeds, slot, and observations.
+    alpha and budget come from a PolicyConfig, which has already checked
+    their ranges.
+
+    The only state a core keeps between rounds is the last selection
+    round's gains, as upper bounds for CELF lazy greedy (Leskovec et al.,
+    KDD 2007). They are used only with a backend whose gains are exactly
+    submodular (`Estimator.submodular_gains`, the Monte Carlo backend) and
+    only in a round with the same observation codes and a superset of the
+    seeds, so the lazy argmax is the full scan's, smallest id on ties. The
+    exact backend (float differences) and the epsilon wrapper (not
+    submodular) scan every candidate. The bounds live on the core, which
+    serves one run or one exact evaluation, and never in the estimator's
+    cache."""
 
     def __init__(self, graph: DirectedGraph, alpha: float, budget,
                  estimator: Estimator, uniform: bool):
@@ -118,6 +139,9 @@ class _GreedyCore:
         self.estimator = estimator
         self.uniform = uniform
         self.stall_bound = max(graph.node_count, 1)
+        self._bounds: tuple[bytes, frozenset[int], dict[int, float]] | None = None
+        # a uniform-cost graph has every cost 1, so a score is the gain itself
+        self._float_costs = [float(c) for c in graph.costs]
         if uniform:
             frac = _as_fraction(budget)
             if frac.denominator != 1 or frac < 1:
@@ -134,6 +158,46 @@ class _GreedyCore:
         if len(seeds) == self.graph.node_count:
             return True
         return self.uniform and len(seeds) == int(self.budget)
+
+    def _best(self, gains: dict[int, float]) -> tuple[int | None, float]:
+        """The largest score (gain per unit cost), smallest id on ties,
+        and that score."""
+        cost = self._float_costs
+        best, top = None, 0.0
+        for v, g in gains.items():
+            score = g / cost[v]
+            if best is None or score > top or (score == top and v < best):
+                best, top = v, score
+        return best, top
+
+    def _argmax(self, seeds, seeded, partial, candidates):
+        """The candidate `_best` picks among all, and its gain. Without
+        bounds every candidate is evaluated in one `gains` call. With the
+        last round's bounds: the candidates without one and the top stale
+        one, then every stale one whose bound still reaches the best
+        score."""
+        bounds: dict[int, float] = {}
+        submodular = self.estimator.submodular_gains
+        if submodular and self._bounds is not None:
+            codes, earlier, last = self._bounds
+            if codes == partial.codes and earlier <= seeded:
+                bounds = last
+        stale = {v: bounds[v] for v in candidates if v in bounds}
+        ask = [v for v in candidates if v not in bounds]
+        if stale:
+            ask.append(self._best(stale)[0])
+        gains = dict(zip(ask, self.estimator.gains(self.graph, seeds, partial, ask)))
+        best, top = self._best(gains)
+        if stale:
+            cost = self._float_costs
+            ask = [v for v, g in stale.items() if g / cost[v] >= top and v not in gains]
+            if ask:
+                gains.update(zip(ask, self.estimator.gains(self.graph, seeds, partial, ask)))
+                best, _ = self._best(gains)
+        if submodular:
+            bounds.update(gains)
+            self._bounds = (partial.codes, frozenset(seeded), bounds)
+        return best, gains.get(best)
 
     def decide(self, seeds: list[int], partial: PartialRealization, slot: int,
                last_select_slot: int, remaining: Fraction) -> _Decision:
@@ -157,13 +221,7 @@ class _GreedyCore:
         seeded = set(seeds)
         candidates = [v for v in range(graph.node_count) if v not in seeded and (
             self.uniform or not first or graph.costs[v] <= remaining)]
-        best = None
-        best_score = best_gain = 0.0
-        gains = self.estimator.gains(graph, seeds, partial, candidates)
-        for v, g in zip(candidates, gains, strict=True):
-            score = g if self.uniform else g / float(graph.costs[v])
-            if best is None or score > best_score:
-                best, best_score, best_gain = v, score, g
+        best, best_gain = self._argmax(seeds, seeded, partial, candidates)
         # no candidate, or the ratio argmax is unaffordable: terminate,
         # no substitution
         if best is None or (not self.uniform and not first
@@ -240,13 +298,16 @@ def run_policy(graph: DirectedGraph, config: PolicyConfig,
         return _run_greedy(graph, config.alpha, config.budget, realization,
                            estimator, rng_seed, uniform=config.kind == "uniform")
     frac_budget = _as_fraction(config.budget)
-    est_single = estimator.reseeded(derive_seed(rng_seed, "estimation", "single"))
-    star, star_value = best_single_node(graph, est_single)
-    star_cost = graph.costs[star]
-    if star_cost > frac_budget:
-        raise ValueError(f"best single node {star} is unaffordable "
-                         f"(cost {star_cost} exceeds budget {frac_budget})")
     coin = random.Random(derive_seed(rng_seed, "arm-coin")).random() < 0.5
+    # The greedy arm needs the best single node only to reject it when it
+    # is unaffordable, which cannot happen if every node fits the budget.
+    if coin or graph.node_count == 0 or max(graph.costs) > frac_budget:
+        est_single = estimator.reseeded(derive_seed(rng_seed, "estimation", "single"))
+        star, star_value = best_single_node(graph, est_single)
+        star_cost = graph.costs[star]
+        if star_cost > frac_budget:
+            raise ValueError(f"best single node {star} is unaffordable "
+                             f"(cost {star_cost} exceeds budget {frac_budget})")
     if coin:
         schedule = SeedSchedule(((star, 0),))
         rounds = (RoundLog(0, 0, "select", star, star_value,

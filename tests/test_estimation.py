@@ -2,14 +2,14 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pfim.checks import estimator_agreement
 from pfim.diffusion import (PartialRealization, SeedSchedule, empty_partial,
                             observe, sample_full_realization)
 from pfim.estimation import (EpsilonEstimator, ExactEstimator, InstanceTooLarge,
-                             MonteCarloEstimator, exact_conditional_activation,
-                             zero_probability_set)
+                             MonteCarloEstimator, _coverage_value,
+                             exact_conditional_activation, zero_probability_set)
 from pfim.graph import DirectedGraph, generate_graph, load_graph
 
 from bruteforce import naive_activation_probability
@@ -274,6 +274,16 @@ class TestBatchedQueries:
         reference = MonteCarloEstimator(40, seed)
         assert MonteCarloEstimator(40, seed).single_node_values(g) == [
             reference.expected_cascade(g, {v}, empty) for v in range(g.node_count)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, (1 << 70) - 1) | st.sampled_from([0, 1, 6]),
+                    max_size=70), st.integers(1, 64))
+    @example([], 3)
+    @example([0, 0, 0], 7)
+    @example([(1 << 70) - 1] * 40 + [5] * 23, 63)   # counts 63 and 40: 6 planes
+    def test_bit_sliced_coverage_equals_per_node_fsum(self, masks, k):
+        counts = [sum(m >> u & 1 for m in masks) for u in range(70)]
+        assert _coverage_value(masks, k) == math.fsum(c / k for c in counts)
 
     @settings(max_examples=80, deadline=None)
     @given(observed_states())

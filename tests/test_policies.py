@@ -2,14 +2,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import pfim.policies as policies
 from pfim.checks import alpha_zero_seeds
-from pfim.diffusion import FullRealization, empty_partial, sample_full_realization
+from pfim.diffusion import (EdgeState, FullRealization, PartialRealization,
+                            SeedSchedule, empty_partial, observe, sample_full_realization)
 from pfim.estimation import (ActivationEstimate, EpsilonEstimator, ExactEstimator,
                              MonteCarloEstimator, exact_conditional_activation)
-from pfim.graph import generate_graph, load_graph
-from pfim.policies import (PolicyConfig, best_single_node, condition_satisfied,
-                           run_policy, transcript_lines)
+from pfim.graph import DirectedGraph, generate_graph, load_graph
+from pfim.policies import (PolicyConfig, _GreedyCore, best_single_node,
+                           condition_satisfied, run_policy, transcript_lines)
 
 from bruteforce import greedy_nonadaptive_uniform
 
@@ -194,11 +197,133 @@ class TestEnhancedPolicy:
             run_policy(g, PolicyConfig("enhanced", 0.0, Fraction(2)),
                        real, ExactEstimator(), 2)
 
+    def test_unaffordable_best_node_rejected_on_both_arms(self):
+        g = DIAMOND.with_costs(tuple(Fraction(c) for c in (9, 1, 1, 1)))
+        real = sample_full_realization(g, 0)
+        cfg = PolicyConfig("enhanced", 0.0, Fraction(2))
+        # the coin depends only on the policy seed, so the affordable
+        # diamond shows which arm each seed lands
+        arms = {s: run_policy(DIAMOND, cfg, real, ExactEstimator(), s).arm
+                for s in range(8)}
+        assert set(arms.values()) == {"single", "greedy"}
+        messages = set()
+        for s in arms:
+            with pytest.raises(ValueError, match="best single node 0 is unaffordable") as err:
+                run_policy(g, cfg, real, ExactEstimator(), s)
+            messages.add(str(err.value))
+        assert len(messages) == 1
+
+    def test_greedy_arm_skips_the_best_single_node(self, monkeypatch):
+        calls = []
+
+        def counted(graph, estimator):
+            calls.append(graph)
+            return best_single_node(graph, estimator)
+
+        monkeypatch.setattr(policies, "best_single_node", counted)
+        real = sample_full_realization(DIAMOND, 7)
+        arms = []
+        for s in range(8):
+            before = len(calls)
+            run = run_policy(DIAMOND, PolicyConfig("enhanced", 0.5, Fraction(2)),
+                             real, MonteCarloEstimator(20, 1), s)
+            arms.append(run.arm)
+            assert len(calls) - before == (run.arm == "single")
+        assert set(arms) == {"single", "greedy"}
+
     def test_best_single_node_tie_breaks_low(self):
         g = load_graph("0 1 1\n2 3 1\n")
         v, value = best_single_node(g, ExactEstimator())
         assert v == 0
         assert value == pytest.approx(2.0, abs=1e-12)
+
+
+class TestLazyGreedy:
+    """On the Monte Carlo backend `_GreedyCore` scans lazily (CELF). Each
+    decision equals a full `gains` scan by a fresh core, forced by turning
+    the backend's `submodular_gains` off."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_lazy_argmax_equals_a_full_scan(self, data):
+        n = data.draw(st.integers(2, 7))
+        pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+        chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=2 * n))
+        probs = data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.0]),
+                                   min_size=len(chosen), max_size=len(chosen)))
+        # isolated nodes and p = 1 cycles give tied gains
+        g = DirectedGraph.build(n, [(u, v, p) for (u, v), p in zip(chosen, probs)])
+        uniform = data.draw(st.booleans())
+        if uniform:
+            budget = Fraction(data.draw(st.integers(1, n)))
+        else:
+            g = g.with_costs(tuple(Fraction(c) for c in data.draw(
+                st.lists(st.integers(1, 4), min_size=n, max_size=n))))
+            budget = Fraction(data.draw(st.integers(min(g.costs), 5)))
+        world = sample_full_realization(g, data.draw(st.integers(0, 1 << 20)))
+        early = SeedSchedule(tuple((v, 0) for v in data.draw(
+            st.lists(st.integers(0, n - 1), unique=True, min_size=1, max_size=2))))
+        states = [empty_partial(g)] + [observe(g, world, early, t) for t in (1, 2, n)]
+        est = MonteCarloEstimator(data.draw(st.sampled_from([1, 3, 8])),
+                                  data.draw(st.integers(0, 99)))
+        core = _GreedyCore(g, 0.0, budget, est, uniform)
+
+        def full_scan(*args):
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(MonteCarloEstimator, "submodular_gains", False)
+                return _GreedyCore(g, 0.0, budget, est, uniform).decide(*args)
+
+        seeds, state = [], states[0]
+        for _ in range(data.draw(st.integers(1, 12))):
+            # several selections share a state; a new state or a seed set
+            # that is no superset of the last one must drop the bounds
+            move = data.draw(st.sampled_from(["select", "select", "state", "state", "reset"]))
+            if move == "state":
+                state = data.draw(st.sampled_from(states))
+            elif move == "reset":
+                seeds = data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=3))
+            remaining = budget - sum(g.costs[v] for v in seeds)
+            if core.seeds_complete(seeds) or remaining < 0:
+                seeds = []
+                remaining = budget
+            args = (list(seeds), state, 0, 0, remaining)
+            lazy, full = core.decide(*args), full_scan(*args)
+            assert (lazy.action, lazy.node, lazy.gain) == (full.action, full.node, full.gain)
+            if lazy.action == "select":
+                seeds.append(lazy.node)
+
+    @pytest.mark.parametrize("n, edges, costs, steps", [
+        # 5 drops from bound 3 to 2, tying 0's bound and gain: 0 wins
+        (9, [(4, 6), (4, 8), (5, 6), (5, 7), (0, 1)], None, [([], 4), ([4], 0)]),
+        # 0 costs 5 > 4, so the first round skips it and leaves no bound;
+        # it is then the ratio argmax and unaffordable: stop
+        (10, [(0, v) for v in range(1, 8)] + [(8, 9)], (5,) + (1,) * 9,
+         [([], 8), ([8], None)]),
+        # {4} is no superset of {3}: 0's bound of 1 no longer holds, and 0
+        # ties 3 at 3
+        (7, [(0, 1), (0, 2), (3, 1), (3, 2), (3, 4), (5, 6)], None,
+         [([], 3), ([3], 5), ([4], 0)]),
+    ], ids=["tie-after-drop", "no-bound-after-filter", "not-a-superset"])
+    def test_lazy_scan_keeps_the_full_scan_choice(self, n, edges, costs, steps):
+        g = DirectedGraph.build(n, [(u, v, 1.0) for u, v in edges])
+        if costs is not None:
+            g = g.with_costs(tuple(Fraction(c) for c in costs))
+        budget = Fraction(4 if costs else 3)
+        core = _GreedyCore(g, 0.0, budget, MonteCarloEstimator(1, 0), costs is None)
+        for seeds, node in steps:
+            remaining = budget - sum(g.costs[v] for v in seeds)
+            d = core.decide(seeds, empty_partial(g), 0, 0, remaining)
+            assert (d.action, d.node) == (("stop", None) if node is None else ("select", node))
+
+    def test_bounds_stay_with_their_observation_state(self):
+        # Before 4's edges are observed, no completion draws them (p =
+        # 1e-9) and 4 gains 1; once both are seen live it gains 3, above
+        # every bound of the first round.
+        g = DirectedGraph.build(8, [(0, 3, 1.0), (1, 6, 1.0), (4, 5, 1e-9), (4, 7, 1e-9)])
+        seen = PartialRealization(bytes([EdgeState.UNOBSERVED] * 2 + [EdgeState.LIVE] * 2))
+        core = _GreedyCore(g, 0.0, 3, MonteCarloEstimator(4, 0), True)
+        assert core.decide([], empty_partial(g), 0, 0, Fraction(3)).node == 0
+        assert core.decide([0], seen, 1, 0, Fraction(2)).node == 4
 
 
 class TestStallGuard:
