@@ -8,13 +8,12 @@ threshold; estimation backends, brute-force oracles for small instances,
 and closed-form guarantee bounds round out the toolkit.
 """
 
-from .graph import (DirectedGraph, Edge, GraphFormatError, assign_random_costs,
-                    assign_trivalency_probabilities, cost_text, diameter,
-                    edge_list_text, generate_graph, load_costs, load_graph)
-from .diffusion import (DiffusionTrace, EdgeState, FullRealization,
-                        PartialRealization, SeedSchedule, cascade_size,
-                        empty_partial, live_subgraph, observe,
-                        partial_dump_text, propagate, sample_full_realization)
+from .graph import (DirectedGraph, Edge, GraphFormatError,
+                    assign_trivalency_probabilities, diameter, edge_list_text,
+                    generate_graph, load_costs, load_graph)
+from .diffusion import (EdgeState, FullRealization, PartialRealization,
+                        SeedSchedule, cascade_size, empty_partial, live_subgraph,
+                        observe, sample_full_realization)
 from .estimation import (ActivationEstimate, EpsilonEstimator, Estimator,
                          ExactEstimator, InstanceTooLarge, MonteCarloEstimator,
                          exact_conditional_activation, zero_probability_set)
@@ -31,11 +30,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DirectedGraph", "Edge", "GraphFormatError",
-    "assign_random_costs", "assign_trivalency_probabilities", "cost_text",
-    "diameter", "edge_list_text", "generate_graph", "load_costs", "load_graph",
-    "DiffusionTrace", "EdgeState", "FullRealization", "PartialRealization",
-    "SeedSchedule", "cascade_size", "empty_partial", "live_subgraph", "observe",
-    "partial_dump_text", "propagate", "sample_full_realization",
+    "assign_trivalency_probabilities", "diameter", "edge_list_text",
+    "generate_graph", "load_costs", "load_graph",
+    "EdgeState", "FullRealization", "PartialRealization", "SeedSchedule",
+    "cascade_size", "empty_partial", "live_subgraph", "observe",
+    "sample_full_realization",
     "ActivationEstimate", "EpsilonEstimator", "Estimator", "ExactEstimator",
     "InstanceTooLarge", "MonteCarloEstimator", "exact_conditional_activation",
     "zero_probability_set",

@@ -135,8 +135,6 @@ def _build_estimator(args) -> tuple[Estimator, str]:
         est: Estimator = ExactEstimator()
     elif spec == "mc":
         est = MonteCarloEstimator(samples, 0)
-    elif spec.startswith("mc(") and spec.endswith(")"):
-        est = MonteCarloEstimator(_parse_int("estimator", spec[3:-1], 1), 0)
     elif spec.startswith("mc:"):
         est = MonteCarloEstimator(_parse_int("estimator", spec[3:], 1), 0)
     else:
@@ -225,13 +223,13 @@ def _check_policy_budget(graph: DirectedGraph, policy: str, budget: Fraction):
 
 
 def cmd_sweep_alpha(args) -> int:
+    estimator, tag = _build_estimator(args)
     seed = _parse_int("seed", _merged(args, "seed", 0), 0)
     graph, trivalency = _load_experiment_graph(args, seed)
     alphas = _parse_alpha_list(_merged(args, "alpha", "0"))
     budgets = _parse_budget_list(_merged(args, "budget", "1"))
     realizations = _parse_int("realizations", _merged(args, "realizations", 100), 1)
     policy = _policy_name(args)
-    estimator, tag = _build_estimator(args)
     threads = _threads()
     i_cell = "na" if trivalency is None else str(trivalency)
 
@@ -406,8 +404,6 @@ def cmd_bound(args) -> int:
         except (ValueError, ZeroDivisionError):
             raise _config_error(name, f"{value!r} is not a number")
 
-    if variant not in _BOUNDS:
-        raise _config_error("variant", f"unknown variant {variant!r}")
     fn, names = _BOUNDS[variant]
     supplied = {"epsilon": _merged(args, "epsilon", 0.0), "n": args.n,
                 "f_star": args.f_star, "budget": _merged(args, "budget"),
@@ -449,7 +445,7 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--i", help="trivalency index")
     parser.add_argument("--samples", help="monte carlo samples per estimate")
     parser.add_argument("--estimator", help="exact | mc | mc:<samples>")
-    parser.add_argument("--epsilon", type=float, help="perturbation magnitude")
+    parser.add_argument("--epsilon", help="perturbation magnitude")
     parser.add_argument("--eps-mode", dest="eps_mode",
                         help="random | adversarial-high | adversarial-low")
     parser.add_argument("--realizations", help="sampled worlds per cell")

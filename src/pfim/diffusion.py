@@ -10,7 +10,6 @@ that frontier are revealed too; a freshly placed seed (d = 0) reveals
 nothing. Observations from multiple seeds union.
 """
 
-import heapq
 import random
 from dataclasses import dataclass
 from enum import IntEnum
@@ -24,9 +23,6 @@ class EdgeState(IntEnum):
     BLOCKED = 0
     LIVE = 1
     UNOBSERVED = 2
-
-
-_DUMP_CHAR = {EdgeState.BLOCKED: "B", EdgeState.LIVE: "L", EdgeState.UNOBSERVED: "U"}
 
 
 @dataclass(frozen=True)
@@ -47,13 +43,6 @@ class PartialRealization:
             if c not in (0, 1, 2):
                 raise ValueError(f"invalid edge state code {c}")
 
-    def state(self, edge_index: int) -> EdgeState:
-        return EdgeState(self.codes[edge_index])
-
-    @property
-    def observed_count(self) -> int:
-        return sum(1 for c in self.codes if c != EdgeState.UNOBSERVED)
-
     def is_subset_of(self, other: "PartialRealization") -> bool:
         """True if every edge observed here is observed identically there."""
         return all(c == EdgeState.UNOBSERVED or c == oc
@@ -66,15 +55,6 @@ class PartialRealization:
 
 def empty_partial(graph: DirectedGraph) -> PartialRealization:
     return PartialRealization(bytes([EdgeState.UNOBSERVED]) * graph.edge_count)
-
-
-def partial_dump_text(graph: DirectedGraph, partial: PartialRealization) -> str:
-    """Debug dump, one edge per line: u<TAB>v<TAB>{L|B|U}."""
-    lines = []
-    for k, e in enumerate(graph.edges):
-        u, v = graph.external_ids[e.source], graph.external_ids[e.target]
-        lines.append(f"{u}\t{v}\t{_DUMP_CHAR[partial.state(k)]}")
-    return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -108,17 +88,6 @@ class SeedSchedule:
         return len(self.entries)
 
 
-@dataclass(frozen=True)
-class DiffusionTrace:
-    """Activation slot per node; None for nodes the cascade never reaches."""
-
-    activation_slot: tuple[int | None, ...]
-
-    @property
-    def active_count(self) -> int:
-        return sum(1 for s in self.activation_slot if s is not None)
-
-
 def sample_full_realization(graph: DirectedGraph, rng_seed: int) -> FullRealization:
     """Flip each edge live with its probability; edge index order fixes
     the rng stream so a seed pins the world exactly."""
@@ -140,29 +109,6 @@ def live_subgraph(graph: DirectedGraph, realization: FullRealization) -> Directe
     """The graph restricted to live edges (probabilities kept)."""
     kept = [e for k, e in enumerate(graph.edges) if realization.live[k]]
     return DirectedGraph(graph.node_count, tuple(kept), graph.costs, graph.external_ids)
-
-
-def propagate(graph: DirectedGraph, realization: FullRealization,
-              schedule: SeedSchedule) -> DiffusionTrace:
-    """Run the cascade: each source starts at its scheduled slot and a
-    node's slot is the minimum source slot plus live-hop distance."""
-    n = graph.node_count
-    for node, _ in schedule.entries:
-        if not (0 <= node < n):
-            raise ValueError(f"seed node {node} out of range")
-    adj = live_adjacency(graph, realization)
-    slot_of: list[int | None] = [None] * n
-    heap: list[tuple[int, int]] = [(slot, node) for node, slot in schedule.entries]
-    heapq.heapify(heap)
-    while heap:
-        t, u = heapq.heappop(heap)
-        if slot_of[u] is not None:
-            continue  # already settled at an earlier-or-equal slot
-        slot_of[u] = t
-        for v in adj[u]:
-            if slot_of[v] is None:
-                heapq.heappush(heap, (t + 1, v))
-    return DiffusionTrace(tuple(slot_of))
 
 
 def observe(graph: DirectedGraph, realization: FullRealization,

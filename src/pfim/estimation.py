@@ -52,7 +52,6 @@ class ActivationEstimate:
     probability: dict[int, float]
     expected_cascade: float
     zero_set: frozenset[int]
-    backend: str
 
 
 def _check_state(graph: DirectedGraph, seeds, partial: PartialRealization) -> frozenset[int]:
@@ -159,12 +158,14 @@ def exact_conditional_activation(graph: DirectedGraph, seeds,
     for v in zero:
         acc[v] = 0.0
     probability = {v: acc[v] for v in range(n)}
-    return ActivationEstimate(probability, math.fsum(acc), zero, "exact")
+    return ActivationEstimate(probability, math.fsum(acc), zero)
 
 
 class Estimator:
-    """Backend interface: activation detail, cascade values, batched
-    marginal gains (`gains`), and single-node values."""
+    """Backend interface. `activation` is the one cascade query: per-node
+    probabilities, the expected cascade and the zero set of a seed set on
+    an observation state. `gains` batches marginal gains and
+    `single_node_values` the unconditional value of each node alone."""
 
     # True when `gains` on one observation state are exact counts over one
     # fixed batch of completions: a candidate's gain for seeds S is then
@@ -176,10 +177,6 @@ class Estimator:
                    partial: PartialRealization) -> ActivationEstimate:
         raise NotImplementedError
 
-    def expected_cascade(self, graph: DirectedGraph, seeds,
-                         partial: PartialRealization) -> float:
-        return self.activation(graph, seeds, partial).expected_cascade
-
     def gains(self, graph: DirectedGraph, seeds, partial: PartialRealization,
               candidates) -> list[float]:
         """Marginal gain f(S + c) - f(S) of each candidate, in the order
@@ -190,9 +187,9 @@ class Estimator:
         larger one raises. The sampled and perturbed backends override it.
         """
         seed_set = frozenset(seeds)
-        base = self.expected_cascade(graph, seed_set, partial)
-        gains = [self.expected_cascade(graph, seed_set | {c}, partial) - base
-                 for c in candidates]
+        base = self.activation(graph, seed_set, partial).expected_cascade
+        gains = [self.activation(graph, seed_set | {c}, partial).expected_cascade
+                 - base for c in candidates]
         below = [g for g in gains if g < -1e-9]
         if below:
             raise AssertionError(f"exact gain {below[0]} below zero")
@@ -202,7 +199,7 @@ class Estimator:
         """Unconditional expected cascade of each node seeded alone,
         queried in node order."""
         partial = empty_partial(graph)
-        return [self.expected_cascade(graph, frozenset([v]), partial)
+        return [self.activation(graph, frozenset([v]), partial).expected_cascade
                 for v in range(graph.node_count)]
 
     def reseeded(self, salt: int) -> "Estimator":
@@ -368,8 +365,7 @@ class MonteCarloEstimator(Estimator):
                     counts[v] += 1
         k = self.samples
         probability = {v: 0.0 if v in zero else counts[v] / k for v in range(n)}
-        return ActivationEstimate(probability, math.fsum(probability.values()),
-                                  zero, self.tag)
+        return ActivationEstimate(probability, math.fsum(probability.values()), zero)
 
     def gains(self, graph, seeds, partial, candidates):
         seed_set = _check_state(graph, seeds, partial)
@@ -465,16 +461,13 @@ class EpsilonEstimator(Estimator):
 
     def activation(self, graph, seeds, partial):
         est = self.inner.activation(graph, seeds, partial)
-        return replace(est, expected_cascade=est.expected_cascade * self._factor(),
-                       backend=self.tag)
-
-    def expected_cascade(self, graph, seeds, partial):
-        return self.inner.expected_cascade(graph, seeds, partial) * self._factor()
+        return replace(est, expected_cascade=est.expected_cascade * self._factor())
 
     def gains(self, graph, seeds, partial, candidates):
         # the inner f(S) is read once; per candidate the with-candidate
         # factor is drawn before the base factor
         seed_set = _check_state(graph, seeds, partial)
-        base = self.inner.expected_cascade(graph, seed_set, partial)
-        return [self.inner.expected_cascade(graph, seed_set | {c}, partial)
+        inner = self.inner.activation
+        base = inner(graph, seed_set, partial).expected_cascade
+        return [inner(graph, seed_set | {c}, partial).expected_cascade
                 * self._factor() - base * self._factor() for c in candidates]

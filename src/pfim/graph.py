@@ -18,8 +18,7 @@ File formats:
   decimal, or ``p/q`` rational. Nodes listed only here (no incident
   edges) are part of the graph.
 
-Both formats round-trip exactly through ``edge_list_text`` and
-``cost_text``.
+Edge lists round-trip exactly through ``edge_list_text``.
 """
 
 import random
@@ -241,11 +240,6 @@ def edge_list_text(graph: DirectedGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cost_text(graph: DirectedGraph) -> str:
-    lines = [f"{graph.external_ids[v]}\t{graph.costs[v]}" for v in range(graph.node_count)]
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # randomized attribute assignment
 
@@ -264,19 +258,6 @@ def assign_trivalency_probabilities(graph: DirectedGraph, i: int,
     rng = random.Random(rng_seed)
     ps = [hi if rng.random() < 0.5 else lo for _ in range(graph.edge_count)]
     return graph.with_probabilities(ps)
-
-
-def assign_random_costs(graph: DirectedGraph, lo, hi, rng_seed: int) -> DirectedGraph:
-    """Draw node costs uniformly from [lo, hi], kept exact as rationals."""
-    flo, fhi = _as_fraction(lo), _as_fraction(hi)
-    if flo <= 0:
-        raise ValueError("cost range lower bound must be positive")
-    if fhi < flo:
-        raise ValueError("cost range upper bound below lower bound")
-    rng = random.Random(rng_seed)
-    span = fhi - flo
-    costs = [flo + span * Fraction(rng.random()) for _ in range(graph.node_count)]
-    return graph.with_costs(costs)
 
 
 # ---------------------------------------------------------------------------

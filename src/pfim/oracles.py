@@ -124,8 +124,7 @@ def evaluate_policy_exact(graph: DirectedGraph, config: PolicyConfig,
         if graph.costs[star] > config.budget:
             raise ValueError(f"best single node {star} is unaffordable")
         single = sum(w * cascade_size(graph, r, [star]) for r, w in worlds)
-    core = _GreedyCore(graph, config.alpha, config.budget, estimator,
-                       uniform=config.kind == "uniform")
+    core = _GreedyCore(graph, config, estimator)
     value = _grouped_policy_value(graph, core, worlds, selection_hook)
     if config.kind == "enhanced":
         value = 0.5 * (single + value)

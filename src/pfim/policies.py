@@ -39,7 +39,7 @@ from ._util import derive_seed, fmt_g
 from .diffusion import (FullRealization, PartialRealization, SeedSchedule,
                         cascade_size, empty_partial, observe)
 from .estimation import ActivationEstimate, Estimator
-from .graph import DirectedGraph, _as_fraction
+from .graph import DirectedGraph
 
 
 @dataclass(frozen=True)
@@ -73,6 +73,8 @@ class PolicyConfig:
     budget: Fraction
 
     def __post_init__(self):
+        # exact budget arithmetic from here on, whatever number was given
+        object.__setattr__(self, "budget", Fraction(self.budget))
         if self.kind not in ("uniform", "nonuniform", "enhanced"):
             raise ValueError(f"unknown policy kind {self.kind!r}")
         if not (0.0 <= self.alpha <= 1.0):
@@ -118,8 +120,8 @@ class _Decision:
 class _GreedyCore:
     """Per-round decision logic shared by the live runners and the exact
     policy evaluator. The caller owns seeds, slot, and observations.
-    alpha and budget come from a PolicyConfig, which has already checked
-    their ranges.
+    The PolicyConfig has already checked the ranges of alpha and budget;
+    the enhanced kind runs the nonuniform loop (its greedy arm).
 
     The only state a core keeps between rounds is the last selection
     round's gains, as upper bounds for CELF lazy greedy (Leskovec et al.,
@@ -132,27 +134,24 @@ class _GreedyCore:
     serves one run or one exact evaluation, and never in the estimator's
     cache."""
 
-    def __init__(self, graph: DirectedGraph, alpha: float, budget,
-                 estimator: Estimator, uniform: bool):
+    def __init__(self, graph: DirectedGraph, config: PolicyConfig,
+                 estimator: Estimator):
         self.graph = graph
-        self.alpha = alpha
+        self.alpha = config.alpha
+        self.budget = config.budget
         self.estimator = estimator
-        self.uniform = uniform
+        self.uniform = config.kind == "uniform"
         self.stall_bound = max(graph.node_count, 1)
         self._bounds: tuple[bytes, frozenset[int], dict[int, float]] | None = None
         # a uniform-cost graph has every cost 1, so a score is the gain itself
         self._float_costs = [float(c) for c in graph.costs]
-        if uniform:
-            frac = _as_fraction(budget)
-            if frac.denominator != 1 or frac < 1:
+        if self.uniform:
+            if self.budget.denominator != 1 or self.budget < 1:
                 raise ValueError("uniform-cost policy needs an integer budget >= 1")
             if not graph.has_uniform_unit_costs():
                 raise ValueError("uniform-cost policy requires all node costs equal 1")
-            self.budget = frac
-        else:
-            self.budget = _as_fraction(budget)
-            if graph.node_count == 0 or min(graph.costs) > self.budget:
-                raise ValueError("no affordable first node")
+        elif graph.node_count == 0 or min(graph.costs) > self.budget:
+            raise ValueError("no affordable first node")
 
     def seeds_complete(self, seeds: list[int]) -> bool:
         if len(seeds) == self.graph.node_count:
@@ -232,12 +231,11 @@ class _GreedyCore:
                          condition_value=cond_value, zero_set_size=zero_size)
 
 
-def _run_greedy(graph: DirectedGraph, alpha: float, budget,
+def _run_greedy(graph: DirectedGraph, config: PolicyConfig,
                 realization: FullRealization, estimator: Estimator,
-                rng_seed: int, uniform: bool) -> PolicyRun:
-    core = _GreedyCore(graph, alpha, budget,
-                       estimator.reseeded(derive_seed(rng_seed, "estimation")),
-                       uniform)
+                rng_seed: int) -> PolicyRun:
+    core = _GreedyCore(graph, config,
+                       estimator.reseeded(derive_seed(rng_seed, "estimation")))
     partial = empty_partial(graph)
     entries: list[tuple[int, int]] = []
     seeds: list[int] = []
@@ -295,26 +293,23 @@ def run_policy(graph: DirectedGraph, config: PolicyConfig,
     same seeds.
     """
     if config.kind != "enhanced":
-        return _run_greedy(graph, config.alpha, config.budget, realization,
-                           estimator, rng_seed, uniform=config.kind == "uniform")
-    frac_budget = _as_fraction(config.budget)
+        return _run_greedy(graph, config, realization, estimator, rng_seed)
     coin = random.Random(derive_seed(rng_seed, "arm-coin")).random() < 0.5
     # The greedy arm needs the best single node only to reject it when it
     # is unaffordable, which cannot happen if every node fits the budget.
-    if coin or graph.node_count == 0 or max(graph.costs) > frac_budget:
+    if coin or graph.node_count == 0 or max(graph.costs) > config.budget:
         est_single = estimator.reseeded(derive_seed(rng_seed, "estimation", "single"))
         star, star_value = best_single_node(graph, est_single)
         star_cost = graph.costs[star]
-        if star_cost > frac_budget:
+        if star_cost > config.budget:
             raise ValueError(f"best single node {star} is unaffordable "
-                             f"(cost {star_cost} exceeds budget {frac_budget})")
+                             f"(cost {star_cost} exceeds budget {config.budget})")
     if coin:
         schedule = SeedSchedule(((star, 0),))
         rounds = (RoundLog(0, 0, "select", star, star_value,
-                           frac_budget - star_cost, None, graph.node_count),)
+                           config.budget - star_cost, None, graph.node_count),)
         return PolicyRun(schedule, rounds,
                          cascade_size(graph, realization, [star]),
                          star_cost, 0, arm="single")
-    run = _run_greedy(graph, config.alpha, config.budget, realization, estimator,
-                      rng_seed, uniform=False)
+    run = _run_greedy(graph, config, realization, estimator, rng_seed)
     return replace(run, arm="greedy")

@@ -1,7 +1,7 @@
 """Slow reference implementations used to pin down expected values.
 
 Everything here is written the dumb way on purpose: dict-and-set BFS,
-full enumeration over every edge outcome, slot-by-slot simulation. The
+full enumeration over every edge outcome, per-seed hop distances. The
 package uses bitmasks, grouped recursion, and caches; these helpers share
 none of that machinery, so agreement between the two is meaningful.
 """
@@ -38,26 +38,6 @@ def bfs_cascade(graph, live, seeds):
                     next_frontier.add(graph.edges[idx].target)
         frontier = next_frontier
     return len(active)
-
-
-def activation_slots(graph, live, schedule):
-    """Slot each node becomes active, simulated one slot at a time."""
-    slots = {}
-    pending = sorted(schedule.entries, key=lambda e: e[1])
-    t = 0
-    horizon = max((s for _, s in pending), default=0) + graph.node_count + 1
-    while t <= horizon:
-        for node, slot in pending:
-            if slot == t and node not in slots:
-                slots[node] = t
-        newly = [v for v, s in slots.items() if s == t]
-        for u in newly:
-            for idx in graph.out_edges[u]:
-                v = graph.edges[idx].target
-                if live[idx] and v not in slots:
-                    slots[v] = t + 1
-        t += 1
-    return slots
 
 
 def naive_observe(graph, realization, schedule, current_slot):

@@ -100,6 +100,15 @@ class TestSweepAlpha:
         assert err.startswith("error: config:")
         assert err.count("\n") == 1
 
+    def test_sample_count_spellings_write_the_same_csv(self, diamond_path, capsys):
+        argv = ["sweep-alpha", "--graph", diamond_path, "--alpha", "0,1",
+                "--budget", "2", "--policy", "uniform", "--realizations", "5",
+                "--seed", "2"]
+        outs = [run_cli(argv + spelling, capsys) for spelling in (
+            ["--estimator", "mc:20"], ["--estimator", "mc", "--samples", "20"])]
+        assert outs[0] == outs[1]
+        assert outs[0][1].splitlines()[1].split(",")[4] == "mc(20)"
+
     def test_generator_graph_source(self, capsys):
         code, out, _ = run_cli(
             ["sweep-alpha", "--graph", "gen:erdos-renyi:8:12", "--i", "40",
@@ -203,6 +212,15 @@ class TestErrors:
                                 "--alpha", "0", "--estimator", "quantum"], capsys)
         assert code != 0
         assert err.startswith("error: config: estimator:")
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep-alpha", "--epsilon", "abc"],
+        ["bound", "--variant", "uniform-eps", "--epsilon", "abc"],
+    ], ids=["sweep-alpha", "bound"])
+    def test_bad_epsilon(self, argv, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (1, "")
+        assert err == "error: config: epsilon: 'abc' is not a number\n"
 
     def test_bad_thread_env(self, diamond_path, capsys, monkeypatch):
         monkeypatch.setenv("PFIM_THREADS", "zero")

@@ -5,11 +5,11 @@ from hypothesis import given, settings, strategies as st
 
 from pfim.checks import observation_violations
 from pfim.diffusion import (EdgeState, FullRealization, PartialRealization,
-                            SeedSchedule, cascade_size, observe,
-                            partial_dump_text, propagate, sample_full_realization)
+                            SeedSchedule, cascade_size, empty_partial, observe,
+                            sample_full_realization)
 from pfim.graph import generate_graph, load_graph
 
-from bruteforce import activation_slots, bfs_cascade, naive_observe
+from bruteforce import bfs_cascade, naive_observe
 
 CHAIN = load_graph("0 1 1\n1 2 1\n2 3 1\n")
 DIAMOND = load_graph("0 1 0.5\n0 2 0.5\n1 3 0.5\n2 3 0.5\n")
@@ -47,32 +47,6 @@ class TestSampling:
         assert abs(hits / 4000 - 0.25) < 0.03
 
 
-class TestPropagate:
-    def test_chain_slots(self):
-        r = FullRealization((True, True, True))
-        trace = propagate(CHAIN, r, SeedSchedule(((0, 0),)))
-        assert trace.activation_slot == (0, 1, 2, 3)
-
-    def test_blocked_edge_stops_spread(self):
-        r = FullRealization((True, False, True))
-        trace = propagate(CHAIN, r, SeedSchedule(((0, 0),)))
-        assert trace.activation_slot == (0, 1, None, None)
-        assert trace.active_count == 2
-
-    def test_later_seed_takes_min(self):
-        r = FullRealization((True, True, True))
-        trace = propagate(CHAIN, r, SeedSchedule(((0, 0), (3, 1))))
-        assert trace.activation_slot == (0, 1, 2, 1)
-
-    def test_matches_slot_simulation(self):
-        for seed in range(60):
-            g, realization, schedule = random_instance(seed)
-            trace = propagate(g, realization, schedule)
-            expected = activation_slots(g, realization.live, schedule)
-            for v in range(g.node_count):
-                assert trace.activation_slot[v] == expected.get(v)
-
-
 class TestCascadeSize:
     def test_matches_bfs(self):
         for seed in range(80):
@@ -88,23 +62,23 @@ class TestObserve:
     def test_nothing_before_first_slot_elapses(self):
         r = sample_full_realization(DIAMOND, 1)
         psi = observe(DIAMOND, r, SeedSchedule(((0, 0),)), 0)
-        assert psi.observed_count == 0
+        assert psi == empty_partial(DIAMOND)
 
     def test_one_slot_reveals_seed_out_edges(self):
         r = FullRealization((False, True, True, True))
         psi = observe(DIAMOND, r, SeedSchedule(((0, 0),)), 1)
-        assert psi.state(0) == EdgeState.BLOCKED
-        assert psi.state(1) == EdgeState.LIVE
-        assert psi.state(2) == EdgeState.UNOBSERVED
-        assert psi.state(3) == EdgeState.UNOBSERVED
+        assert psi.codes[0] == EdgeState.BLOCKED
+        assert psi.codes[1] == EdgeState.LIVE
+        assert psi.codes[2] == EdgeState.UNOBSERVED
+        assert psi.codes[3] == EdgeState.UNOBSERVED
 
     def test_blocked_frontier_edges_are_visible(self):
         # second hop reveals 2->3 because 2 sits one live hop out; the
         # blocked 0->1 never hides 1's edges behind it
         r = FullRealization((False, True, True, False))
         psi = observe(DIAMOND, r, SeedSchedule(((0, 0),)), 2)
-        assert psi.state(3) == EdgeState.BLOCKED
-        assert psi.state(2) == EdgeState.UNOBSERVED
+        assert psi.codes[3] == EdgeState.BLOCKED
+        assert psi.codes[2] == EdgeState.UNOBSERVED
 
     def test_matches_reference_implementation(self):
         for seed in range(150):
@@ -150,13 +124,6 @@ class TestPartialRealization:
         r = FullRealization((True, False))
         assert PartialRealization(bytes([1, 2])).is_consistent_with(r)
         assert not PartialRealization(bytes([0, 2])).is_consistent_with(r)
-
-    def test_dump_text(self):
-        psi = PartialRealization(bytes([1, 0, 2, 2]))
-        lines = partial_dump_text(DIAMOND, psi).splitlines()
-        assert lines[0].split("\t") == ["0", "1", "L"]
-        assert lines[1].split("\t") == ["0", "2", "B"]
-        assert lines[2].split("\t") == ["1", "3", "U"]
 
 
 class TestSeedSchedule:

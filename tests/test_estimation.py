@@ -161,8 +161,7 @@ class TestMonteCarlo:
         assert forward == backward
 
     def test_backend_tag(self):
-        mc = MonteCarloEstimator(128, 0).activation(DIAMOND, [0], empty_partial(DIAMOND))
-        assert mc.backend == "mc(128)"
+        assert MonteCarloEstimator(128, 0).tag == "mc(128)"
 
 
 class TestGain:
@@ -273,7 +272,8 @@ class TestBatchedQueries:
         empty = empty_partial(g)
         reference = MonteCarloEstimator(40, seed)
         assert MonteCarloEstimator(40, seed).single_node_values(g) == [
-            reference.expected_cascade(g, {v}, empty) for v in range(g.node_count)]
+            reference.activation(g, {v}, empty).expected_cascade
+            for v in range(g.node_count)]
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.integers(0, (1 << 70) - 1) | st.sampled_from([0, 1, 6]),

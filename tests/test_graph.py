@@ -3,9 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pfim.graph import (DirectedGraph, Edge, GraphFormatError, assign_random_costs,
-                        assign_trivalency_probabilities, cost_text, diameter,
-                        edge_list_text, generate_graph, load_graph)
+from pfim.graph import (DirectedGraph, Edge, GraphFormatError,
+                        assign_trivalency_probabilities, diameter, edge_list_text,
+                        generate_graph, load_graph)
 
 
 class TestLoadGraph:
@@ -75,12 +75,6 @@ def test_round_trip_preserves_graph():
     assert again.edges == g.edges
 
 
-def test_cost_text_round_trip():
-    g = load_graph("0 1 0.5\n", cost_text="0 7/3\n1 1\n")
-    reloaded = load_graph("0 1 0.5\n", cost_text=cost_text(g))
-    assert reloaded.costs == g.costs
-
-
 @st.composite
 def small_graphs(draw):
     n = draw(st.integers(min_value=2, max_value=6))
@@ -120,20 +114,6 @@ class TestTrivalency:
         g = load_graph("0 1 0.5\n")
         with pytest.raises(ValueError):
             assign_trivalency_probabilities(g, 101, 0)
-
-
-class TestRandomCosts:
-    def test_within_range_and_exact(self):
-        g = load_graph("0 1 0.5\n1 2 0.5\n")
-        g2 = assign_random_costs(g, Fraction(1), Fraction(3), 5)
-        for c in g2.costs:
-            assert isinstance(c, Fraction)
-            assert Fraction(1) <= c <= Fraction(3)
-
-    def test_seed_determinism(self):
-        g = load_graph("0 1 0.5\n")
-        assert assign_random_costs(g, Fraction(1), Fraction(2), 9).costs == \
-               assign_random_costs(g, Fraction(1), Fraction(2), 9).costs
 
 
 class TestGenerateGraph:

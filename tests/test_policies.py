@@ -23,8 +23,7 @@ ALL_LIVE_DIAMOND = FullRealization((True, True, True, True))
 
 def make_estimate(probabilities):
     zero = frozenset(v for v, p in probabilities.items() if p == 0.0)
-    return ActivationEstimate(probabilities, sum(probabilities.values()),
-                              zero, "exact")
+    return ActivationEstimate(probabilities, sum(probabilities.values()), zero)
 
 
 class TestCondition:
@@ -253,25 +252,26 @@ class TestLazyGreedy:
                                    min_size=len(chosen), max_size=len(chosen)))
         # isolated nodes and p = 1 cycles give tied gains
         g = DirectedGraph.build(n, [(u, v, p) for (u, v), p in zip(chosen, probs)])
-        uniform = data.draw(st.booleans())
-        if uniform:
+        if data.draw(st.booleans()):
             budget = Fraction(data.draw(st.integers(1, n)))
+            config = PolicyConfig("uniform", 0.0, budget)
         else:
             g = g.with_costs(tuple(Fraction(c) for c in data.draw(
                 st.lists(st.integers(1, 4), min_size=n, max_size=n))))
             budget = Fraction(data.draw(st.integers(min(g.costs), 5)))
+            config = PolicyConfig("nonuniform", 0.0, budget)
         world = sample_full_realization(g, data.draw(st.integers(0, 1 << 20)))
         early = SeedSchedule(tuple((v, 0) for v in data.draw(
             st.lists(st.integers(0, n - 1), unique=True, min_size=1, max_size=2))))
         states = [empty_partial(g)] + [observe(g, world, early, t) for t in (1, 2, n)]
         est = MonteCarloEstimator(data.draw(st.sampled_from([1, 3, 8])),
                                   data.draw(st.integers(0, 99)))
-        core = _GreedyCore(g, 0.0, budget, est, uniform)
+        core = _GreedyCore(g, config, est)
 
         def full_scan(*args):
             with pytest.MonkeyPatch.context() as m:
                 m.setattr(MonteCarloEstimator, "submodular_gains", False)
-                return _GreedyCore(g, 0.0, budget, est, uniform).decide(*args)
+                return _GreedyCore(g, config, est).decide(*args)
 
         seeds, state = [], states[0]
         for _ in range(data.draw(st.integers(1, 12))):
@@ -309,7 +309,8 @@ class TestLazyGreedy:
         if costs is not None:
             g = g.with_costs(tuple(Fraction(c) for c in costs))
         budget = Fraction(4 if costs else 3)
-        core = _GreedyCore(g, 0.0, budget, MonteCarloEstimator(1, 0), costs is None)
+        config = PolicyConfig("nonuniform" if costs else "uniform", 0.0, budget)
+        core = _GreedyCore(g, config, MonteCarloEstimator(1, 0))
         for seeds, node in steps:
             remaining = budget - sum(g.costs[v] for v in seeds)
             d = core.decide(seeds, empty_partial(g), 0, 0, remaining)
@@ -321,7 +322,7 @@ class TestLazyGreedy:
         # every bound of the first round.
         g = DirectedGraph.build(8, [(0, 3, 1.0), (1, 6, 1.0), (4, 5, 1e-9), (4, 7, 1e-9)])
         seen = PartialRealization(bytes([EdgeState.UNOBSERVED] * 2 + [EdgeState.LIVE] * 2))
-        core = _GreedyCore(g, 0.0, 3, MonteCarloEstimator(4, 0), True)
+        core = _GreedyCore(g, PolicyConfig("uniform", 0.0, 3), MonteCarloEstimator(4, 0))
         assert core.decide([], empty_partial(g), 0, 0, Fraction(3)).node == 0
         assert core.decide([0], seen, 1, 0, Fraction(2)).node == 4
 
