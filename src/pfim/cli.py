@@ -136,7 +136,11 @@ def _build_estimator(args) -> tuple[Estimator, str]:
     elif spec == "mc":
         est = MonteCarloEstimator(samples, 0)
     elif spec.startswith("mc:"):
-        est = MonteCarloEstimator(_parse_int("estimator", spec[3:], 1), 0)
+        spec_samples = _parse_int("estimator", spec[3:], 1)
+        if _merged(args, "samples") is not None and samples != spec_samples:
+            raise _config_error("samples", f"{samples} differs from the {spec_samples} "
+                                           f"of estimator {spec!r}")
+        est = MonteCarloEstimator(spec_samples, 0)
     else:
         raise _config_error("estimator", f"unknown spec {spec!r}")
     raw_eps = _merged(args, "epsilon", 0.0)

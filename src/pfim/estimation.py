@@ -9,10 +9,13 @@ sum of those probabilities. Three backends:
   matter (source possibly active, target not already certainly active)
   and accumulates exact probability weight per node. Guarded to 22
   relevant edges.
-* monte carlo: redraws the unobserved edges; completions are derived
-  from (rng seed, observation) only, so every query against the same
-  observation state reuses the same worlds. That makes marginal gains
-  differences of pointwise-coupled estimates, hence non-negative.
+* monte carlo: one coin snapshot per estimator and graph fixes, for
+  each edge, the completions in which it is live. A completion of an
+  observation state keeps the observed edges and takes each unobserved
+  edge from the snapshot, so every query against the same state reuses
+  the same worlds, and different states share their coins (common
+  random numbers). Marginal gains are then differences of
+  pointwise-coupled estimates, hence non-negative.
 * epsilon wrapper: multiplies each cascade value produced by an inner
   backend by a factor in [1-eps, 1+eps], either drawn uniformly per
   query or pinned to an end of the interval.
@@ -74,11 +77,16 @@ def zero_probability_set(graph: DirectedGraph, seeds,
     """
     seed_set = _check_state(graph, seeds, partial)
     live, unobserved = EdgeState.LIVE, EdgeState.UNOBSERVED
-    adj: list[list[int]] = [[] for _ in range(graph.node_count)]
-    for c, e in zip(partial.codes, graph.edges):
-        if c == live or (c == unobserved and e.probability > 0.0):
-            adj[e.source].append(e.target)
-    reached = reachable_mask(adj, node_mask(seed_set))
+    codes, edges, out_edges = partial.codes, graph.edges, graph.out_edges
+    reached = node_mask(seed_set)
+    stack = list(seed_set)
+    while stack:
+        for idx in out_edges[stack.pop()]:
+            c = codes[idx]
+            _, v, p = edges[idx]
+            if (c == live or (c == unobserved and p > 0.0)) and not reached >> v & 1:
+                reached |= 1 << v
+                stack.append(v)
     return frozenset(v for v in range(graph.node_count) if not reached >> v & 1)
 
 
@@ -264,33 +272,26 @@ class ExactEstimator(Estimator):
 
 
 class _Completions:
-    """Sampled completions of one observation state.
+    """Completions of one observation state, built from the coin snapshot.
 
-    The adjacency of every completion is drawn eagerly; the per-node
-    closure masks are built only once a state is queried a second time
-    or scanned for gains. A state queried once, as in a round that only
-    tests the threshold and then waits, costs one BFS per completion.
+    The adjacency of every completion is built eagerly; the per-node
+    closure masks only once the state is scanned for gains. `last` keeps
+    the most recent gain scan's seed set with its per-completion seed
+    unions and base count, since a lazy round asks twice for the same
+    seeds.
     """
 
-    __slots__ = ("adjacency", "closures", "queries")
+    __slots__ = ("adjacency", "closures", "last")
 
     def __init__(self, adjacency: list[list[list[int]]]):
         self.adjacency = adjacency
         self.closures: list[list[int]] | None = None
-        self.queries = 0
+        self.last: tuple | None = None
 
     def closure_batch(self) -> list[list[int]]:
         if self.closures is None:
             self.closures = [closure_masks(len(adj), adj) for adj in self.adjacency]
         return self.closures
-
-    def reached(self, seed_set) -> list[int]:
-        """Per-completion mask of the nodes reachable from the seeds."""
-        self.queries += 1
-        if self.closures is None and self.queries == 1:
-            start = node_mask(seed_set)
-            return [reachable_mask(adj, start) for adj in self.adjacency]
-        return [_union(masks, seed_set) for masks in self.closure_batch()]
 
 
 def _union(masks: list[int], nodes) -> int:
@@ -301,10 +302,19 @@ def _union(masks: list[int], nodes) -> int:
 
 
 class MonteCarloEstimator(Estimator):
-    """Sampling backend with completions shared per observation state.
+    """Sampling backend over one coin snapshot per graph (`_snapshot`).
 
-    A batch of completions is a pure function of (rng_seed, observation),
-    never of the seed set, so f(S), f(S + v), and every candidate in a
+    Completion j of an observation state is its observed-live edges plus
+    the unobserved edges whose coin j fell below their probability. Under
+    independent cascade the unobserved edges are independent of the
+    observed ones, so each completion is a draw from the conditional law;
+    sharing the coins across states only couples their estimates. The
+    alpha-gate's query on a state without closures is one bit-parallel
+    pass over the snapshot (`_propagate`). Adjacency lists and closures
+    are built only for states scanned for gains or single-node values.
+
+    A batch of completions is a function of the observation alone, never
+    of the seed set, so f(S), f(S + v), and every candidate in a
     selection round are evaluated against the same worlds. A gain is a
     coverage count over that batch divided by the sample count, so it is
     exactly submodular in the seed set.
@@ -318,6 +328,7 @@ class MonteCarloEstimator(Estimator):
         self.samples = samples
         self.rng_seed = rng_seed
         self._batches = _GraphCache(8)
+        self._snapshots = _GraphCache(1)
 
     def reseeded(self, salt):
         return MonteCarloEstimator(self.samples, derive_seed(self.rng_seed, salt))
@@ -326,27 +337,51 @@ class MonteCarloEstimator(Estimator):
     def tag(self):
         return f"mc({self.samples})"
 
+    def _snapshot(self, graph: DirectedGraph) -> tuple[list[list[int]], list[int]]:
+        """The coin snapshot as (rows, coins). rows[j] lists, ascending, the
+        edges whose coin in completion j fell below their probability.
+        coins[idx] is edge idx's (samples + 1)-bit mask: bit j as in the
+        rows, and bit `samples` set when the probability is positive.
+
+        The draws come completion by completion, one per edge, from the
+        stream seeded by (rng_seed, "completions", the empty state's
+        codes), so the empty state's completions are those of a draw for
+        that state alone."""
+        hit = self._snapshots.lookup(graph, None)
+        if hit is not None:
+            return hit
+        k = self.samples
+        rng = random.Random(derive_seed(self.rng_seed, "completions",
+                                        empty_partial(graph).codes))
+        draw = rng.random
+        probs = [e.probability for e in graph.edges]
+        rows = [[idx for idx, p in enumerate(probs) if draw() < p] for _ in range(k)]
+        coins = [1 << k if p > 0.0 else 0 for p in probs]
+        for j, row in enumerate(rows):
+            bit = 1 << j
+            for idx in row:
+                coins[idx] |= bit
+        return self._snapshots.store(None, (rows, coins))
+
     def _batch(self, graph: DirectedGraph, partial: PartialRealization) -> _Completions:
         hit = self._batches.lookup(graph, partial.codes)
         if hit is not None:
             return hit
-        rng = random.Random(derive_seed(self.rng_seed, "completions", partial.codes))
-        draw = rng.random
+        rows, _ = self._snapshot(graph)
+        codes, edges = partial.codes, graph.edges
         live, unobserved = EdgeState.LIVE, EdgeState.UNOBSERVED
         base_adj: list[list[int]] = [[] for _ in range(graph.node_count)]
-        open_edges = []
-        for c, e in zip(partial.codes, graph.edges):
+        for c, e in zip(codes, edges):
             if c == live:
                 base_adj[e.source].append(e.target)
-            elif c == unobserved:
-                open_edges.append((e.source, e.target, e.probability))
         batch = []
-        for _ in range(self.samples):
+        for row in rows:
             # share the observed lists; a node's list is copied on its
             # first sampled edge
             adj = base_adj.copy()
-            for u, v, p in open_edges:
-                if draw() < p:
+            for idx in row:
+                if codes[idx] == unobserved:
+                    u, v, _ = edges[idx]
                     if adj[u] is base_adj[u]:
                         adj[u] = base_adj[u] + [v]
                     else:
@@ -354,24 +389,67 @@ class MonteCarloEstimator(Estimator):
             batch.append(adj)
         return self._batches.store(partial.codes, _Completions(batch))
 
+    def _propagate(self, graph: DirectedGraph, seed_set,
+                   partial: PartialRealization) -> tuple[list[int], frozenset[int]]:
+        """Per-node completion counts and the zero set in one bit-parallel
+        pass: a node's mask holds bit j when completion j reaches it, and
+        bit `samples` when some edge path from the seeds avoids blocked
+        and zero-probability edges."""
+        _, coins = self._snapshot(graph)
+        k = self.samples
+        full = (1 << k + 1) - 1
+        live, unobserved = EdgeState.LIVE, EdgeState.UNOBSERVED
+        codes, edges, out_edges = partial.codes, graph.edges, graph.out_edges
+        reach = [0] * graph.node_count
+        for v in seed_set:
+            reach[v] = full
+        stack = list(seed_set)
+        while stack:
+            u = stack.pop()
+            mask = reach[u]
+            for idx in out_edges[u]:
+                c = codes[idx]
+                if c == live:
+                    passed = mask
+                elif c == unobserved:
+                    passed = mask & coins[idx]
+                else:
+                    continue
+                v = edges[idx].target
+                if passed & ~reach[v]:
+                    reach[v] |= passed
+                    stack.append(v)
+        low = full >> 1
+        zero = frozenset(v for v, mask in enumerate(reach) if not mask >> k)
+        return [(mask & low).bit_count() for mask in reach], zero
+
     def activation(self, graph, seeds, partial):
         seed_set = _check_state(graph, seeds, partial)
-        zero = zero_probability_set(graph, seed_set, partial)
-        n = graph.node_count
-        counts = [0] * n
-        if seed_set:
-            for reached in self._batch(graph, partial).reached(seed_set):
-                for v in mask_nodes(reached):
-                    counts[v] += 1
+        batch = self._batches.lookup(graph, partial.codes)
+        # a state scanned for gains already holds closures (every alpha = 0
+        # round, and a round right after a selection); a union of closures
+        # is cheaper there than a propagation
+        if batch is not None and batch.closures is not None:
+            zero = zero_probability_set(graph, seed_set, partial)
+            counts = [0] * graph.node_count
+            planes = _bit_planes(_union(masks, seed_set) for masks in batch.closures)
+            for i, plane in enumerate(planes):
+                for v in mask_nodes(plane):
+                    counts[v] += 1 << i
+        else:
+            counts, zero = self._propagate(graph, seed_set, partial)
         k = self.samples
-        probability = {v: 0.0 if v in zero else counts[v] / k for v in range(n)}
+        probability = {v: 0.0 if v in zero else count / k
+                       for v, count in enumerate(counts)}
         return ActivationEstimate(probability, math.fsum(probability.values()), zero)
 
     def gains(self, graph, seeds, partial, candidates):
         seed_set = _check_state(graph, seeds, partial)
-        closures = self._batch(graph, partial).closure_batch()
-        pairs = [(masks, _union(masks, seed_set)) for masks in closures]
-        base = sum(reached.bit_count() for _, reached in pairs)
+        batch = self._batch(graph, partial)
+        if batch.last is None or batch.last[0] != seed_set:
+            pairs = [(masks, _union(masks, seed_set)) for masks in batch.closure_batch()]
+            batch.last = (seed_set, pairs, sum(reached.bit_count() for _, reached in pairs))
+        _, pairs, base = batch.last
         return [(sum((reached | masks[c]).bit_count() for masks, reached in pairs)
                  - base) / self.samples
                 for c in candidates]
@@ -383,14 +461,9 @@ class MonteCarloEstimator(Estimator):
         return [_coverage_value(column, self.samples) for column in zip(*closures)]
 
 
-def _coverage_value(masks, k: int) -> float:
-    """math.fsum of count / k over the nodes, where a node's count is the
-    number of masks holding it: equal to fsum(c / k for c in counts).
-
-    The masks are added into carry-save bit planes (plane i holds bit i of
-    every node's count). The nodes are then split plane by plane into
-    groups of equal count, so fsum sees the same multiset of terms without
-    a pass over the nodes of each mask."""
+def _bit_planes(masks) -> list[int]:
+    """Carry-save sum of node masks: plane i holds bit i of the number of
+    masks that hold each node."""
     planes: list[int] = []
     for carry in masks:
         i = 0
@@ -402,6 +475,17 @@ def _coverage_value(masks, k: int) -> float:
             planes[i] = plane ^ carry
             carry &= plane
             i += 1
+    return planes
+
+
+def _coverage_value(masks, k: int) -> float:
+    """math.fsum of count / k over the nodes, where a node's count is the
+    number of masks holding it: equal to fsum(c / k for c in counts).
+
+    The nodes are split plane by plane of the masks' `_bit_planes` into
+    groups of equal count, so fsum sees the same multiset of terms without
+    a pass over the nodes of each mask."""
+    planes = _bit_planes(masks)
     counted = 0
     for plane in planes:
         counted |= plane

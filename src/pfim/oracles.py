@@ -133,7 +133,7 @@ def evaluate_policy_exact(graph: DirectedGraph, config: PolicyConfig,
 
 def _world_outcome(args):
     graph, config, estimator, rng_seed, index = args
-    world_seed = rng_seed + index
+    world_seed = derive_seed(rng_seed, "world", index)
     realization = sample_full_realization(graph, derive_seed(world_seed, "realization"))
     run = run_policy(graph, config, realization, estimator,
                      derive_seed(world_seed, "policy"))
@@ -144,8 +144,9 @@ def evaluate_policy_sampled(graph: DirectedGraph, config: PolicyConfig,
                             realizations: int, rng_seed: int,
                             estimator: Estimator, threads: int = 1) -> SampledEvaluation:
     """Mean and standard error of the realized cascade over sampled
-    worlds. World index w uses the stream rng_seed + w, so results do not
-    depend on scheduling; integer totals are summed before any division."""
+    worlds. World index w uses the stream derived from (rng_seed, "world",
+    w), so results do not depend on scheduling and different base seeds
+    share no worlds; integer totals are summed before any division."""
     if realizations < 1:
         raise ValueError("need at least one realization")
     jobs = [(graph, config, estimator, rng_seed, w) for w in range(realizations)]

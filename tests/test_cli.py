@@ -105,8 +105,9 @@ class TestSweepAlpha:
                 "--budget", "2", "--policy", "uniform", "--realizations", "5",
                 "--seed", "2"]
         outs = [run_cli(argv + spelling, capsys) for spelling in (
-            ["--estimator", "mc:20"], ["--estimator", "mc", "--samples", "20"])]
-        assert outs[0] == outs[1]
+            ["--estimator", "mc:20"], ["--estimator", "mc", "--samples", "20"],
+            ["--estimator", "mc:20", "--samples", "20"])]
+        assert outs[0] == outs[1] == outs[2]
         assert outs[0][1].splitlines()[1].split(",")[4] == "mc(20)"
 
     def test_generator_graph_source(self, capsys):
@@ -222,6 +223,23 @@ class TestErrors:
         assert (code, out) == (1, "")
         assert err == "error: config: epsilon: 'abc' is not a number\n"
 
+    @pytest.mark.parametrize("flags,file_text", [
+        (["--estimator", "mc:20", "--samples", "50"], ""),
+        (["--estimator", "mc:20"], "samples = 50\n"),
+        ([], "estimator = mc:20\nsamples = 50\n"),
+    ], ids=["flags", "flag-and-file", "file"])
+    def test_sample_count_conflict(self, diamond_path, tmp_path, capsys,
+                                   flags, file_text):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(file_text)
+        code, out, err = run_cli(
+            ["sweep-alpha", "--config", str(cfg), "--graph", diamond_path,
+             "--alpha", "0", "--budget", "1", "--policy", "uniform",
+             "--realizations", "2"] + flags, capsys)
+        assert (code, out) == (1, "")
+        assert err == ("error: config: samples: 50 differs from the 20 of "
+                       "estimator 'mc:20'\n")
+
     def test_bad_thread_env(self, diamond_path, capsys, monkeypatch):
         monkeypatch.setenv("PFIM_THREADS", "zero")
         code, _, err = run_cli(
@@ -284,20 +302,20 @@ def test_fixed_seed_outputs_keep_their_bytes(tmp_path, capsys, monkeypatch):
          "--budget", "4,6", "--policy", "enhanced", "--estimator", "mc",
          "--samples", "30", "--realizations", "30", "--seed", "1",
          "--out", "sweep.csv"], "sweep.csv")[1] == (
-        "04cab5255bff618de334989f1b4fbc89e9dfffc57cbbcd88effa2ac30906f29c")
+        "9895bf4706aeb6ce84a4dc0f69f87e3b5cfcd3afd5e4117697c9a6af8a678ef8")
     assert digests(
         ["evaluate", "--graph", "g.edges", "--alpha", "0.8", "--budget", "6",
          "--policy", "nonuniform", "--estimator", "mc", "--samples", "30",
          "--realizations", "2", "--seed", "3", "--out", "cheap"],
         "cheap.transcript.txt") == [
-        "0220f2e488c73dfcebbc269acfa85403f71fa622a15402d75946c345ed733a9f",
-        "fa23a76879841c1916e8d65b0ca074b2002a9dafffa627b1a2f0849058bef91d"]
+        "fcd043b4cfb9f4c5dfbb2905b418993de9082b884f5b4b9fb86f6727d8942ded",
+        "5e43378e30abcbf8379cd9e455ab4f82a667aebc9ed1e586684430ea90ab3378"]
     assert digests(
         ["sweep-alpha", "--graph", "g.edges", "--alpha", "0,0.8,1", "--budget", "3",
          "--policy", "uniform", "--estimator", "mc", "--samples", "20",
          "--epsilon", "0.2", "--eps-mode", "random", "--realizations", "10",
          "--seed", "2"]) == [
-        "41ca36e85354967e51c70a5f2193663f50e5e6bec3d7a8b32360f0cdaf349aee"]
+        "0c197133ae775c53b4861425fee84e42b76cb4aebd8d00517b88cbd9d8e21bb4"]
     assert digests(["oracle-check"]) == [
         "55286e5aebd597119dfb1b7396234368ddbc7715acef9d3be09c46d83063171a"]
 

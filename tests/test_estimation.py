@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -11,6 +12,7 @@ from pfim.estimation import (EpsilonEstimator, ExactEstimator, InstanceTooLarge,
                              MonteCarloEstimator, _coverage_value,
                              exact_conditional_activation, zero_probability_set)
 from pfim.graph import DirectedGraph, generate_graph, load_graph
+from pfim.reach import mask_nodes, reachable_mask
 
 from bruteforce import naive_activation_probability
 
@@ -265,6 +267,23 @@ class TestBatchedQueries:
         assert est._batch(g, psi).closures is not None
         assert est.activation(g, seeds, psi) == before
 
+    @settings(max_examples=150, deadline=None)
+    @given(observed_states())
+    def test_mc_propagation_equals_per_completion_bfs(self, state):
+        g, seeds, psi, seed = state
+        est = MonteCarloEstimator(40, seed)
+        propagated = est.activation(g, seeds, psi)
+        counts = [0] * g.node_count
+        for adj in est._batch(g, psi).adjacency:
+            for v in mask_nodes(reachable_mask(adj, sum(1 << u for u in seeds))):
+                counts[v] += 1
+        zero = zero_probability_set(g, seeds, psi)
+        assert propagated.zero_set == zero
+        assert propagated.probability == {
+            v: 0.0 if v in zero else c / 40 for v, c in enumerate(counts)}
+        est._batch(g, psi).closure_batch()
+        assert est.activation(g, seeds, psi) == propagated
+
     @settings(max_examples=80, deadline=None)
     @given(observed_states())
     def test_mc_single_node_values_equal_singleton_cascades(self, state):
@@ -297,6 +316,15 @@ class TestBatchedQueries:
         single = fresh()
         assert fresh().gains(g, seeds, psi, others) == [
             single.gains(g, seeds, psi, [v])[0] for v in others]
+
+
+def test_mc_single_node_values_keep_their_bytes():
+    # the empty state's completions, and with them every alpha = 0 run,
+    # come from the snapshot's stream alone; this pins them
+    g = generate_graph(60, 240, "erdos-renyi", 40, 7)
+    values = MonteCarloEstimator(30, 0).single_node_values(g)
+    assert hashlib.sha256(repr(values).encode()).hexdigest() == (
+        "9fb6f293ed90cac42399d1c9f7f9083f4df15f3456e10b02d72252305dd4ff70")
 
 
 def test_shared_estimators_never_answer_for_a_dropped_graph():

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+from pfim import oracles
+from pfim.diffusion import sample_full_realization
 from pfim.estimation import ExactEstimator, InstanceTooLarge, MonteCarloEstimator
 from pfim.graph import generate_graph, load_graph
 from pfim.oracles import (evaluate_policy_exact, evaluate_policy_sampled,
@@ -112,6 +114,25 @@ class TestSampledEvaluation:
         result = evaluate_policy_sampled(DIAMOND, cfg, 30, 0, ExactEstimator())
         assert result.mean_slots == 0.0
         assert result.mean_seeds == 2.0
+
+    def test_neighbouring_base_seeds_share_no_worlds(self, monkeypatch):
+        g = generate_graph(200, 800, "erdos-renyi", 40, 2024)
+        drawn = []
+
+        def recording(graph, seed):
+            realization = sample_full_realization(graph, seed)
+            drawn.append(realization.live)
+            return realization
+
+        monkeypatch.setattr(oracles, "sample_full_realization", recording)
+        cfg = PolicyConfig("uniform", 0.0, Fraction(1))
+        worlds = {}
+        for base in (11, 12):
+            drawn.clear()
+            evaluate_policy_sampled(g, cfg, 10, base, MonteCarloEstimator(1, 0))
+            worlds[base] = set(drawn)
+        assert len(worlds[11]) == len(worlds[12]) == 10
+        assert not worlds[11] & worlds[12]
 
 
 class TestNonadaptiveOptimum:
