@@ -272,26 +272,15 @@ class ExactEstimator(Estimator):
 
 
 class _Completions:
-    """Completions of one observation state, built from the coin snapshot.
+    """Per-node closure masks of each completion of one observation state.
+    `last` keeps the latest gain scan's seed set, per-completion seed
+    unions and base count: a lazy round asks twice for the same seeds."""
 
-    The adjacency of every completion is built eagerly; the per-node
-    closure masks only once the state is scanned for gains. `last` keeps
-    the most recent gain scan's seed set with its per-completion seed
-    unions and base count, since a lazy round asks twice for the same
-    seeds.
-    """
+    __slots__ = ("closures", "last")
 
-    __slots__ = ("adjacency", "closures", "last")
-
-    def __init__(self, adjacency: list[list[list[int]]]):
-        self.adjacency = adjacency
-        self.closures: list[list[int]] | None = None
+    def __init__(self, closures: list[list[int]]):
+        self.closures = closures
         self.last: tuple | None = None
-
-    def closure_batch(self) -> list[list[int]]:
-        if self.closures is None:
-            self.closures = [closure_masks(len(adj), adj) for adj in self.adjacency]
-        return self.closures
 
 
 def _union(masks: list[int], nodes) -> int:
@@ -310,8 +299,8 @@ class MonteCarloEstimator(Estimator):
     observed ones, so each completion is a draw from the conditional law;
     sharing the coins across states only couples their estimates. The
     alpha-gate's query on a state without closures is one bit-parallel
-    pass over the snapshot (`_propagate`). Adjacency lists and closures
-    are built only for states scanned for gains or single-node values.
+    pass over the snapshot (`_propagate`). Closures (`_batch`) are built
+    only for states scanned for gains or single-node values.
 
     A batch of completions is a function of the observation alone, never
     of the seed set, so f(S), f(S + v), and every candidate in a
@@ -374,7 +363,7 @@ class MonteCarloEstimator(Estimator):
         for c, e in zip(codes, edges):
             if c == live:
                 base_adj[e.source].append(e.target)
-        batch = []
+        closures = []
         for row in rows:
             # share the observed lists; a node's list is copied on its
             # first sampled edge
@@ -386,8 +375,8 @@ class MonteCarloEstimator(Estimator):
                         adj[u] = base_adj[u] + [v]
                     else:
                         adj[u].append(v)
-            batch.append(adj)
-        return self._batches.store(partial.codes, _Completions(batch))
+            closures.append(closure_masks(graph.node_count, adj))
+        return self._batches.store(partial.codes, _Completions(closures))
 
     def _propagate(self, graph: DirectedGraph, seed_set,
                    partial: PartialRealization) -> tuple[list[int], frozenset[int]]:
@@ -429,7 +418,7 @@ class MonteCarloEstimator(Estimator):
         # a state scanned for gains already holds closures (every alpha = 0
         # round, and a round right after a selection); a union of closures
         # is cheaper there than a propagation
-        if batch is not None and batch.closures is not None:
+        if batch is not None:
             zero = zero_probability_set(graph, seed_set, partial)
             counts = [0] * graph.node_count
             planes = _bit_planes(_union(masks, seed_set) for masks in batch.closures)
@@ -447,7 +436,7 @@ class MonteCarloEstimator(Estimator):
         seed_set = _check_state(graph, seeds, partial)
         batch = self._batch(graph, partial)
         if batch.last is None or batch.last[0] != seed_set:
-            pairs = [(masks, _union(masks, seed_set)) for masks in batch.closure_batch()]
+            pairs = [(masks, _union(masks, seed_set)) for masks in batch.closures]
             batch.last = (seed_set, pairs, sum(reached.bit_count() for _, reached in pairs))
         _, pairs, base = batch.last
         return [(sum((reached | masks[c]).bit_count() for masks, reached in pairs)
@@ -457,7 +446,7 @@ class MonteCarloEstimator(Estimator):
     def single_node_values(self, graph):
         # A completion holds only live edges and unobserved edges with
         # p > 0, so zero-set nodes already count 0 and need no filter.
-        closures = self._batch(graph, empty_partial(graph)).closure_batch()
+        closures = self._batch(graph, empty_partial(graph)).closures
         return [_coverage_value(column, self.samples) for column in zip(*closures)]
 
 

@@ -2,11 +2,10 @@
 
 Exact policy evaluation conceptually runs the policy on every full
 realization and weights the realized cascade by the realization's
-probability. Implemented by grouping: realizations that have produced
-identical observations so far are indistinguishable to the policy, so
-the run tree branches only where observations actually differ. The
-decision logic is the same _GreedyCore the live runners use, which keeps
-the two routes transcript-identical.
+probability. Realizations that have produced identical observations so
+far are indistinguishable to the policy, so the run tree branches only
+where observations actually differ. That tree walk is the loop a live
+run uses (`policies._greedy_runs`): a live run is one of its branches.
 
 The non-adaptive optimum scores every affordable seed set; the
 full-feedback adaptive optimum does backward induction over observation
@@ -19,13 +18,13 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from ._util import derive_seed
-from .diffusion import (FullRealization, PartialRealization, SeedSchedule,
-                        cascade_size, empty_partial, live_adjacency, observe,
-                        sample_full_realization)
+from .diffusion import (FullRealization, cascade_size, empty_partial,
+                        live_adjacency, sample_full_realization)
 from .estimation import (Estimator, ExactEstimator, InstanceTooLarge,
                          _assignments, exact_conditional_activation)
 from .graph import DirectedGraph, _as_fraction
-from .policies import PolicyConfig, _GreedyCore, best_single_node, run_policy
+from .policies import (PolicyConfig, _affordable_single_node, _GreedyCore,
+                       _greedy_runs, run_policy)
 from .reach import mask_nodes, reachable_mask
 
 ENUMERATION_EDGE_LIMIT = 22          # 2^|E| realizations
@@ -56,53 +55,13 @@ def _enumerate_worlds(graph: DirectedGraph):
             if w != 0.0]
 
 
-def _grouped_policy_value(graph: DirectedGraph, core: _GreedyCore,
-                          worlds: list, selection_hook=None) -> float:
-    """Expected realized cascade of the greedy policy, exact.
-
-    Recurses over groups of worlds sharing the observation trajectory;
-    a wait splits the group by what the next slot reveals.
-    """
+def _expected_cascade(graph: DirectedGraph, worlds: list, indices, seeds) -> float:
+    """Sum of weight * cascade size over the indexed worlds, added left to
+    right (from Python 3.12 on, sum() compensates the rounding)."""
     total = 0.0
-
-    def finish(seeds, indices):
-        part = 0.0
-        for i in indices:
-            realization, weight = worlds[i]
-            part += weight * cascade_size(graph, realization, seeds)
-        return part
-
-    def step(seeds, entries, slot, last_select, remaining, partial, indices):
-        nonlocal total
-        while True:
-            if core.seeds_complete(seeds):
-                total += finish(seeds, indices)
-                return
-            d = core.decide(seeds, partial, slot, last_select, remaining)
-            if d.action == "stop":
-                total += finish(seeds, indices)
-                return
-            if d.action == "select":
-                if selection_hook is not None:
-                    selection_hook(list(seeds), partial)
-                seeds = seeds + [d.node]
-                entries = entries + [(d.node, slot)]
-                remaining = remaining - graph.costs[d.node]
-                last_select = slot
-                continue
-            # wait: observations may now differ between worlds
-            slot += 1
-            schedule = SeedSchedule(tuple(entries))
-            parts: dict[bytes, list[int]] = {}
-            for i in indices:
-                psi = observe(graph, worlds[i][0], schedule, slot)
-                parts.setdefault(psi.codes, []).append(i)
-            for codes, sub in sorted(parts.items()):
-                step(list(seeds), list(entries), slot, last_select, remaining,
-                     PartialRealization(codes), sub)
-            return
-
-    step([], [], 0, 0, core.budget, empty_partial(graph), list(range(len(worlds))))
+    for i in indices:
+        realization, weight = worlds[i]
+        total += weight * cascade_size(graph, realization, seeds)
     return total
 
 
@@ -120,12 +79,12 @@ def evaluate_policy_exact(graph: DirectedGraph, config: PolicyConfig,
     worlds = _enumerate_worlds(graph)
     estimator = ExactEstimator()
     if config.kind == "enhanced":
-        star, _ = best_single_node(graph, estimator)
-        if graph.costs[star] > config.budget:
-            raise ValueError(f"best single node {star} is unaffordable")
-        single = sum(w * cascade_size(graph, r, [star]) for r, w in worlds)
+        star, _ = _affordable_single_node(graph, estimator, config.budget)
+        single = _expected_cascade(graph, worlds, range(len(worlds)), [star])
     core = _GreedyCore(graph, config, estimator)
-    value = _grouped_policy_value(graph, core, worlds, selection_hook)
+    value = 0.0
+    for indices, schedule, *_ in _greedy_runs(core, [r for r, _ in worlds], selection_hook):
+        value += _expected_cascade(graph, worlds, indices, schedule.nodes)
     if config.kind == "enhanced":
         value = 0.5 * (single + value)
     return ExactEvaluation(value, len(worlds))

@@ -6,7 +6,9 @@ threshold alpha. If it does, seed the best candidate in the current slot
 (several selections may share a slot); if not, let one slot of diffusion
 pass and fold the new observations in. alpha = 0 never waits and
 degenerates to non-adaptive greedy; alpha = 1 waits until every node is
-certainly active or certainly unreachable, which is full feedback.
+certainly active or certainly unreachable, which is full feedback. One
+loop (`_greedy_runs`) serves a live run on one world and the exact
+evaluator on all worlds at once, split by what each wait reveals.
 
 Three selection rules: uniform cost (argmax gain, exactly B seeds),
 non-uniform cost (argmax gain per cost; terminates early if the argmax
@@ -32,7 +34,7 @@ at that point and the guard never fires.
 """
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from ._util import derive_seed, fmt_g
@@ -118,8 +120,8 @@ class _Decision:
 
 
 class _GreedyCore:
-    """Per-round decision logic shared by the live runners and the exact
-    policy evaluator. The caller owns seeds, slot, and observations.
+    """Per-round decision logic of the greedy loop (`_greedy_runs`). The
+    caller owns seeds, slot, and observations.
     The PolicyConfig has already checked the ranges of alpha and budget;
     the enhanced kind runs the nonuniform loop (its greedy arm).
 
@@ -231,40 +233,49 @@ class _GreedyCore:
                          condition_value=cond_value, zero_set_size=zero_size)
 
 
-def _run_greedy(graph: DirectedGraph, config: PolicyConfig,
-                realization: FullRealization, estimator: Estimator,
-                rng_seed: int) -> PolicyRun:
-    core = _GreedyCore(graph, config,
-                       estimator.reseeded(derive_seed(rng_seed, "estimation")))
-    partial = empty_partial(graph)
-    entries: list[tuple[int, int]] = []
-    seeds: list[int] = []
-    rounds: list[RoundLog] = []
-    slot = 0
-    last_select_slot = 0
-    remaining = core.budget
-    round_index = 0
-    while not core.seeds_complete(seeds):
-        d = core.decide(seeds, partial, slot, last_select_slot, remaining)
-        if d.action == "stop":
-            break
-        if d.action == "select":
-            seeds.append(d.node)
-            entries.append((d.node, slot))
-            remaining -= graph.costs[d.node]
-            last_select_slot = slot
-            rounds.append(RoundLog(round_index, slot, "select", d.node, d.gain,
-                                   remaining, d.condition_value, d.zero_set_size))
-        else:
-            rounds.append(RoundLog(round_index, slot, "wait", None, None, None,
+def _greedy_runs(core: _GreedyCore, worlds: list[FullRealization], selection_hook=None):
+    """The greedy loop on all worlds at once: a walk over the policy's
+    decision tree of observations. A group is the worlds that share every
+    observation so far. A wait observes each world of the group at the
+    next slot and splits the group by the codes revealed; the smallest
+    codes go on at once and the other parts wait on a stack, so the parts
+    finish depth-first in ascending codes order. Yields (world indices,
+    schedule, rounds, cost, slots) per final group; a live run is the one
+    group of one world. `selection_hook(seeds, partial)` runs before each
+    selection."""
+    graph = core.graph
+    stack = [(list(range(len(worlds))), [], [], 0, 0, core.budget, empty_partial(graph))]
+    while stack:
+        indices, entries, rounds, slot, last_select_slot, remaining, partial = stack.pop()
+        seeds = [v for v, _ in entries]
+        while not core.seeds_complete(seeds):
+            d = core.decide(seeds, partial, slot, last_select_slot, remaining)
+            if d.action == "stop":
+                break
+            if d.action == "select":
+                if selection_hook is not None:
+                    selection_hook(list(seeds), partial)
+                seeds.append(d.node)
+                entries.append((d.node, slot))
+                remaining -= graph.costs[d.node]
+                last_select_slot = slot
+                rounds.append(RoundLog(len(rounds), slot, "select", d.node, d.gain,
+                                       remaining, d.condition_value, d.zero_set_size))
+                continue
+            rounds.append(RoundLog(len(rounds), slot, "wait", None, None, None,
                                    d.condition_value, d.zero_set_size))
             slot += 1
-            partial = observe(graph, realization, SeedSchedule(tuple(entries)), slot)
-        round_index += 1
-    schedule = SeedSchedule(tuple(entries))
-    return PolicyRun(schedule, tuple(rounds),
-                     cascade_size(graph, realization, seeds),
-                     core.budget - remaining, slot)
+            schedule = SeedSchedule(tuple(entries))
+            parts = {}
+            for i in indices:
+                psi = observe(graph, worlds[i], schedule, slot)
+                parts.setdefault(psi.codes, (psi, []))[1].append(i)
+            (partial, indices), *rest = (parts[codes] for codes in sorted(parts))
+            for psi, sub in reversed(rest):
+                stack.append((sub, list(entries), list(rounds), slot,
+                              last_select_slot, remaining, psi))
+        yield (indices, SeedSchedule(tuple(entries)), tuple(rounds),
+               core.budget - remaining, slot)
 
 
 def best_single_node(graph: DirectedGraph, estimator: Estimator) -> tuple[int, float]:
@@ -277,6 +288,16 @@ def best_single_node(graph: DirectedGraph, estimator: Estimator) -> tuple[int, f
         if best_value is None or value > best_value:
             best, best_value = v, value
     return best, best_value
+
+
+def _affordable_single_node(graph: DirectedGraph, estimator: Estimator,
+                            budget: Fraction) -> tuple[int, float]:
+    """`best_single_node`, rejected when it costs more than the budget."""
+    star, value = best_single_node(graph, estimator)
+    if graph.costs[star] > budget:
+        raise ValueError(f"best single node {star} is unaffordable "
+                         f"(cost {graph.costs[star]} exceeds budget {budget})")
+    return star, value
 
 
 def run_policy(graph: DirectedGraph, config: PolicyConfig,
@@ -292,24 +313,24 @@ def run_policy(graph: DirectedGraph, config: PolicyConfig,
     seeding only the best single node and the nonuniform run with the
     same seeds.
     """
-    if config.kind != "enhanced":
-        return _run_greedy(graph, config, realization, estimator, rng_seed)
-    coin = random.Random(derive_seed(rng_seed, "arm-coin")).random() < 0.5
-    # The greedy arm needs the best single node only to reject it when it
-    # is unaffordable, which cannot happen if every node fits the budget.
-    if coin or graph.node_count == 0 or max(graph.costs) > config.budget:
-        est_single = estimator.reseeded(derive_seed(rng_seed, "estimation", "single"))
-        star, star_value = best_single_node(graph, est_single)
-        star_cost = graph.costs[star]
-        if star_cost > config.budget:
-            raise ValueError(f"best single node {star} is unaffordable "
-                             f"(cost {star_cost} exceeds budget {config.budget})")
-    if coin:
-        schedule = SeedSchedule(((star, 0),))
-        rounds = (RoundLog(0, 0, "select", star, star_value,
-                           config.budget - star_cost, None, graph.node_count),)
-        return PolicyRun(schedule, rounds,
-                         cascade_size(graph, realization, [star]),
-                         star_cost, 0, arm="single")
-    run = _run_greedy(graph, config, realization, estimator, rng_seed)
-    return replace(run, arm="greedy")
+    arm = None
+    if config.kind == "enhanced":
+        coin = random.Random(derive_seed(rng_seed, "arm-coin")).random() < 0.5
+        # The greedy arm needs the best single node only to reject it when
+        # it is unaffordable, which cannot happen if every node fits the budget.
+        if coin or graph.node_count == 0 or max(graph.costs) > config.budget:
+            est_single = estimator.reseeded(derive_seed(rng_seed, "estimation", "single"))
+            star, star_value = _affordable_single_node(graph, est_single, config.budget)
+        if coin:
+            star_cost = graph.costs[star]
+            rounds = (RoundLog(0, 0, "select", star, star_value,
+                               config.budget - star_cost, None, graph.node_count),)
+            return PolicyRun(SeedSchedule(((star, 0),)), rounds,
+                             cascade_size(graph, realization, [star]),
+                             star_cost, 0, arm="single")
+        arm = "greedy"
+    core = _GreedyCore(graph, config,
+                       estimator.reseeded(derive_seed(rng_seed, "estimation")))
+    (_, schedule, rounds, cost, slots), = _greedy_runs(core, [realization])
+    return PolicyRun(schedule, rounds, cascade_size(graph, realization, schedule.nodes),
+                     cost, slots, arm)

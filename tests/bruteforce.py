@@ -2,7 +2,7 @@
 
 Everything here is written the dumb way on purpose: dict-and-set BFS,
 full enumeration over every edge outcome, per-seed hop distances. The
-package uses bitmasks, grouped recursion, and caches; these helpers share
+package uses bitmasks, grouped tree walks, and caches; these helpers share
 none of that machinery, so agreement between the two is meaningful.
 """
 

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pfim.checks import estimator_agreement
-from pfim.diffusion import (PartialRealization, SeedSchedule, empty_partial,
-                            observe, sample_full_realization)
+from pfim.diffusion import (EdgeState, PartialRealization, SeedSchedule,
+                            empty_partial, observe, sample_full_realization)
 from pfim.estimation import (EpsilonEstimator, ExactEstimator, InstanceTooLarge,
                              MonteCarloEstimator, _coverage_value,
                              exact_conditional_activation, zero_probability_set)
@@ -264,7 +264,7 @@ class TestBatchedQueries:
         before = MonteCarloEstimator(40, seed).activation(g, seeds, psi)
         est = MonteCarloEstimator(40, seed)
         est.gains(g, seeds, psi, [])
-        assert est._batch(g, psi).closures is not None
+        assert est._batches.lookup(g, psi.codes) is not None
         assert est.activation(g, seeds, psi) == before
 
     @settings(max_examples=150, deadline=None)
@@ -274,14 +274,20 @@ class TestBatchedQueries:
         est = MonteCarloEstimator(40, seed)
         propagated = est.activation(g, seeds, psi)
         counts = [0] * g.node_count
-        for adj in est._batch(g, psi).adjacency:
+        for row in est._snapshot(g)[0]:
+            # completion: observed-live edges, and unobserved edges in the row
+            sampled = set(row)
+            adj = [[] for _ in range(g.node_count)]
+            for idx, (c, e) in enumerate(zip(psi.codes, g.edges)):
+                if c == EdgeState.LIVE or (c == EdgeState.UNOBSERVED and idx in sampled):
+                    adj[e.source].append(e.target)
             for v in mask_nodes(reachable_mask(adj, sum(1 << u for u in seeds))):
                 counts[v] += 1
         zero = zero_probability_set(g, seeds, psi)
         assert propagated.zero_set == zero
         assert propagated.probability == {
             v: 0.0 if v in zero else c / 40 for v, c in enumerate(counts)}
-        est._batch(g, psi).closure_batch()
+        est._batch(g, psi)
         assert est.activation(g, seeds, psi) == propagated
 
     @settings(max_examples=80, deadline=None)

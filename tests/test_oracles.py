@@ -1,16 +1,20 @@
+import hashlib
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pfim import oracles
 from pfim.diffusion import sample_full_realization
 from pfim.estimation import ExactEstimator, InstanceTooLarge, MonteCarloEstimator
-from pfim.graph import generate_graph, load_graph
+from pfim.graph import DirectedGraph, generate_graph, load_graph
 from pfim.oracles import (evaluate_policy_exact, evaluate_policy_sampled,
                           optimal_full_feedback_adaptive, optimal_nonadaptive)
 from pfim.policies import PolicyConfig, run_policy
 
-from bruteforce import best_seed_set_exhaustive, policy_value_by_enumeration
+from bruteforce import bfs_cascade, best_seed_set_exhaustive, policy_value_by_enumeration
+from test_acceptance import INSTANCES as ACCEPTANCE_INSTANCES
 
 DIAMOND = load_graph("0 1 0.5\n0 2 0.5\n1 3 0.5\n2 3 0.5\n")
 
@@ -29,27 +33,72 @@ def tiny_instances(count, base_seed, max_edges=8):
         yield g
 
 
+@st.composite
+def tiny_policy_cases(draw):
+    """A graph of 2 to 5 nodes and n - 1 to 7 edges (p = 0 and p = 1
+    included), with a policy config of any kind and alpha 0, 0.5 or 1.
+    Non-uniform and enhanced graphs get costs 1 to 3; an enhanced budget
+    covers every cost, so its best single node is affordable."""
+    n = draw(st.integers(2, 5))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, min_size=n - 1, max_size=7))
+    probs = draw(st.lists(st.sampled_from([0.5, 0.2, 0.7, 0.0, 1.0]),
+                          min_size=len(chosen), max_size=len(chosen)))
+    g = DirectedGraph.build(n, [(u, v, p) for (u, v), p in zip(chosen, probs)])
+    kind = draw(st.sampled_from(["uniform", "nonuniform", "enhanced"]))
+    alpha = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    if kind == "uniform":
+        return g, PolicyConfig(kind, alpha, Fraction(draw(st.integers(1, n))))
+    costs = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    low = max(costs) if kind == "enhanced" else min(costs)
+    budget = Fraction(draw(st.integers(low, low + 3)))
+    return g.with_costs(tuple(Fraction(c) for c in costs)), PolicyConfig(kind, alpha, budget)
+
+
 def literal_value(g, cfg):
-    """The policy run with the exact backend on every world, weighted."""
-    return policy_value_by_enumeration(g, lambda real: run_policy(
-        g, cfg, real, ExactEstimator(), 0).realized_cascade)
+    """The policy run with the exact backend on every world, weighted. The
+    enhanced value is half the best single node's expected BFS cascade
+    plus half the greedy arm's."""
+    estimator = ExactEstimator()
+    greedy = replace(cfg, kind="nonuniform") if cfg.kind == "enhanced" else cfg
+    value = policy_value_by_enumeration(g, lambda real: run_policy(
+        g, greedy, real, estimator, 0).realized_cascade)
+    if cfg.kind != "enhanced":
+        return value
+    single = max(policy_value_by_enumeration(g, lambda real: bfs_cascade(g, real.live, [v]))
+                 for v in range(g.node_count))
+    return 0.5 * single + 0.5 * value
 
 
 class TestExactPolicyEvaluation:
-    def test_matches_literal_enumeration_uniform(self):
-        for alpha in (0.0, 0.5, 1.0):
-            for g in tiny_instances(4, int(alpha * 100)):
-                cfg = PolicyConfig("uniform", alpha, Fraction(2))
-                assert evaluate_policy_exact(g, cfg).value == pytest.approx(
-                    literal_value(g, cfg), abs=1e-9), (alpha, g.edges)
+    @settings(max_examples=300, deadline=None)
+    @given(tiny_policy_cases())
+    def test_matches_literal_enumeration(self, case):
+        g, cfg = case
+        assert evaluate_policy_exact(g, cfg).value == pytest.approx(
+            literal_value(g, cfg), abs=1e-9)
 
-    def test_matches_literal_enumeration_nonuniform(self):
-        for g in tiny_instances(4, 300):
-            costs = tuple(Fraction(1 + (v % 2)) for v in range(g.node_count))
-            g = g.with_costs(costs)
-            cfg = PolicyConfig("nonuniform", 0.5, Fraction(3))
-            assert evaluate_policy_exact(g, cfg).value == pytest.approx(
-                literal_value(g, cfg), abs=1e-9)
+    def test_referee_values_keep_their_bytes(self):
+        # pins the float summation order, which approx comparisons cannot see
+        reprs = []
+        for g, b in ACCEPTANCE_INSTANCES:
+            budget = Fraction(b)
+            for cfg in (PolicyConfig("uniform", 1.0, budget),
+                        PolicyConfig("nonuniform", 0.5, budget),
+                        PolicyConfig("enhanced", 0.0, budget)):
+                reprs.append(repr(evaluate_policy_exact(g, cfg).value))
+        assert hashlib.sha256("\n".join(reprs).encode()).hexdigest() == (
+            "fa64b9c8a324c86a918ca38210db843ae6579081a3fde08449725afc2c53b097")
+
+    def test_unaffordable_best_single_node(self):
+        g = DIAMOND.with_costs(tuple(Fraction(c) for c in (9, 1, 1, 1)))
+        cfg = PolicyConfig("enhanced", 0.0, Fraction(2))
+        with pytest.raises(ValueError) as live:
+            run_policy(g, cfg, sample_full_realization(g, 0), ExactEstimator(), 2)
+        with pytest.raises(ValueError, match=r"best single node 0 is unaffordable "
+                                             r"\(cost 9 exceeds budget 2\)") as exact:
+            evaluate_policy_exact(g, cfg)
+        assert str(exact.value) == str(live.value)
 
     def test_enhanced_averages_both_arms(self):
         cfg = PolicyConfig("enhanced", 0.5, Fraction(2))
