@@ -71,6 +71,21 @@ def literal_value(g, cfg):
 
 
 class TestExactPolicyEvaluation:
+    def test_matches_literal_enumeration_uniform(self):
+        for alpha in (0.0, 0.5, 1.0):
+            for g in tiny_instances(4, int(alpha * 100)):
+                cfg = PolicyConfig("uniform", alpha, Fraction(2))
+                assert evaluate_policy_exact(g, cfg).value == pytest.approx(
+                    literal_value(g, cfg), abs=1e-9), (alpha, g.edges)
+
+    def test_matches_literal_enumeration_nonuniform(self):
+        for g in tiny_instances(4, 300):
+            costs = tuple(Fraction(1 + (v % 2)) for v in range(g.node_count))
+            g = g.with_costs(costs)
+            cfg = PolicyConfig("nonuniform", 0.5, Fraction(3))
+            assert evaluate_policy_exact(g, cfg).value == pytest.approx(
+                literal_value(g, cfg), abs=1e-9)
+
     @settings(max_examples=300, deadline=None)
     @given(tiny_policy_cases())
     def test_matches_literal_enumeration(self, case):
