@@ -182,7 +182,7 @@ def _load_experiment_graph(args, seed: int) -> tuple[DirectedGraph, int | None]:
     cost_path = _merged(args, "costs")
     cost_data = None if cost_path is None else _read_text(cost_path, "cost")
     try:
-        graph = load_graph(edge_text, 1, cost_data)
+        graph = load_graph(edge_text, cost_data)
     except GraphFormatError as exc:
         raise CliError("io", str(exc))
     if trivalency is not None:

@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 from ._util import derive_seed
 from .diffusion import EdgeState, PartialRealization, empty_partial
 from .graph import DirectedGraph
-from .reach import closure_masks, mask_nodes, node_mask, reachable_mask
+from .reach import closure_masks, closure_union, mask_nodes, node_mask, reachable_mask
 
 EXACT_EDGE_LIMIT = 22
 
@@ -283,13 +283,6 @@ class _Completions:
         self.last: tuple | None = None
 
 
-def _union(masks: list[int], nodes) -> int:
-    reached = 0
-    for v in nodes:
-        reached |= masks[v]
-    return reached
-
-
 class MonteCarloEstimator(Estimator):
     """Sampling backend over one coin snapshot per graph (`_snapshot`).
 
@@ -421,7 +414,7 @@ class MonteCarloEstimator(Estimator):
         if batch is not None:
             zero = zero_probability_set(graph, seed_set, partial)
             counts = [0] * graph.node_count
-            planes = _bit_planes(_union(masks, seed_set) for masks in batch.closures)
+            planes = _bit_planes(closure_union(masks, seed_set) for masks in batch.closures)
             for i, plane in enumerate(planes):
                 for v in mask_nodes(plane):
                     counts[v] += 1 << i
@@ -436,7 +429,7 @@ class MonteCarloEstimator(Estimator):
         seed_set = _check_state(graph, seeds, partial)
         batch = self._batch(graph, partial)
         if batch.last is None or batch.last[0] != seed_set:
-            pairs = [(masks, _union(masks, seed_set)) for masks in batch.closures]
+            pairs = [(masks, closure_union(masks, seed_set)) for masks in batch.closures]
             batch.last = (seed_set, pairs, sum(reached.bit_count() for _, reached in pairs))
         _, pairs, base = batch.last
         return [(sum((reached | masks[c]).bit_count() for masks, reached in pairs)

@@ -160,13 +160,12 @@ def load_costs(text: str) -> dict[int, Fraction]:
     return out
 
 
-def load_graph(edge_list_text: str, default_cost=1,
-               cost_text: str | None = None) -> DirectedGraph:
+def load_graph(edge_list_text: str, cost_text: str | None = None) -> DirectedGraph:
     """Parse an edge list (and optional cost file) into a DirectedGraph.
 
-    Nodes mentioned only as endpoints or only in the cost file get
-    default_cost / their listed cost respectively. Malformed lines raise
-    GraphFormatError with the offending line number.
+    Every node named in either text is a node of the graph; nodes missing
+    from the cost file cost 1. Malformed lines raise GraphFormatError with
+    the offending line number.
     """
     declared: int | None = None
     raw_edges: list[tuple[int, int, float]] = []
@@ -213,10 +212,7 @@ def load_graph(edge_list_text: str, default_cost=1,
         ids = tuple(mentioned)
     dense = {ext: k for k, ext in enumerate(ids)}
 
-    default = _as_fraction(default_cost)
-    if default <= 0:
-        raise ValueError("default cost must be positive")
-    costs = [default] * len(ids)
+    costs = [Fraction(1)] * len(ids)
     for ext, c in costs_by_id.items():
         costs[dense[ext]] = c
     edges = [(dense[u], dense[v], p) for u, v, p in raw_edges]

@@ -1,11 +1,13 @@
 """Ground-truth evaluation: exact policy values and brute-force optima.
 
-Exact policy evaluation conceptually runs the policy on every full
-realization and weights the realized cascade by the realization's
-probability. Realizations that have produced identical observations so
-far are indistinguishable to the policy, so the run tree branches only
-where observations actually differ. That tree walk is the loop a live
-run uses (`policies._greedy_runs`): a live run is one of its branches.
+Both exact referees walk one world table (`_enumerate_worlds`), where a
+seed set's reach in a world is a union of closure masks. Exact policy
+evaluation conceptually runs the policy on every world and weights the
+realized cascade by the world's probability. Worlds that have produced
+identical observations so far are indistinguishable to the policy, so
+the run tree branches only where observations actually differ. That tree
+walk is the loop a live run uses (`policies._greedy_runs`): a live run
+is one of its branches.
 
 The non-adaptive optimum scores every affordable seed set; the
 full-feedback adaptive optimum does backward induction over observation
@@ -18,14 +20,14 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from ._util import derive_seed
-from .diffusion import (FullRealization, cascade_size, empty_partial,
-                        live_adjacency, sample_full_realization)
+from .diffusion import (FullRealization, empty_partial, live_adjacency,
+                        sample_full_realization)
 from .estimation import (Estimator, ExactEstimator, InstanceTooLarge,
                          _assignments, exact_conditional_activation)
 from .graph import DirectedGraph, _as_fraction
 from .policies import (PolicyConfig, _affordable_single_node, _GreedyCore,
                        _greedy_runs, run_policy)
-from .reach import mask_nodes, reachable_mask
+from .reach import closure_masks, closure_union, mask_nodes
 
 ENUMERATION_EDGE_LIMIT = 22          # 2^|E| realizations
 NONADAPTIVE_WORK_LIMIT = 1 << 24     # C(n, floor(B)) * 2^|E|
@@ -46,22 +48,25 @@ class SampledEvaluation:
     sample_count: int
 
 
-def _enumerate_worlds(graph: DirectedGraph):
-    """All full realizations with nonzero probability, as (live flags,
-    weight) pairs; edge index is the bit position."""
-    m = graph.edge_count
-    return [(FullRealization(tuple(bool(bits >> k & 1) for k in range(m))), w)
-            for bits, w in _assignments([e.probability for e in graph.edges])
-            if w != 0.0]
+def _enumerate_worlds(graph: DirectedGraph) -> list:
+    """The world table of both exact referees: one (realization, weight,
+    closures) entry per full realization with nonzero probability, in
+    ascending live bits (edge index k is bit k). `closures[v]` is the node
+    mask that v reaches over the world's live edges."""
+    m, n = graph.edge_count, graph.node_count
+    weighted = ((FullRealization(tuple(bool(bits >> k & 1) for k in range(m))), w)
+                for bits, w in _assignments([e.probability for e in graph.edges]) if w != 0.0)
+    return [(r, w, closure_masks(n, live_adjacency(graph, r))) for r, w in weighted]
 
 
-def _expected_cascade(graph: DirectedGraph, worlds: list, indices, seeds) -> float:
+def _expected_cascade(worlds: list, indices, seeds) -> float:
     """Sum of weight * cascade size over the indexed worlds, added left to
-    right (from Python 3.12 on, sum() compensates the rounding)."""
+    right (from Python 3.12 on, sum() compensates the rounding). `seeds`
+    is read once per world, so it must be a collection, not an iterator."""
     total = 0.0
     for i in indices:
-        realization, weight = worlds[i]
-        total += weight * cascade_size(graph, realization, seeds)
+        _, weight, closures = worlds[i]
+        total += weight * closure_union(closures, seeds).bit_count()
     return total
 
 
@@ -80,11 +85,12 @@ def evaluate_policy_exact(graph: DirectedGraph, config: PolicyConfig,
     estimator = ExactEstimator()
     if config.kind == "enhanced":
         star, _ = _affordable_single_node(graph, estimator, config.budget)
-        single = _expected_cascade(graph, worlds, range(len(worlds)), [star])
+        single = _expected_cascade(worlds, range(len(worlds)), [star])
     core = _GreedyCore(graph, config, estimator)
     value = 0.0
-    for indices, schedule, *_ in _greedy_runs(core, [r for r, _ in worlds], selection_hook):
-        value += _expected_cascade(graph, worlds, indices, schedule.nodes)
+    for indices, schedule, *_ in _greedy_runs(core, [r for r, _, _ in worlds],
+                                              selection_hook):
+        value += _expected_cascade(worlds, indices, schedule.nodes)
     if config.kind == "enhanced":
         value = 0.5 * (single + value)
     return ExactEvaluation(value, len(worlds))
@@ -156,18 +162,6 @@ def optimal_nonadaptive(graph: DirectedGraph, budget) -> tuple[frozenset[int], f
     return frozenset(best_set), best_value
 
 
-def _settled_observation(graph: DirectedGraph, live_adj,
-                         realization: FullRealization, seed_mask: int) -> bytes:
-    """Full-feedback view: status of every edge leaving a node the
-    cascade from the seed set (a node mask) reaches."""
-    codes = bytearray([2]) * graph.edge_count
-    out_edges = graph.out_edges
-    for v in mask_nodes(reachable_mask(live_adj, seed_mask)):
-        for idx in out_edges[v]:
-            codes[idx] = 1 if realization.live[idx] else 0
-    return bytes(codes)
-
-
 def optimal_full_feedback_adaptive(graph: DirectedGraph, budget) -> float:
     """Optimal adaptive value when each selection sees the previous
     cascade completely. Backward induction over observation states;
@@ -185,33 +179,36 @@ def optimal_full_feedback_adaptive(graph: DirectedGraph, budget) -> float:
     n = graph.node_count
     picks = min(n, int(frac_budget))
     worlds = _enumerate_worlds(graph)
-    live_adjs = [live_adjacency(graph, realization) for realization, _ in worlds]
+    live_bits = [sum(1 << k for k, live in enumerate(r.live) if live) for r, _, _ in worlds]
+    out_masks = [sum(1 << k for k in graph.out_edges[v]) for v in range(n)]
+    # per world and node: the edges leaving every node that node reaches
+    out_closures = [[closure_union(out_masks, mask_nodes(c)) for c in closures]
+                    for _, _, closures in worlds]
     memo: dict = {}
 
     def value(seed_mask: int, indices: tuple[int, ...]) -> float:
         # unnormalized: sum over these worlds of weight * eventual cascade
-        if bin(seed_mask).count("1") == picks:
-            total = 0.0
-            for i in indices:
-                reached = reachable_mask(live_adjs[i], seed_mask)
-                total += worlds[i][1] * reached.bit_count()
-            return total
+        seeds = list(mask_nodes(seed_mask))
+        if len(seeds) == picks:
+            return _expected_cascade(worlds, indices, seeds)
         key = (seed_mask, indices)
         hit = memo.get(key)
         if hit is not None:
             return hit
         best = None
         for v in range(n):
-            bit = 1 << v
-            if seed_mask & bit:
+            if seed_mask >> v & 1:
                 continue
-            new_mask = seed_mask | bit
-            parts: dict[bytes, list[int]] = {}
+            new_mask, new_seeds = seed_mask | 1 << v, seeds + [v]
+            # a world's full-feedback view: the status of every edge leaving
+            # a node its cascade reaches, as (those edges, their live bits)
+            parts: dict[tuple[int, int], list[int]] = {}
             for i in indices:
-                psi = _settled_observation(graph, live_adjs[i], worlds[i][0],
-                                           new_mask)
-                parts.setdefault(psi, []).append(i)
-            candidate = sum(value(new_mask, tuple(sub)) for sub in parts.values())
+                edges = closure_union(out_closures[i], new_seeds)
+                parts.setdefault((edges, live_bits[i] & edges), []).append(i)
+            candidate = 0.0
+            for sub in parts.values():
+                candidate += value(new_mask, tuple(sub))
             if best is None or candidate > best:
                 best = candidate
         memo[key] = best

@@ -21,6 +21,15 @@ def mask_nodes(mask: int):
         mask ^= low
 
 
+def closure_union(closures: list[int], nodes) -> int:
+    """Nodes the given nodes reach: the union of their closure masks
+    (`closure_masks`). `nodes` is iterated once."""
+    reached = 0
+    for v in nodes:
+        reached |= closures[v]
+    return reached
+
+
 def reachable_mask(adjacency: list, start_mask: int) -> int:
     """All nodes reachable from the start set, start included."""
     seen = start_mask

@@ -25,8 +25,8 @@ def enumerate_realizations(graph):
             yield FullRealization(bits), weight
 
 
-def bfs_cascade(graph, live, seeds):
-    """Active set size under one realization, plain frontier BFS."""
+def bfs_active(graph, live, seeds):
+    """Active set under one realization, plain frontier BFS."""
     active = set(seeds)
     frontier = set(seeds)
     while frontier:
@@ -37,7 +37,12 @@ def bfs_cascade(graph, live, seeds):
                     active.add(graph.edges[idx].target)
                     next_frontier.add(graph.edges[idx].target)
         frontier = next_frontier
-    return len(active)
+    return active
+
+
+def bfs_cascade(graph, live, seeds):
+    """Active set size under one realization."""
+    return len(bfs_active(graph, live, seeds))
 
 
 def naive_observe(graph, realization, schedule, current_slot):
@@ -79,18 +84,7 @@ def naive_activation_probability(graph, seeds, partial):
         if not partial.is_consistent_with(realization):
             continue
         norm += weight
-        active = set(seeds)
-        frontier = set(seeds)
-        while frontier:
-            nxt = set()
-            for u in frontier:
-                for idx in graph.out_edges[u]:
-                    v = graph.edges[idx].target
-                    if realization.live[idx] and v not in active:
-                        active.add(v)
-                        nxt.add(v)
-            frontier = nxt
-        for v in active:
+        for v in bfs_active(graph, realization.live, seeds):
             totals[v] += weight
     return {v: totals[v] / norm for v in totals}
 
@@ -136,3 +130,28 @@ def best_seed_set_exhaustive(graph, budget: Fraction):
             if value > best_value + 1e-12:
                 best_value, best_set = value, frozenset(combo)
     return best_set, best_value
+
+
+def full_feedback_optimum(graph, picks):
+    """Best expected cascade of `picks` unit-cost selections when each
+    selection sees its cascade completely: a plain recursion over every
+    selection order, with no memo. The observation after a selection is
+    the set of (edge, live) pairs over every edge leaving an active node;
+    worlds are grouped by it before the next selection."""
+    def value(seeds, group):
+        if len(seeds) == picks:
+            return sum(w * bfs_cascade(graph, real.live, seeds) for real, w in group)
+        best = 0.0
+        for v in range(graph.node_count):
+            if v in seeds:
+                continue
+            parts = {}
+            for real, w in group:
+                active = bfs_active(graph, real.live, seeds + [v])
+                seen = frozenset((idx, real.live[idx])
+                                 for u in active for idx in graph.out_edges[u])
+                parts.setdefault(seen, []).append((real, w))
+            best = max(best, sum(value(seeds + [v], sub) for sub in parts.values()))
+        return best
+
+    return value([], list(enumerate_realizations(graph)))

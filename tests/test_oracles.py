@@ -13,7 +13,8 @@ from pfim.oracles import (evaluate_policy_exact, evaluate_policy_sampled,
                           optimal_full_feedback_adaptive, optimal_nonadaptive)
 from pfim.policies import PolicyConfig, run_policy
 
-from bruteforce import bfs_cascade, best_seed_set_exhaustive, policy_value_by_enumeration
+from bruteforce import (bfs_cascade, best_seed_set_exhaustive, full_feedback_optimum,
+                        policy_value_by_enumeration)
 from test_acceptance import INSTANCES as ACCEPTANCE_INSTANCES
 
 DIAMOND = load_graph("0 1 0.5\n0 2 0.5\n1 3 0.5\n2 3 0.5\n")
@@ -34,17 +35,24 @@ def tiny_instances(count, base_seed, max_edges=8):
 
 
 @st.composite
-def tiny_policy_cases(draw):
-    """A graph of 2 to 5 nodes and n - 1 to 7 edges (p = 0 and p = 1
-    included), with a policy config of any kind and alpha 0, 0.5 or 1.
-    Non-uniform and enhanced graphs get costs 1 to 3; an enhanced budget
-    covers every cost, so its best single node is affordable."""
+def tiny_graphs(draw):
+    """A graph of 2 to 5 nodes and n - 1 to 7 edges, each with probability
+    0, 0.2, 0.5, 0.7 or 1."""
     n = draw(st.integers(2, 5))
     pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True, min_size=n - 1, max_size=7))
     probs = draw(st.lists(st.sampled_from([0.5, 0.2, 0.7, 0.0, 1.0]),
                           min_size=len(chosen), max_size=len(chosen)))
-    g = DirectedGraph.build(n, [(u, v, p) for (u, v), p in zip(chosen, probs)])
+    return DirectedGraph.build(n, [(u, v, p) for (u, v), p in zip(chosen, probs)])
+
+
+@st.composite
+def tiny_policy_cases(draw):
+    """A tiny graph with a policy config of any kind and alpha 0, 0.5 or 1.
+    Non-uniform and enhanced graphs get costs 1 to 3; an enhanced budget
+    covers every cost, so its best single node is affordable."""
+    g = draw(tiny_graphs())
+    n = g.node_count
     kind = draw(st.sampled_from(["uniform", "nonuniform", "enhanced"]))
     alpha = draw(st.sampled_from([0.0, 0.5, 1.0]))
     if kind == "uniform":
@@ -241,6 +249,19 @@ class TestAdaptiveOptimum:
             _, nonadaptive = best_seed_set_exhaustive(g, Fraction(2))
             assert adaptive >= nonadaptive - 1e-9
             assert adaptive <= g.node_count + 1e-9
+
+    @settings(max_examples=200, deadline=None)
+    @given(tiny_graphs(), st.integers(1, 3))
+    def test_matches_plain_recursion(self, g, budget):
+        assert optimal_full_feedback_adaptive(g, Fraction(budget)) == pytest.approx(
+            full_feedback_optimum(g, min(budget, g.node_count)), abs=1e-9)
+
+    def test_optimum_values_keep_their_bytes(self):
+        # pins the float summation order, which approx comparisons cannot see
+        reprs = [repr(optimal_full_feedback_adaptive(g, Fraction(b)))
+                 for g, b in ACCEPTANCE_INSTANCES]
+        assert hashlib.sha256("\n".join(reprs).encode()).hexdigest() == (
+            "906944c847c9a02b449c935066a43d8bdbdfb0ce5c367b35df88d0d8489d2726")
 
     def test_guard(self):
         g = generate_graph(10, 20, "erdos-renyi", 50, 1)
