@@ -28,7 +28,7 @@ def greedy_nonadaptive(graph, budget: int) -> list[int]:
     empty = empty_partial(graph)
 
     def value(seeds):
-        return exact_conditional_activation(graph, seeds, empty).expected_cascade
+        return math.fsum(exact_conditional_activation(graph, seeds, empty))
 
     seeds: list[int] = []
     for _ in range(budget):
@@ -86,13 +86,13 @@ def estimator_agreement(graph, seeds, partial, samples: int,
                         rng_seed: int) -> tuple[int, bool]:
     """Monte Carlo against exact activation: the number of nodes whose
     hit count is a binomial outlier at the 3 sigma false-alarm level, and
-    whether the zero sets are equal."""
+    whether the Monte Carlo zero set holds exactly the nodes of exact
+    probability 0."""
     exact = exact_conditional_activation(graph, seeds, partial)
-    mc = MonteCarloEstimator(samples, rng_seed).activation(graph, seeds, partial)
-    off = sum(_binomial_outlier(samples, p, round(mc.probability[v] * samples))
-              for v, p in exact.probability.items())
-    zero = frozenset(v for v, p in exact.probability.items() if p == 0.0)
-    return off, mc.zero_set == zero
+    hits, zero = MonteCarloEstimator(samples, rng_seed)._propagate(
+        graph, frozenset(seeds), partial)
+    off = sum(_binomial_outlier(samples, p, c) for p, c in zip(exact, hits))
+    return off, zero == frozenset(v for v, p in enumerate(exact) if p == 0.0)
 
 
 def observation_violations(graph, realization, schedule, slots, far: int) -> int:

@@ -127,32 +127,26 @@ def observe(graph: DirectedGraph, realization: FullRealization,
         if slot > current_slot:
             raise ValueError("current slot precedes a scheduled activation")
     codes = bytearray([EdgeState.UNOBSERVED]) * graph.edge_count
-    adj = live_adjacency(graph, realization)
-    out_edges = graph.out_edges
+    live, edges, out_edges = realization.live, graph.edges, graph.out_edges
     for seed, slot in schedule.entries:
-        depth_cap = current_slot - slot - 1
-        if depth_cap < 0:
-            continue
+        # hop h reveals the edges leaving the nodes h live hops out
         seen = {seed}
         frontier = [seed]
-        depth = 0
-        while True:
-            for x in frontier:
-                for idx in out_edges[x]:
-                    codes[idx] = (EdgeState.LIVE if realization.live[idx]
-                                  else EdgeState.BLOCKED)
-            if depth == depth_cap:
+        for _ in range(current_slot - slot):
+            if not frontier:
                 break
             nxt = []
             for x in frontier:
-                for y in adj[x]:
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            if not nxt:
-                break
+                for idx in out_edges[x]:
+                    if live[idx]:
+                        codes[idx] = EdgeState.LIVE
+                        _, y, _ = edges[idx]
+                        if y not in seen:
+                            seen.add(y)
+                            nxt.append(y)
+                    else:
+                        codes[idx] = EdgeState.BLOCKED
             frontier = nxt
-            depth += 1
     return PartialRealization(bytes(codes))
 
 

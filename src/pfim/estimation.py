@@ -1,14 +1,14 @@
 """Conditional activation estimators.
 
 Given seeds S and a partial realization, the quantity of interest is the
-conditional expected cascade: for each node the probability it ends up
-active once every unobserved edge is resolved by its own coin, and the
-sum of those probabilities. Three backends:
+conditional expected cascade: the sum over nodes of the probability that
+a node ends up active once every unobserved edge is resolved by its own
+coin. Three backends:
 
 * exact: enumerates assignments of the unobserved edges that can still
   matter (source possibly active, target not already certainly active)
-  and accumulates exact probability weight per node. Guarded to 22
-  relevant edges.
+  and accumulates exact probability weight per node
+  (`exact_conditional_activation`). Guarded to 22 relevant edges.
 * monte carlo: one coin snapshot per estimator and graph fixes, for
   each edge, the completions in which it is live. A completion of an
   observation state keeps the observed edges and takes each unobserved
@@ -22,13 +22,15 @@ sum of those probabilities. Three backends:
 
 Nodes that cannot be activated at all (cut off once observed-blocked
 edges and zero-probability edges are removed) form the zero set; both
-backends pin them to exactly 0, and certainly-active nodes to exactly 1.
+backends count them as exactly 0, and the exact backend counts
+certainly-active nodes as exactly 1.
 """
 
 import math
 import random
 from collections import OrderedDict
 from dataclasses import dataclass, replace
+from itertools import chain, repeat
 
 from ._util import derive_seed
 from .diffusion import EdgeState, PartialRealization, empty_partial
@@ -44,15 +46,10 @@ class InstanceTooLarge(RuntimeError):
 
 @dataclass(frozen=True)
 class ActivationEstimate:
-    """Per-node activation probabilities under one backend.
+    """The answer to one `activation` query: the backend's value for the
+    summed per-node activation probabilities (the epsilon wrapper
+    perturbs it), and the zero set, exactly `zero_probability_set`."""
 
-    expected_cascade is the backend's value for the summed probabilities;
-    for the exact and monte carlo backends it equals sum(probability
-    .values()) up to float rounding, while the epsilon wrapper perturbs
-    only the total.
-    """
-
-    probability: dict[int, float]
     expected_cascade: float
     zero_set: frozenset[int]
 
@@ -124,8 +121,9 @@ def _assignments(probs):
 
 
 def exact_conditional_activation(graph: DirectedGraph, seeds,
-                                 partial: PartialRealization) -> ActivationEstimate:
-    """Exact conditional activation probabilities by edge enumeration."""
+                                 partial: PartialRealization) -> list[float]:
+    """Exact conditional activation probability of each node, in node
+    order, by edge enumeration."""
     seed_set = _check_state(graph, seeds, partial)
     certain_adj, certain_mask, zero, relevant = _split_edges(graph, partial, seed_set)
     if len(relevant) > EXACT_EDGE_LIMIT:
@@ -165,15 +163,14 @@ def exact_conditional_activation(graph: DirectedGraph, seeds,
         acc[v] = 1.0
     for v in zero:
         acc[v] = 0.0
-    probability = {v: acc[v] for v in range(n)}
-    return ActivationEstimate(probability, math.fsum(acc), zero)
+    return acc
 
 
 class Estimator:
-    """Backend interface. `activation` is the one cascade query: per-node
-    probabilities, the expected cascade and the zero set of a seed set on
-    an observation state. `gains` batches marginal gains and
-    `single_node_values` the unconditional value of each node alone."""
+    """Backend interface. `activation` is the one cascade query: the
+    expected cascade and the zero set of a seed set on an observation
+    state. `gains` batches marginal gains and `single_node_values` the
+    unconditional value of each node alone."""
 
     # True when `gains` on one observation state are exact counts over one
     # fixed batch of completions: a candidate's gain for seeds S is then
@@ -260,11 +257,14 @@ class ExactEstimator(Estimator):
         self._cache = _GraphCache(128)
 
     def activation(self, graph, seeds, partial):
-        key = (frozenset(seeds), partial.codes)
+        seed_set = frozenset(seeds)
+        key = (seed_set, partial.codes)
         hit = self._cache.lookup(graph, key)
         if hit is not None:
             return hit
-        return self._cache.store(key, exact_conditional_activation(graph, seeds, partial))
+        probs = exact_conditional_activation(graph, seed_set, partial)
+        return self._cache.store(key, ActivationEstimate(
+            math.fsum(probs), zero_probability_set(graph, seed_set, partial)))
 
     @property
     def tag(self):
@@ -410,20 +410,15 @@ class MonteCarloEstimator(Estimator):
         batch = self._batches.lookup(graph, partial.codes)
         # a state scanned for gains already holds closures (every alpha = 0
         # round, and a round right after a selection); a union of closures
-        # is cheaper there than a propagation
-        if batch is not None:
-            zero = zero_probability_set(graph, seed_set, partial)
-            counts = [0] * graph.node_count
-            planes = _bit_planes(closure_union(masks, seed_set) for masks in batch.closures)
-            for i, plane in enumerate(planes):
-                for v in mask_nodes(plane):
-                    counts[v] += 1 << i
-        else:
-            counts, zero = self._propagate(graph, seed_set, partial)
+        # is cheaper there than a propagation. A zero-set node lies in no
+        # completion, so its count is already 0 on both routes.
         k = self.samples
-        probability = {v: 0.0 if v in zero else count / k
-                       for v, count in enumerate(counts)}
-        return ActivationEstimate(probability, math.fsum(probability.values()), zero)
+        if batch is not None:
+            return ActivationEstimate(
+                _coverage_value((closure_union(masks, seed_set) for masks in batch.closures), k),
+                zero_probability_set(graph, seed_set, partial))
+        counts, zero = self._propagate(graph, seed_set, partial)
+        return ActivationEstimate(math.fsum(c / k for c in counts), zero)
 
     def gains(self, graph, seeds, partial, candidates):
         seed_set = _check_state(graph, seeds, partial)
@@ -443,9 +438,14 @@ class MonteCarloEstimator(Estimator):
         return [_coverage_value(column, self.samples) for column in zip(*closures)]
 
 
-def _bit_planes(masks) -> list[int]:
-    """Carry-save sum of node masks: plane i holds bit i of the number of
-    masks that hold each node."""
+def _coverage_value(masks, k: int) -> float:
+    """math.fsum of count / k over the nodes, where a node's count is the
+    number of masks holding it: equal to fsum(c / k for c in counts).
+
+    A carry-save sum of the masks gives bit planes: plane i holds bit i of
+    each node's count. The nodes are split plane by plane into groups of
+    equal count, so fsum sees the same multiset of terms without a pass
+    over the nodes of each mask."""
     planes: list[int] = []
     for carry in masks:
         i = 0
@@ -457,17 +457,6 @@ def _bit_planes(masks) -> list[int]:
             planes[i] = plane ^ carry
             carry &= plane
             i += 1
-    return planes
-
-
-def _coverage_value(masks, k: int) -> float:
-    """math.fsum of count / k over the nodes, where a node's count is the
-    number of masks holding it: equal to fsum(c / k for c in counts).
-
-    The nodes are split plane by plane of the masks' `_bit_planes` into
-    groups of equal count, so fsum sees the same multiset of terms without
-    a pass over the nodes of each mask."""
-    planes = _bit_planes(masks)
     counted = 0
     for plane in planes:
         counted |= plane
@@ -481,10 +470,8 @@ def _coverage_value(masks, k: int) -> float:
             if nodes ^ high:
                 split.append((count, nodes ^ high))
         groups = split
-    terms: list[float] = []
-    for count, nodes in groups:
-        terms += [count / k] * nodes.bit_count()
-    return math.fsum(terms)
+    return math.fsum(chain.from_iterable(repeat(count / k, nodes.bit_count())
+                                         for count, nodes in groups))
 
 
 _EPS_MODES = ("random", "adversarial-high", "adversarial-low")

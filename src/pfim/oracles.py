@@ -156,7 +156,7 @@ def optimal_nonadaptive(graph: DirectedGraph, budget) -> tuple[frozenset[int], f
         for combo in combinations(range(n), size):
             if sum(graph.costs[v] for v in combo) > frac_budget:
                 continue
-            value = exact_conditional_activation(graph, combo, empty).expected_cascade
+            value = math.fsum(exact_conditional_activation(graph, combo, empty))
             if value > best_value or (value == best_value and combo < best_set):
                 best_set, best_value = combo, value
     return frozenset(best_set), best_value

@@ -44,7 +44,7 @@ def test_cli_greedy_referee_matches_the_bruteforce_greedy():
         g = generate_graph(5, 8, "erdos-renyi", 45, seed)
         empty = empty_partial(g)
         assert checks.greedy_nonadaptive(g, 2) == greedy_nonadaptive_uniform(
-            g, 2, lambda s: exact_conditional_activation(g, s, empty).expected_cascade)
+            g, 2, lambda s: math.fsum(exact_conditional_activation(g, s, empty)))
 
 
 def test_estimator_agreement_flags_a_shifted_estimate_and_zero_set(monkeypatch):
@@ -52,12 +52,11 @@ def test_estimator_agreement_flags_a_shifted_estimate_and_zero_set(monkeypatch):
     assert checks.estimator_agreement(g, [0], empty_partial(g), 4000, 3) == (0, True)
 
     class Shifted(checks.MonteCarloEstimator):
-        # every probability 4 sigma above the exact one, and no zero set
-        def activation(self, graph, seeds, partial):
-            exact = exact_conditional_activation(graph, seeds, partial)
-            shifted = {v: p + 4.0 * math.sqrt(p * (1.0 - p) / self.samples)
-                       for v, p in exact.probability.items()}
-            return replace(exact, probability=shifted, zero_set=frozenset())
+        # every hit count 4 sigma above the exact mean, and no zero set
+        def _propagate(self, graph, seed_set, partial):
+            k = self.samples
+            return [round(k * p + 4.0 * math.sqrt(k * p * (1.0 - p)))
+                    for p in exact_conditional_activation(graph, seed_set, partial)], frozenset()
 
     monkeypatch.setattr(checks, "MonteCarloEstimator", Shifted)
     # nodes 1, 2 and 3 are uncertain

@@ -8,8 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 from pfim.checks import estimator_agreement
 from pfim.diffusion import (EdgeState, PartialRealization, SeedSchedule,
                             empty_partial, observe, sample_full_realization)
-from pfim.estimation import (EpsilonEstimator, ExactEstimator, InstanceTooLarge,
-                             MonteCarloEstimator, _coverage_value,
+from pfim.estimation import (ActivationEstimate, EpsilonEstimator, ExactEstimator,
+                             InstanceTooLarge, MonteCarloEstimator, _coverage_value,
                              exact_conditional_activation, zero_probability_set)
 from pfim.graph import DirectedGraph, generate_graph, load_graph
 from pfim.reach import mask_nodes, reachable_mask
@@ -55,25 +55,23 @@ def observed_states(draw):
 
 class TestExactActivation:
     def test_chain_from_empty_state(self):
-        est = exact_conditional_activation(CHAIN, [0], empty_partial(CHAIN))
-        assert est.probability == {0: 1.0, 1: 0.5, 2: 0.25}
-        assert est.expected_cascade == pytest.approx(1.75, abs=1e-12)
+        probs = exact_conditional_activation(CHAIN, [0], empty_partial(CHAIN))
+        assert probs == [1.0, 0.5, 0.25]
+        assert math.fsum(probs) == pytest.approx(1.75, abs=1e-12)
 
     def test_diamond_join_probability(self):
-        est = exact_conditional_activation(DIAMOND, [0], empty_partial(DIAMOND))
-        assert est.probability[3] == pytest.approx(0.4375, abs=1e-12)
-        assert est.expected_cascade == pytest.approx(2.4375, abs=1e-12)
+        probs = exact_conditional_activation(DIAMOND, [0], empty_partial(DIAMOND))
+        assert probs[3] == pytest.approx(0.4375, abs=1e-12)
+        assert math.fsum(probs) == pytest.approx(2.4375, abs=1e-12)
 
     def test_conditioning_on_live_edge(self):
         psi = PartialRealization(bytes([1, 2]))  # 0->1 live, 1->2 unknown
-        est = exact_conditional_activation(CHAIN, [0], psi)
-        assert est.probability == {0: 1.0, 1: 1.0, 2: 0.5}
+        assert exact_conditional_activation(CHAIN, [0], psi) == [1.0, 1.0, 0.5]
 
     def test_conditioning_on_blocked_edge(self):
         psi = PartialRealization(bytes([0, 2]))
-        est = exact_conditional_activation(CHAIN, [0], psi)
-        assert est.probability == {0: 1.0, 1: 0.0, 2: 0.0}
-        assert est.zero_set == {1, 2}
+        assert exact_conditional_activation(CHAIN, [0], psi) == [1.0, 0.0, 0.0]
+        assert ExactEstimator().activation(CHAIN, [0], psi) == ActivationEstimate(1.0, {1, 2})
 
     def test_matches_enumeration_reference(self):
         for seed in range(60):
@@ -81,9 +79,8 @@ class TestExactActivation:
             got = exact_conditional_activation(g, seeds, psi)
             want = naive_activation_probability(g, seeds, psi)
             for v in range(g.node_count):
-                assert got.probability[v] == pytest.approx(want[v], abs=1e-9), \
-                    (seed, v)
-            assert got.expected_cascade == pytest.approx(
+                assert got[v] == pytest.approx(want[v], abs=1e-9), (seed, v)
+            assert math.fsum(got) == pytest.approx(
                 math.fsum(want.values()), abs=1e-9)
 
     def test_guard_rejects_wide_instances(self):
@@ -96,9 +93,8 @@ class TestExactActivation:
         g = generate_graph(12, 40, "erdos-renyi", 50, 3)
         realization = sample_full_realization(g, 1)
         codes = bytes(1 if live else 0 for live in realization.live)
-        est = exact_conditional_activation(g, [0], PartialRealization(codes))
-        assert est.expected_cascade == sum(
-            1.0 for v, p in est.probability.items() if p == 1.0)
+        probs = exact_conditional_activation(g, [0], PartialRealization(codes))
+        assert math.fsum(probs) == sum(1.0 for p in probs if p == 1.0)
 
 
 class TestZeroProbabilitySet:
@@ -107,7 +103,7 @@ class TestZeroProbabilitySet:
             g, seeds, psi = observed_instance(seed)
             zero = zero_probability_set(g, seeds, psi)
             exact = exact_conditional_activation(g, seeds, psi)
-            truly_zero = {v for v, p in exact.probability.items() if p == 0.0}
+            truly_zero = {v for v, p in enumerate(exact) if p == 0.0}
             assert zero == truly_zero, seed
 
     def test_zero_probability_edge_blocks(self):
@@ -132,15 +128,16 @@ class TestMonteCarlo:
     def test_zero_set_is_exact_not_sampled(self):
         for seed in range(40):
             g, seeds, psi = observed_instance(seed)
-            mc = MonteCarloEstimator(50, seed).activation(g, seeds, psi)
-            assert mc.zero_set == zero_probability_set(g, seeds, psi)
-            for v in mc.zero_set:
-                assert mc.probability[v] == 0.0
+            est = MonteCarloEstimator(50, seed)
+            hits, zero = est._propagate(g, frozenset(seeds), psi)
+            assert est.activation(g, seeds, psi).zero_set == zero == \
+                zero_probability_set(g, seeds, psi)
+            assert [hits[v] for v in zero] == [0] * len(zero)
 
     def test_deterministic_in_seed(self):
-        a = MonteCarloEstimator(500, 9).activation(DIAMOND, [0], empty_partial(DIAMOND))
-        b = MonteCarloEstimator(500, 9).activation(DIAMOND, [0], empty_partial(DIAMOND))
-        assert a.probability == b.probability
+        a, b = (MonteCarloEstimator(500, 9)._propagate(DIAMOND, {0}, empty_partial(DIAMOND))
+                for _ in range(2))
+        assert a == b
 
     def test_gain_never_negative_via_common_completions(self):
         est = MonteCarloEstimator(400, 17)
@@ -251,9 +248,8 @@ class TestBatchedQueries:
         assert batched == [single.gains(g, seeds, psi, [v])[0] for v in others]
 
         def hits(seed_list):
-            # completions reaching each node, summed, read back from activation
-            probability = single.activation(g, seed_list, psi).probability
-            return sum(round(p * 40) for p in probability.values())
+            # completions reaching each node, summed, from the propagation
+            return sum(single._propagate(g, frozenset(seed_list), psi)[0])
 
         assert batched == [(hits(seeds + [v]) - hits(seeds)) / 40 for v in others]
 
@@ -272,7 +268,6 @@ class TestBatchedQueries:
     def test_mc_propagation_equals_per_completion_bfs(self, state):
         g, seeds, psi, seed = state
         est = MonteCarloEstimator(40, seed)
-        propagated = est.activation(g, seeds, psi)
         counts = [0] * g.node_count
         for row in est._snapshot(g)[0]:
             # completion: observed-live edges, and unobserved edges in the row
@@ -284,9 +279,9 @@ class TestBatchedQueries:
             for v in mask_nodes(reachable_mask(adj, sum(1 << u for u in seeds))):
                 counts[v] += 1
         zero = zero_probability_set(g, seeds, psi)
-        assert propagated.zero_set == zero
-        assert propagated.probability == {
-            v: 0.0 if v in zero else c / 40 for v, c in enumerate(counts)}
+        assert est._propagate(g, frozenset(seeds), psi) == (counts, zero)
+        propagated = est.activation(g, seeds, psi)
+        assert propagated == ActivationEstimate(math.fsum(c / 40 for c in counts), zero)
         est._batch(g, psi)
         assert est.activation(g, seeds, psi) == propagated
 

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -23,7 +24,7 @@ ALL_LIVE_DIAMOND = FullRealization((True, True, True, True))
 
 def make_estimate(probabilities):
     zero = frozenset(v for v, p in probabilities.items() if p == 0.0)
-    return ActivationEstimate(probabilities, sum(probabilities.values()), zero)
+    return ActivationEstimate(sum(probabilities.values()), zero)
 
 
 class TestCondition:
@@ -57,7 +58,7 @@ class TestUniformPolicy:
             real = sample_full_realization(g, seed + 100)
             empty = empty_partial(g)
             want = greedy_nonadaptive_uniform(
-                g, 3, lambda s: exact_conditional_activation(g, s, empty).expected_cascade)
+                g, 3, lambda s: math.fsum(exact_conditional_activation(g, s, empty)))
             assert alpha_zero_seeds(g, 3, real, want)[1]
 
     def test_first_selection_skips_condition(self):
