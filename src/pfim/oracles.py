@@ -30,7 +30,7 @@ from .policies import (PolicyConfig, _affordable_single_node, _GreedyCore,
 from .reach import closure_masks, closure_union, mask_nodes
 
 ENUMERATION_EDGE_LIMIT = 22          # 2^|E| realizations
-NONADAPTIVE_WORK_LIMIT = 1 << 24     # C(n, floor(B)) * 2^|E|
+NONADAPTIVE_WORK_LIMIT = 1 << 24     # sum of C(n, s) * 2^|E| over sizes s <= B / c_min
 
 
 @dataclass(frozen=True)
@@ -145,9 +145,11 @@ def optimal_nonadaptive(graph: DirectedGraph, budget) -> tuple[frozenset[int], f
         raise ValueError("budget must be positive")
     n = graph.node_count
     cap = min(n, int(frac_budget // min(graph.costs)) if n else 0)
-    work = math.comb(n, min(n, max(1, int(frac_budget)))) * (1 << graph.edge_count)
-    if work > NONADAPTIVE_WORK_LIMIT:
-        raise InstanceTooLarge("non-adaptive search space exceeds the work guard")
+    sets = 0
+    for size in range(1, cap + 1):
+        sets += math.comb(n, size)
+        if sets << graph.edge_count > NONADAPTIVE_WORK_LIMIT:
+            raise InstanceTooLarge("non-adaptive search space exceeds the work guard")
 
     empty = empty_partial(graph)
     best_set: tuple[int, ...] = ()

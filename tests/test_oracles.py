@@ -225,6 +225,18 @@ class TestNonadaptiveOptimum:
         assert best_set == {0}
         assert value == pytest.approx(2.4375, abs=1e-12)
 
+    def test_guard_counts_every_affordable_size(self, monkeypatch):
+        # one unit of budget buys up to 10 nodes of cost 1/10: 53,009,101
+        # seed sets of sizes 1 to 10, not C(30, 1) = 30
+        g = DirectedGraph.build(30, [(0, 1, 0.5), (1, 2, 0.5)], [Fraction(1, 10)] * 30)
+
+        def search_started(*args):
+            raise AssertionError("the search started")
+
+        monkeypatch.setattr(oracles, "exact_conditional_activation", search_started)
+        with pytest.raises(InstanceTooLarge):
+            optimal_nonadaptive(g, Fraction(1))
+
 
 class TestAdaptiveOptimum:
     def test_two_node_world(self):
