@@ -1,13 +1,14 @@
 import random
+from itertools import accumulate
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pfim.checks import observation_violations
 from pfim.diffusion import (EdgeState, FullRealization, PartialRealization,
                             SeedSchedule, cascade_size, empty_partial, observe,
                             sample_full_realization)
-from pfim.graph import generate_graph, load_graph
+from pfim.graph import DirectedGraph, generate_graph, load_graph
 
 from bruteforce import bfs_cascade, naive_observe
 
@@ -94,6 +95,34 @@ class TestObserve:
             g, realization, schedule = random_instance(seed)
             # with no slots listed, only the settled state is compared
             assert observation_violations(g, realization, schedule, (), 49) == 0
+
+
+@st.composite
+def observed_worlds(draw):
+    """Tiny graph, a world, a schedule whose seeds may share a slot, and a
+    slot at or after the last activation."""
+    n = draw(st.integers(2, 6))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=12))
+    live = draw(st.lists(st.booleans(), min_size=len(chosen), max_size=len(chosen)))
+    nodes = draw(st.lists(st.integers(0, n - 1), unique=True, min_size=1, max_size=n))
+    gaps = draw(st.lists(st.integers(0, 2), min_size=len(nodes), max_size=len(nodes)))
+    schedule = SeedSchedule(tuple(zip(nodes, accumulate(gaps))))
+    slot = schedule.entries[-1][1] + draw(st.integers(0, n + 1))
+    graph = DirectedGraph.build(n, [(u, v, 0.5) for u, v in chosen])
+    return graph, FullRealization(tuple(live)), schedule, slot
+
+
+@given(observed_worlds())
+@settings(max_examples=300, deadline=None)
+# seeds 0 and 3 share slot 0 and both reach node 2: 0 in two hops, 3 in
+# one, so only 3's walk reveals the edge leaving 2 at slot 2
+@example((DirectedGraph.build(4, [(0, 1, 0.5), (1, 2, 0.5), (3, 2, 0.5), (2, 0, 0.5)]),
+          FullRealization((True,) * 4), SeedSchedule(((0, 0), (3, 0))), 2))
+def test_observe_matches_naive_observe(state):
+    graph, realization, schedule, slot = state
+    assert observe(graph, realization, schedule, slot) == \
+        naive_observe(graph, realization, schedule, slot)
 
 
 @given(st.integers(min_value=0, max_value=5000), st.integers(min_value=0, max_value=8))
