@@ -27,7 +27,7 @@ from .estimation import (EpsilonEstimator, Estimator, ExactEstimator,
 from .graph import (DirectedGraph, GraphFormatError, assign_trivalency_probabilities,
                     edge_list_text, generate_graph, load_graph)
 from .oracles import (ENUMERATION_EDGE_LIMIT, evaluate_policy_exact,
-                      evaluate_policy_sampled)
+                      evaluate_policy_sampled, sampled_world)
 from .policies import PolicyConfig, run_policy, transcript_lines
 
 CSV_HEADER = ("alpha,budget,i,policy,estimator,realizations,"
@@ -276,9 +276,10 @@ def cmd_evaluate(args) -> int:
                                           estimator, _threads())
         mean, stderr = sampled.mean_spread, sampled.std_error
 
-    # transcript of the first sampled world, for inspection
-    realization = sample_full_realization(graph, derive_seed(seed, "realization"))
-    run = run_policy(graph, config, realization, estimator, derive_seed(seed, "policy"))
+    # transcript of world 0 of the sample (drawn even when the value is
+    # exact), for inspection
+    realization, policy_seed = sampled_world(graph, seed, 0)
+    run = run_policy(graph, config, realization, estimator, policy_seed)
     base = _merged(args, "out")
     transcript_path = (str(base) if base is not None else "evaluate") + ".transcript.txt"
     with open(transcript_path, "w", encoding="utf-8", newline="\n") as fh:

@@ -96,12 +96,19 @@ def evaluate_policy_exact(graph: DirectedGraph, config: PolicyConfig,
     return ExactEvaluation(value, len(worlds))
 
 
+def sampled_world(graph: DirectedGraph, rng_seed: int,
+                  index: int) -> tuple[FullRealization, int]:
+    """World `index` of `evaluate_policy_sampled` under base seed
+    `rng_seed`: its realization and the seed of its policy run."""
+    world_seed = derive_seed(rng_seed, "world", index)
+    return (sample_full_realization(graph, derive_seed(world_seed, "realization")),
+            derive_seed(world_seed, "policy"))
+
+
 def _world_outcome(args):
     graph, config, estimator, rng_seed, index = args
-    world_seed = derive_seed(rng_seed, "world", index)
-    realization = sample_full_realization(graph, derive_seed(world_seed, "realization"))
-    run = run_policy(graph, config, realization, estimator,
-                     derive_seed(world_seed, "policy"))
+    realization, policy_seed = sampled_world(graph, rng_seed, index)
+    run = run_policy(graph, config, realization, estimator, policy_seed)
     return run.realized_cascade, run.slots_elapsed, len(run.schedule)
 
 

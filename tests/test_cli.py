@@ -6,10 +6,11 @@ from fractions import Fraction
 
 import pytest
 
+from pfim import oracles
 from pfim.cli import main
 from pfim.graph import load_graph
 from pfim.oracles import evaluate_policy_exact
-from pfim.policies import PolicyConfig
+from pfim.policies import PolicyConfig, transcript_lines
 
 DIAMOND_TEXT = "0 1 0.5\n0 2 0.5\n1 3 0.5\n2 3 0.5\n"
 
@@ -145,6 +146,24 @@ class TestEvaluate:
         assert code == 0
         transcript = (tmp_path / "run.transcript.txt").read_text()
         assert transcript.startswith("r=0 slot=0 action=select:")
+
+    def test_transcript_is_world_zero_of_the_sample(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        runs = []
+        real = oracles.run_policy
+
+        def recorded(*args):
+            runs.append(real(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(oracles, "run_policy", recorded)
+        code, _, _ = run_cli(
+            ["evaluate", "--graph", "gen:erdos-renyi:60:240", "--alpha", "0.8",
+             "--budget", "4", "--policy", "uniform", "--estimator", "mc",
+             "--samples", "10", "--realizations", "2", "--seed", "5", "--out", "w"], capsys)
+        assert code == 0 and len(runs) == 2
+        assert (tmp_path / "w.transcript.txt").read_text() == (
+            "\n".join(transcript_lines(runs[0])) + "\n")
 
     def test_budget_above_node_count_rejected(self, diamond_path, capsys):
         code, _, err = run_cli(
@@ -309,7 +328,7 @@ def test_fixed_seed_outputs_keep_their_bytes(tmp_path, capsys, monkeypatch):
          "--realizations", "2", "--seed", "3", "--out", "cheap"],
         "cheap.transcript.txt") == [
         "fcd043b4cfb9f4c5dfbb2905b418993de9082b884f5b4b9fb86f6727d8942ded",
-        "5e43378e30abcbf8379cd9e455ab4f82a667aebc9ed1e586684430ea90ab3378"]
+        "e1a34fc978f8418daac983226d6d4c301593cda31e200d66022f75da65c90317"]
     assert digests(
         ["sweep-alpha", "--graph", "g.edges", "--alpha", "0,0.8,1", "--budget", "3",
          "--policy", "uniform", "--estimator", "mc", "--samples", "20",
