@@ -90,11 +90,11 @@ def zero_probability_set(graph: DirectedGraph, seeds,
 def _split_edges(graph: DirectedGraph, partial: PartialRealization, seed_set):
     """Classify edges for exact enumeration.
 
-    Returns (certain adjacency, certainly-active mask, zero set, relevant
-    unobserved edges). Certain adjacency holds observed-live edges plus
-    unobserved probability-1 edges; relevant edges are the unobserved
-    0 < p < 1 edges whose source can possibly activate and whose target
-    is not already certain.
+    Returns (certain adjacency, certainly-active mask, relevant unobserved
+    edges). Certain adjacency holds observed-live edges plus unobserved
+    probability-1 edges; relevant edges are the unobserved 0 < p < 1
+    edges whose source can possibly activate (is outside the zero set)
+    and whose target is not already certain.
     """
     certain_adj: list[list[int]] = [[] for _ in range(graph.node_count)]
     for c, e in zip(partial.codes, graph.edges):
@@ -105,7 +105,7 @@ def _split_edges(graph: DirectedGraph, partial: PartialRealization, seed_set):
     relevant = [e for c, e in zip(partial.codes, graph.edges)
                 if c == EdgeState.UNOBSERVED and 0.0 < e.probability < 1.0
                 and e.source not in zero and not certain_mask >> e.target & 1]
-    return certain_adj, certain_mask, zero, relevant
+    return certain_adj, certain_mask, relevant
 
 
 def _assignments(probs):
@@ -125,7 +125,7 @@ def exact_conditional_activation(graph: DirectedGraph, seeds,
     """Exact conditional activation probability of each node, in node
     order, by edge enumeration."""
     seed_set = _check_state(graph, seeds, partial)
-    certain_adj, certain_mask, zero, relevant = _split_edges(graph, partial, seed_set)
+    certain_adj, certain_mask, relevant = _split_edges(graph, partial, seed_set)
     if len(relevant) > EXACT_EDGE_LIMIT:
         raise InstanceTooLarge(
             f"instance too large for exact backend: {len(relevant)} relevant "
@@ -159,10 +159,10 @@ def exact_conditional_activation(graph: DirectedGraph, seeds,
         for v in mask_nodes(seen):
             acc[v] += w
 
+    # a zero-set node is reached in no assignment and keeps exactly 0; a
+    # certain node is reached in all of them and is pinned to exactly 1
     for v in mask_nodes(certain_mask):
         acc[v] = 1.0
-    for v in zero:
-        acc[v] = 0.0
     return acc
 
 
