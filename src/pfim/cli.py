@@ -269,17 +269,16 @@ def cmd_evaluate(args) -> int:
     realizations = _parse_int("realizations", _merged(args, "realizations", 100), 1)
     config = PolicyConfig(policy, alpha, budget)
 
+    # the transcript is world 0 of the sample, drawn even when the value
+    # is exact, for inspection
     if tag == "exact" and graph.edge_count <= ENUMERATION_EDGE_LIMIT:
         mean, stderr = evaluate_policy_exact(graph, config).value, 0.0
+        realization, policy_seed = sampled_world(graph, seed, 0)
+        run = run_policy(graph, config, realization, estimator, policy_seed)
     else:
         sampled = evaluate_policy_sampled(graph, config, realizations, seed,
                                           estimator, _threads())
-        mean, stderr = sampled.mean_spread, sampled.std_error
-
-    # transcript of world 0 of the sample (drawn even when the value is
-    # exact), for inspection
-    realization, policy_seed = sampled_world(graph, seed, 0)
-    run = run_policy(graph, config, realization, estimator, policy_seed)
+        mean, stderr, run = sampled.mean_spread, sampled.std_error, sampled.world_zero
     base = _merged(args, "out")
     transcript_path = (str(base) if base is not None else "evaluate") + ".transcript.txt"
     with open(transcript_path, "w", encoding="utf-8", newline="\n") as fh:

@@ -53,8 +53,16 @@ class PartialRealization:
                    for k, c in enumerate(self.codes))
 
 
+def _valid_partial(codes: bytes) -> PartialRealization:
+    """A PartialRealization over codes that are valid by construction,
+    without the public constructor's per-byte check."""
+    partial = object.__new__(PartialRealization)
+    object.__setattr__(partial, "codes", codes)
+    return partial
+
+
 def empty_partial(graph: DirectedGraph) -> PartialRealization:
-    return PartialRealization(bytes([EdgeState.UNOBSERVED]) * graph.edge_count)
+    return _valid_partial(bytes([EdgeState.UNOBSERVED]) * graph.edge_count)
 
 
 @dataclass(frozen=True)
@@ -147,7 +155,7 @@ def observe(graph: DirectedGraph, realization: FullRealization,
                     else:
                         codes[idx] = EdgeState.BLOCKED
             frontier = nxt
-    return PartialRealization(bytes(codes))
+    return _valid_partial(bytes(codes))
 
 
 def cascade_size(graph: DirectedGraph, realization: FullRealization, seeds) -> int:

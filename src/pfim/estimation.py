@@ -91,10 +91,10 @@ def _split_edges(graph: DirectedGraph, partial: PartialRealization, seed_set):
     """Classify edges for exact enumeration.
 
     Returns (certain adjacency, certainly-active mask, relevant unobserved
-    edges). Certain adjacency holds observed-live edges plus unobserved
-    probability-1 edges; relevant edges are the unobserved 0 < p < 1
-    edges whose source can possibly activate (is outside the zero set)
-    and whose target is not already certain.
+    edges, zero set). Certain adjacency holds observed-live edges plus
+    unobserved probability-1 edges; relevant edges are the unobserved
+    0 < p < 1 edges whose source can possibly activate (is outside the
+    zero set) and whose target is not already certain.
     """
     certain_adj: list[list[int]] = [[] for _ in range(graph.node_count)]
     for c, e in zip(partial.codes, graph.edges):
@@ -105,7 +105,7 @@ def _split_edges(graph: DirectedGraph, partial: PartialRealization, seed_set):
     relevant = [e for c, e in zip(partial.codes, graph.edges)
                 if c == EdgeState.UNOBSERVED and 0.0 < e.probability < 1.0
                 and e.source not in zero and not certain_mask >> e.target & 1]
-    return certain_adj, certain_mask, relevant
+    return certain_adj, certain_mask, relevant, zero
 
 
 def _assignments(probs):
@@ -124,8 +124,15 @@ def exact_conditional_activation(graph: DirectedGraph, seeds,
                                  partial: PartialRealization) -> list[float]:
     """Exact conditional activation probability of each node, in node
     order, by edge enumeration."""
+    return _exact_activation(graph, seeds, partial)[0]
+
+
+def _exact_activation(graph: DirectedGraph, seeds,
+                      partial: PartialRealization) -> tuple[list[float], frozenset[int]]:
+    """`exact_conditional_activation` and the zero set, which the edge
+    split computes on the way."""
     seed_set = _check_state(graph, seeds, partial)
-    certain_adj, certain_mask, relevant = _split_edges(graph, partial, seed_set)
+    certain_adj, certain_mask, relevant, zero = _split_edges(graph, partial, seed_set)
     if len(relevant) > EXACT_EDGE_LIMIT:
         raise InstanceTooLarge(
             f"instance too large for exact backend: {len(relevant)} relevant "
@@ -156,14 +163,17 @@ def exact_conditional_activation(graph: DirectedGraph, seeds,
                     if not seen & bit:
                         seen |= bit
                         stack.append(v)
-        for v in mask_nodes(seen):
-            acc[v] += w
+        # every reached node adds w, lowest bit first
+        while seen:
+            low = seen & -seen
+            acc[low.bit_length() - 1] += w
+            seen ^= low
 
     # a zero-set node is reached in no assignment and keeps exactly 0; a
     # certain node is reached in all of them and is pinned to exactly 1
     for v in mask_nodes(certain_mask):
         acc[v] = 1.0
-    return acc
+    return acc, zero
 
 
 class Estimator:
@@ -262,9 +272,8 @@ class ExactEstimator(Estimator):
         hit = self._cache.lookup(graph, key)
         if hit is not None:
             return hit
-        probs = exact_conditional_activation(graph, seed_set, partial)
-        return self._cache.store(key, ActivationEstimate(
-            math.fsum(probs), zero_probability_set(graph, seed_set, partial)))
+        probs, zero = _exact_activation(graph, seed_set, partial)
+        return self._cache.store(key, ActivationEstimate(math.fsum(probs), zero))
 
     @property
     def tag(self):

@@ -1,7 +1,10 @@
 """Ground-truth evaluation: exact policy values and brute-force optima.
 
 Both exact referees walk one world table (`_enumerate_worlds`), where a
-seed set's reach in a world is a union of closure masks. Exact policy
+seed set's reach in a world is a union of closure masks. The table is
+built once per graph: a cache bound to the graph object holds the last
+graph's table, so the evaluator's configs and the optimum share it, and
+another graph, even an equal one, gets its own. Exact policy
 evaluation conceptually runs the policy on every world and weights the
 realized cascade by the world's probability. Worlds that have produced
 identical observations so far are indistinguishable to the policy, so
@@ -22,10 +25,10 @@ from itertools import combinations
 from ._util import derive_seed
 from .diffusion import (FullRealization, empty_partial, live_adjacency,
                         sample_full_realization)
-from .estimation import (Estimator, ExactEstimator, InstanceTooLarge,
-                         _assignments, exact_conditional_activation)
+from .estimation import (Estimator, ExactEstimator, InstanceTooLarge, _assignments,
+                         _GraphCache, exact_conditional_activation)
 from .graph import DirectedGraph, _as_fraction
-from .policies import (PolicyConfig, _affordable_single_node, _GreedyCore,
+from .policies import (PolicyConfig, PolicyRun, _affordable_single_node, _GreedyCore,
                        _greedy_runs, run_policy)
 from .reach import closure_masks, closure_union, mask_nodes
 
@@ -46,17 +49,29 @@ class SampledEvaluation:
     mean_slots: float
     mean_seeds: float
     sample_count: int
+    world_zero: PolicyRun    # the run on world 0, for its transcript
+
+
+_WORLDS = _GraphCache(1)
 
 
 def _enumerate_worlds(graph: DirectedGraph) -> list:
     """The world table of both exact referees: one (realization, weight,
-    closures) entry per full realization with nonzero probability, in
-    ascending live bits (edge index k is bit k). `closures[v]` is the node
-    mask that v reaches over the world's live edges."""
+    closures, live bits) entry per full realization with nonzero
+    probability, in ascending live bits (edge index k is bit k).
+    `closures[v]` is the node mask that v reaches over the world's live
+    edges. The table is built once per graph object and shared by every
+    referee call on it; the cache holds the last graph's table only."""
+    hit = _WORLDS.lookup(graph, None)
+    if hit is not None:
+        return hit
     m, n = graph.edge_count, graph.node_count
-    weighted = ((FullRealization(tuple(bool(bits >> k & 1) for k in range(m))), w)
-                for bits, w in _assignments([e.probability for e in graph.edges]) if w != 0.0)
-    return [(r, w, closure_masks(n, live_adjacency(graph, r))) for r, w in weighted]
+    table = []
+    for bits, w in _assignments([e.probability for e in graph.edges]):
+        if w != 0.0:
+            r = FullRealization(tuple(bool(bits >> k & 1) for k in range(m)))
+            table.append((r, w, closure_masks(n, live_adjacency(graph, r)), bits))
+    return _WORLDS.store(None, table)
 
 
 def _expected_cascade(worlds: list, indices, seeds) -> float:
@@ -65,7 +80,7 @@ def _expected_cascade(worlds: list, indices, seeds) -> float:
     is read once per world, so it must be a collection, not an iterator."""
     total = 0.0
     for i in indices:
-        _, weight, closures = worlds[i]
+        _, weight, closures, _ = worlds[i]
         total += weight * closure_union(closures, seeds).bit_count()
     return total
 
@@ -88,7 +103,7 @@ def evaluate_policy_exact(graph: DirectedGraph, config: PolicyConfig,
         single = _expected_cascade(worlds, range(len(worlds)), [star])
     core = _GreedyCore(graph, config, estimator)
     value = 0.0
-    for indices, schedule, *_ in _greedy_runs(core, [r for r, _, _ in worlds],
+    for indices, schedule, *_ in _greedy_runs(core, [r for r, *_ in worlds],
                                               selection_hook):
         value += _expected_cascade(worlds, indices, schedule.nodes)
     if config.kind == "enhanced":
@@ -109,7 +124,8 @@ def _world_outcome(args):
     graph, config, estimator, rng_seed, index = args
     realization, policy_seed = sampled_world(graph, rng_seed, index)
     run = run_policy(graph, config, realization, estimator, policy_seed)
-    return run.realized_cascade, run.slots_elapsed, len(run.schedule)
+    return (run.realized_cascade, run.slots_elapsed, len(run.schedule),
+            run if index == 0 else None)
 
 
 def evaluate_policy_sampled(graph: DirectedGraph, config: PolicyConfig,
@@ -118,7 +134,8 @@ def evaluate_policy_sampled(graph: DirectedGraph, config: PolicyConfig,
     """Mean and standard error of the realized cascade over sampled
     worlds. World index w uses the stream derived from (rng_seed, "world",
     w), so results do not depend on scheduling and different base seeds
-    share no worlds; integer totals are summed before any division."""
+    share no worlds; integer totals are summed before any division. The
+    run on world 0 comes back whole, from a pool worker too."""
     if realizations < 1:
         raise ValueError("need at least one realization")
     jobs = [(graph, config, estimator, rng_seed, w) for w in range(realizations)]
@@ -132,8 +149,9 @@ def evaluate_policy_sampled(graph: DirectedGraph, config: PolicyConfig,
             outcomes = list(pool.map(_world_outcome, jobs, chunksize=chunk))
     else:
         outcomes = [_world_outcome(j) for j in jobs]
-    spread_sum, slot_sum, seed_sum = (sum(column) for column in zip(*outcomes))
-    spread_sq = sum(o[0] * o[0] for o in outcomes)
+    spreads, slots, seeds, runs = zip(*outcomes)
+    spread_sum, slot_sum, seed_sum = sum(spreads), sum(slots), sum(seeds)
+    spread_sq = sum(s * s for s in spreads)
     k = realizations
     mean = spread_sum / k
     if k > 1:
@@ -141,7 +159,7 @@ def evaluate_policy_sampled(graph: DirectedGraph, config: PolicyConfig,
         stderr = math.sqrt(variance / k)
     else:
         stderr = 0.0
-    return SampledEvaluation(mean, stderr, slot_sum / k, seed_sum / k, k)
+    return SampledEvaluation(mean, stderr, slot_sum / k, seed_sum / k, k, runs[0])
 
 
 def optimal_nonadaptive(graph: DirectedGraph, budget) -> tuple[frozenset[int], float]:
@@ -187,40 +205,50 @@ def optimal_full_feedback_adaptive(graph: DirectedGraph, budget) -> float:
 
     n = graph.node_count
     picks = min(n, int(frac_budget))
+    if picks == 0:
+        return 0.0
     worlds = _enumerate_worlds(graph)
-    live_bits = [sum(1 << k for k, live in enumerate(r.live) if live) for r, _, _ in worlds]
     out_masks = [sum(1 << k for k in graph.out_edges[v]) for v in range(n)]
     # per world and node: the edges leaving every node that node reaches
     out_closures = [[closure_union(out_masks, mask_nodes(c)) for c in closures]
-                    for _, _, closures in worlds]
+                    for _, _, closures, _ in worlds]
     memo: dict = {}
 
-    def value(seed_mask: int, indices: tuple[int, ...]) -> float:
-        # unnormalized: sum over these worlds of weight * eventual cascade
-        seeds = list(mask_nodes(seed_mask))
-        if len(seeds) == picks:
-            return _expected_cascade(worlds, indices, seeds)
-        key = (seed_mask, indices)
+    def value(seed_mask: int, view: tuple[int, int], indices: list[int]) -> float:
+        # unnormalized: sum over these worlds of weight * eventual cascade.
+        # A seed set's full-feedback view is (the edges leaving every node
+        # its cascade reaches, their live bits); the worlds showing it are
+        # exactly `indices`, so the view keys the memo. Final parts are
+        # summed where they are split and never memoized.
+        key = (seed_mask, view)
         hit = memo.get(key)
         if hit is not None:
             return hit
+        reach_edges = view[0]
+        final = seed_mask.bit_count() + 1 == picks
         best = None
         for v in range(n):
             if seed_mask >> v & 1:
                 continue
-            new_mask, new_seeds = seed_mask | 1 << v, seeds + [v]
-            # a world's full-feedback view: the status of every edge leaving
-            # a node its cascade reaches, as (those edges, their live bits)
+            new_mask = seed_mask | 1 << v
             parts: dict[tuple[int, int], list[int]] = {}
             for i in indices:
-                edges = closure_union(out_closures[i], new_seeds)
-                parts.setdefault((edges, live_bits[i] & edges), []).append(i)
+                edges = reach_edges | out_closures[i][v]
+                parts.setdefault((edges, worlds[i][3] & edges), []).append(i)
             candidate = 0.0
-            for sub in parts.values():
-                candidate += value(new_mask, tuple(sub))
+            for sub_view, sub in parts.items():
+                if final:
+                    # every world of the part reaches the same nodes
+                    size = closure_union(worlds[sub[0]][2], mask_nodes(new_mask)).bit_count()
+                    total = 0.0
+                    for i in sub:
+                        total += worlds[i][1] * size
+                    candidate += total
+                else:
+                    candidate += value(new_mask, sub_view, sub)
             if best is None or candidate > best:
                 best = candidate
         memo[key] = best
         return best
 
-    return value(0, tuple(range(len(worlds))))
+    return value(0, (0, 0), list(range(len(worlds))))

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from pfim import oracles
+from pfim import cli, oracles
 from pfim.cli import main
 from pfim.graph import load_graph
 from pfim.oracles import evaluate_policy_exact
@@ -156,7 +156,11 @@ class TestEvaluate:
             runs.append(real(*args))
             return runs[-1]
 
+        def repeated(*args):
+            raise AssertionError("world 0 was run again for the transcript")
+
         monkeypatch.setattr(oracles, "run_policy", recorded)
+        monkeypatch.setattr(cli, "run_policy", repeated)
         code, _, _ = run_cli(
             ["evaluate", "--graph", "gen:erdos-renyi:60:240", "--alpha", "0.8",
              "--budget", "4", "--policy", "uniform", "--estimator", "mc",

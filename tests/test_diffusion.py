@@ -138,6 +138,14 @@ class TestPartialRealization:
         with pytest.raises(ValueError):
             PartialRealization(b"\x03")
 
+    def test_built_states_equal_checked_ones(self):
+        # observe and empty_partial skip the constructor's check
+        g, realization, schedule = random_instance(4)
+        t = max(s for _, s in schedule.entries) + 2
+        for psi in (empty_partial(g), observe(g, realization, schedule, t)):
+            checked = PartialRealization(psi.codes)
+            assert psi == checked and hash(psi) == hash(checked)
+
     def test_subset_relation(self):
         a = PartialRealization(bytes([2, 2, 1, 2]))
         b = PartialRealization(bytes([0, 2, 1, 2]))

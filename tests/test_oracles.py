@@ -207,6 +207,35 @@ class TestSampledEvaluation:
         assert not worlds[11] & worlds[12]
 
 
+    def test_world_zero_comes_back_whole(self):
+        cfg = PolicyConfig("uniform", 0.5, Fraction(2))
+        realization, policy_seed = oracles.sampled_world(DIAMOND, 3, 0)
+        want = run_policy(DIAMOND, cfg, realization, MonteCarloEstimator(20, 1), policy_seed)
+        for threads in (1, 2):
+            got = evaluate_policy_sampled(DIAMOND, cfg, 6, 3, MonteCarloEstimator(20, 1),
+                                          threads=threads)
+            assert got.world_zero == want
+
+    def test_tracks_exact_value_on_acceptance_instances(self):
+        # 60 cells at one seed; |z| <= 4 holds family-wise over them
+        worst = 0.0
+        for g, b in ACCEPTANCE_INSTANCES:
+            budget = Fraction(b)
+            for cfg in (PolicyConfig("uniform", 1.0, budget),
+                        PolicyConfig("nonuniform", 0.5, budget),
+                        PolicyConfig("enhanced", 0.0, budget)):
+                exact = evaluate_policy_exact(g, cfg).value
+                sampled = evaluate_policy_sampled(g, cfg, 200, 7, ExactEstimator())
+                gap = abs(sampled.mean_spread - exact)
+                if sampled.std_error == 0.0:
+                    # every world gave one size; a world off it has
+                    # probability at least gap / n and went unseen 200 times
+                    assert (1.0 - gap / g.node_count) ** 200 >= 1e-4, (g.edges, cfg)
+                else:
+                    worst = max(worst, gap / sampled.std_error)
+        assert worst <= 4.0
+
+
 class TestNonadaptiveOptimum:
     def test_matches_exhaustive_search(self):
         for g in tiny_instances(5, 700, max_edges=7):
@@ -236,6 +265,28 @@ class TestNonadaptiveOptimum:
         monkeypatch.setattr(oracles, "exact_conditional_activation", search_started)
         with pytest.raises(InstanceTooLarge):
             optimal_nonadaptive(g, Fraction(1))
+
+
+class TestWorldTable:
+    def test_never_answers_for_another_graph(self):
+        a, b = ACCEPTANCE_INSTANCES[0]
+        budget = Fraction(b)
+        other = a.with_probabilities([round(1.0 - e.probability, 3) for e in a.edges])
+        twin = a.with_probabilities([e.probability for e in a.edges])
+        assert twin == a and twin is not a
+        cfg = PolicyConfig("uniform", 1.0, budget)
+        calls = (lambda g: evaluate_policy_exact(g, cfg).value,
+                 lambda g: optimal_full_feedback_adaptive(g, budget))
+        graphs = (a, other, twin)
+        fresh = {}
+        for gi, g in enumerate(graphs):
+            for ci, call in enumerate(calls):
+                oracles._WORLDS.clear()
+                fresh[gi, ci] = call(g)
+        assert fresh[0, 0] != fresh[1, 0] and fresh[0, 1] != fresh[1, 1]
+        for step in range(12):
+            gi, ci = step % 3, step // 3 % 2
+            assert calls[ci](graphs[gi]) == fresh[gi, ci], (gi, ci)
 
 
 class TestAdaptiveOptimum:
