@@ -18,7 +18,12 @@ coin. Three backends:
   pointwise-coupled estimates, hence non-negative.
 * epsilon wrapper: multiplies each cascade value produced by an inner
   backend by a factor in [1-eps, 1+eps], either drawn uniformly per
-  query or pinned to an end of the interval.
+  query or pinned to an end of the interval. Its gain scan reads the
+  inner f(S + c) of every candidate from one `cascades_with` query, so
+  over Monte Carlo the values come from the state's closure batch.
+
+`activation` is the one single-state query; `cascades_with` and `gains`
+serve per-candidate values on one state.
 
 Nodes that cannot be activated at all (cut off once observed-blocked
 edges and zero-probability edges are removed) form the zero set; both
@@ -54,11 +59,12 @@ class ActivationEstimate:
     zero_set: frozenset[int]
 
 
-def _check_state(graph: DirectedGraph, seeds, partial: PartialRealization) -> frozenset[int]:
+def _check_state(graph: DirectedGraph, seeds, partial: PartialRealization,
+                 candidates=()) -> frozenset[int]:
     if len(partial.codes) != graph.edge_count:
         raise ValueError("partial realization does not match graph edge count")
     seed_set = frozenset(seeds)
-    for v in seed_set:
+    for v in chain(seed_set, candidates):
         if not (0 <= v < graph.node_count):
             raise ValueError(f"seed node {v} out of range")
     return seed_set
@@ -177,10 +183,11 @@ def _exact_activation(graph: DirectedGraph, seeds,
 
 
 class Estimator:
-    """Backend interface. `activation` is the one cascade query: the
+    """Backend interface. `activation` is the one single-state query: the
     expected cascade and the zero set of a seed set on an observation
-    state. `gains` batches marginal gains and `single_node_values` the
-    unconditional value of each node alone."""
+    state. `cascades_with` batches the expected cascade of S + c over
+    candidates c, `gains` the marginal gains, and `single_node_values`
+    the unconditional value of each node alone."""
 
     # True when `gains` on one observation state are exact counts over one
     # fixed batch of completions: a candidate's gain for seeds S is then
@@ -192,6 +199,17 @@ class Estimator:
                    partial: PartialRealization) -> ActivationEstimate:
         raise NotImplementedError
 
+    def cascades_with(self, graph: DirectedGraph, seeds, partial: PartialRealization,
+                      candidates) -> list[float]:
+        """f(S + c) of each candidate, in the order given: bit for bit the
+        `expected_cascade` of `activation` on S + c. This default asks
+        `activation` once per candidate (so the epsilon wrapper perturbs
+        each value); the Monte Carlo backend reads every value off the
+        state's closure batch."""
+        seed_set = _check_state(graph, seeds, partial, candidates)
+        return [self.activation(graph, seed_set | {c}, partial).expected_cascade
+                for c in candidates]
+
     def gains(self, graph: DirectedGraph, seeds, partial: PartialRealization,
               candidates) -> list[float]:
         """Marginal gain f(S + c) - f(S) of each candidate, in the order
@@ -201,10 +219,9 @@ class Estimator:
         arithmetic: a negative gain within float dust is clamped to 0, a
         larger one raises. The sampled and perturbed backends override it.
         """
-        seed_set = frozenset(seeds)
+        seed_set = _check_state(graph, seeds, partial, candidates)
         base = self.activation(graph, seed_set, partial).expected_cascade
-        gains = [self.activation(graph, seed_set | {c}, partial).expected_cascade
-                 - base for c in candidates]
+        gains = [v - base for v in self.cascades_with(graph, seed_set, partial, candidates)]
         below = [g for g in gains if g < -1e-9]
         if below:
             raise AssertionError(f"exact gain {below[0]} below zero")
@@ -282,8 +299,8 @@ class ExactEstimator(Estimator):
 
 class _Completions:
     """Per-node closure masks of each completion of one observation state.
-    `last` keeps the latest gain scan's seed set, per-completion seed
-    unions and base count: a lazy round asks twice for the same seeds."""
+    `last` keeps the latest scan's seed set, per-completion seed unions
+    and base count: a lazy round asks twice for the same seeds."""
 
     __slots__ = ("closures", "last")
 
@@ -302,7 +319,8 @@ class MonteCarloEstimator(Estimator):
     sharing the coins across states only couples their estimates. The
     alpha-gate's query on a state without closures is one bit-parallel
     pass over the snapshot (`_propagate`). Closures (`_batch`) are built
-    only for states scanned for gains or single-node values.
+    only for states scanned for gains, cascades with candidates
+    (`cascades_with`, the epsilon wrapper's scan) or single-node values.
 
     A batch of completions is a function of the observation alone, never
     of the seed set, so f(S), f(S + v), and every candidate in a
@@ -429,13 +447,25 @@ class MonteCarloEstimator(Estimator):
         counts, zero = self._propagate(graph, seed_set, partial)
         return ActivationEstimate(math.fsum(c / k for c in counts), zero)
 
-    def gains(self, graph, seeds, partial, candidates):
-        seed_set = _check_state(graph, seeds, partial)
+    def _seed_unions(self, graph, seeds, partial, candidates):
+        """Check the query, then return the state's `batch.last` set for
+        these seeds: (seed set, (closure masks, seed union) per
+        completion, base count)."""
+        seed_set = _check_state(graph, seeds, partial, candidates)
         batch = self._batch(graph, partial)
         if batch.last is None or batch.last[0] != seed_set:
             pairs = [(masks, closure_union(masks, seed_set)) for masks in batch.closures]
             batch.last = (seed_set, pairs, sum(reached.bit_count() for _, reached in pairs))
-        _, pairs, base = batch.last
+        return batch.last
+
+    def cascades_with(self, graph, seeds, partial, candidates):
+        _, pairs, _ = self._seed_unions(graph, seeds, partial, candidates)
+        k = self.samples
+        return [_coverage_value((reached | masks[c] for masks, reached in pairs), k)
+                for c in candidates]
+
+    def gains(self, graph, seeds, partial, candidates):
+        _, pairs, base = self._seed_unions(graph, seeds, partial, candidates)
         return [(sum((reached | masks[c]).bit_count() for masks, reached in pairs)
                  - base) / self.samples
                 for c in candidates]
@@ -526,10 +556,11 @@ class EpsilonEstimator(Estimator):
         return replace(est, expected_cascade=est.expected_cascade * self._factor())
 
     def gains(self, graph, seeds, partial, candidates):
-        # the inner f(S) is read once; per candidate the with-candidate
-        # factor is drawn before the base factor
-        seed_set = _check_state(graph, seeds, partial)
-        inner = self.inner.activation
-        base = inner(graph, seed_set, partial).expected_cascade
-        return [inner(graph, seed_set | {c}, partial).expected_cascade
-                * self._factor() - base * self._factor() for c in candidates]
+        # the inner f(S) is read once, after the batched query (which checks
+        # the arguments), so a Monte Carlo inner answers it from the closure
+        # batch that query built; per candidate the with-candidate factor is
+        # drawn before the base factor
+        seed_set = frozenset(seeds)
+        with_c = self.inner.cascades_with(graph, seed_set, partial, candidates)
+        base = self.inner.activation(graph, seed_set, partial).expected_cascade
+        return [v * self._factor() - base * self._factor() for v in with_c]

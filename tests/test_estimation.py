@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import pfim.estimation as estimation
 from pfim.checks import estimator_agreement
 from pfim.diffusion import (EdgeState, PartialRealization, SeedSchedule,
                             empty_partial, observe, sample_full_realization)
@@ -51,6 +52,24 @@ def observed_states(draw):
     schedule = SeedSchedule(tuple((v, i) for i, v in enumerate(nodes)))
     psi = observe(g, realization, schedule, len(nodes) - 1 + draw(st.integers(0, n)))
     return g, sorted(nodes), psi, draw(st.integers(0, 1 << 30))
+
+
+@st.composite
+def coded_states(draw):
+    """Tiny graph (p = 0 and p = 1 edges included) with arbitrary edge
+    codes, observed-live and observed-blocked among them, a random seed
+    set, a sample count and a completion seed."""
+    n = draw(st.integers(2, 7))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=14))
+    probs = draw(st.lists(st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0]),
+                          min_size=len(chosen), max_size=len(chosen)))
+    g = DirectedGraph.build(n, [(u, v, p) for (u, v), p in zip(chosen, probs)])
+    codes = draw(st.lists(st.sampled_from(list(EdgeState)),
+                          min_size=g.edge_count, max_size=g.edge_count))
+    seeds = frozenset(draw(st.lists(st.integers(0, n - 1), max_size=3)))
+    return (g, seeds, PartialRealization(bytes(codes)), draw(st.integers(1, 12)),
+            draw(st.integers(0, 1 << 30)))
 
 
 class TestExactActivation:
@@ -317,6 +336,85 @@ class TestBatchedQueries:
         single = fresh()
         assert fresh().gains(g, seeds, psi, others) == [
             single.gains(g, seeds, psi, [v])[0] for v in others]
+
+
+    @settings(max_examples=120, deadline=None)
+    @given(coded_states())
+    def test_cascades_with_equal_activation_per_candidate(self, state):
+        g, seeds, psi, k, seed = state
+        candidates = list(range(g.node_count))
+        # `activation` never builds closures, so this one propagates
+        propagated = MonteCarloEstimator(k, seed)
+        want = [propagated.activation(g, seeds | {c}, psi).expected_cascade
+                for c in candidates]
+        fresh = MonteCarloEstimator(k, seed)
+        assert fresh.cascades_with(g, seeds, psi, candidates) == want
+        assert fresh._batches.lookup(g, psi.codes) is not None
+        assert fresh.cascades_with(g, seeds, psi, candidates) == want
+        # a cached batch whose `last` holds another seed set
+        est = MonteCarloEstimator(k, seed)
+        est.gains(g, seeds ^ {0}, psi, [])
+        assert est.cascades_with(g, seeds, psi, candidates) == want
+        assert [est.activation(g, seeds | {c}, psi).expected_cascade
+                for c in candidates] == want
+
+        exact = ExactEstimator()
+        assert ExactEstimator().cascades_with(g, seeds, psi, candidates) == [
+            exact.activation(g, seeds | {c}, psi).expected_cascade for c in candidates]
+
+    @settings(max_examples=80, deadline=None)
+    @given(coded_states())
+    def test_epsilon_gains_equal_per_candidate_activations(self, state):
+        # the wrapper's gain, written out as one inner activation per
+        # candidate and the factors drawn with-candidate first, then base
+        g, seeds, psi, k, seed = state
+        candidates = list(range(g.node_count))
+        inner = MonteCarloEstimator(k, seed)
+        factors = EpsilonEstimator(MonteCarloEstimator(k, seed), 0.3, "random", seed)
+        base = inner.activation(g, seeds, psi).expected_cascade
+        want = [inner.activation(g, seeds | {c}, psi).expected_cascade * factors._factor()
+                - base * factors._factor() for c in candidates]
+        wrapped = EpsilonEstimator(MonteCarloEstimator(k, seed), 0.3, "random", seed)
+        assert wrapped.gains(g, seeds, psi, candidates) == want
+
+
+def test_epsilon_gain_scan_reads_one_closure_batch(monkeypatch):
+    # one batch of closures for the scanned state, and no propagation for
+    # f(S) or for any candidate
+    g = generate_graph(60, 240, "erdos-renyi", 40, 7)
+    realization = sample_full_realization(g, 5)
+    psi = observe(g, realization, SeedSchedule(((3, 0), (17, 0))), 2)
+    calls = {"propagate": 0, "closures": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(MonteCarloEstimator, "_propagate",
+                        counted("propagate", MonteCarloEstimator._propagate))
+    monkeypatch.setattr(estimation, "closure_masks",
+                        counted("closures", estimation.closure_masks))
+    wrapped = EpsilonEstimator(MonteCarloEstimator(10, 1), 0.2, "random", 1)
+    candidates = [v for v in range(g.node_count) if v not in (3, 17)]
+    assert len(wrapped.gains(g, [3, 17], psi, candidates)) == len(candidates)
+    assert calls == {"propagate": 0, "closures": 10}
+    assert len(wrapped.inner._batches) == 1
+
+
+@pytest.mark.parametrize("make", [
+    ExactEstimator,
+    lambda: MonteCarloEstimator(10, 1),
+    lambda: EpsilonEstimator(MonteCarloEstimator(10, 1), 0.2, "random", 1),
+    lambda: EpsilonEstimator(ExactEstimator(), 0.2, "adversarial-low", 1),
+], ids=["exact", "mc", "eps-mc", "eps-exact"])
+@pytest.mark.parametrize("query", ["gains", "cascades_with"])
+@pytest.mark.parametrize("bad", [-1, 6])
+def test_out_of_range_candidates_raise_on_every_backend(make, query, bad):
+    g = load_graph("0 1 0.5\n1 2 0.5\n2 3 0.5\n3 4 0.5\n4 5 0.5\n")
+    with pytest.raises(ValueError, match=f"seed node {bad} out of range"):
+        getattr(make(), query)(g, [0], empty_partial(g), [bad, 5])
 
 
 def test_mc_single_node_values_keep_their_bytes():
