@@ -15,7 +15,10 @@ coin. Three backends:
   edge from the snapshot, so every query against the same state reuses
   the same worlds, and different states share their coins (common
   random numbers). Marginal gains are then differences of
-  pointwise-coupled estimates, hence non-negative.
+  pointwise-coupled estimates, hence non-negative. A state scanned for
+  gains holds a closure batch; `activation` there reads the seed unions
+  and the zero set that the batch kept for the last seed set, and walks
+  only from the seeds that set lacks.
 * epsilon wrapper: multiplies each cascade value produced by an inner
   backend by a factor in [1-eps, 1+eps], either drawn uniformly per
   query or pinned to an end of the interval. Its gain scan reads the
@@ -35,7 +38,8 @@ import math
 import random
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from itertools import chain, repeat
+from functools import lru_cache
+from itertools import chain
 
 from ._util import derive_seed
 from .diffusion import EdgeState, PartialRealization, empty_partial
@@ -79,18 +83,29 @@ def zero_probability_set(graph: DirectedGraph, seeds,
     unobserved edges. With no seeds every node qualifies.
     """
     seed_set = _check_state(graph, seeds, partial)
+    return _still_unreached(graph, partial, range(graph.node_count), seed_set)
+
+
+def _still_unreached(graph: DirectedGraph, partial: PartialRealization,
+                     zero, seeds) -> frozenset[int]:
+    """The nodes of `zero` that the seeds do not reach over possible edges
+    (observed-live, or unobserved with p > 0). No possible edge may lead
+    into `zero` from outside it, so the walk never leaves `zero`: the
+    zero set of S + T is this with the zero set of S and the seeds T."""
     live, unobserved = EdgeState.LIVE, EdgeState.UNOBSERVED
     codes, edges, out_edges = partial.codes, graph.edges, graph.out_edges
-    reached = node_mask(seed_set)
-    stack = list(seed_set)
+    left = set(zero)
+    stack = [v for v in seeds if v in left]
+    left.difference_update(stack)
     while stack:
         for idx in out_edges[stack.pop()]:
-            c = codes[idx]
             _, v, p = edges[idx]
-            if (c == live or (c == unobserved and p > 0.0)) and not reached >> v & 1:
-                reached |= 1 << v
-                stack.append(v)
-    return frozenset(v for v in range(graph.node_count) if not reached >> v & 1)
+            if v in left:
+                c = codes[idx]
+                if c == live or (c == unobserved and p > 0.0):
+                    left.remove(v)
+                    stack.append(v)
+    return frozenset(left)
 
 
 def _split_edges(graph: DirectedGraph, partial: PartialRealization, seed_set):
@@ -298,15 +313,42 @@ class ExactEstimator(Estimator):
 
 
 class _Completions:
-    """Per-node closure masks of each completion of one observation state.
-    `last` keeps the latest scan's seed set, per-completion seed unions
-    and base count: a lazy round asks twice for the same seeds."""
+    """Per-node closure masks of each completion of one observation state,
+    and two answers kept for the latest seed set that asked:
 
-    __slots__ = ("closures", "last")
+    * `last`: the seed set, (closure masks, seed union) per completion and
+      the base count (`unions`). The alpha-gate and the gain scan of one
+      round, and a lazy round's second scan, ask for the same seeds.
+    * `reach`: the seed set and its zero set (`zero_set`), the complement
+      of its possible-edge reach. A greedy round asks with one more seed
+      than the last, so the walk starts from the new seeds only and stays
+      inside the stored zero set; any other seed set walks from scratch.
+    """
+
+    __slots__ = ("closures", "last", "reach")
 
     def __init__(self, closures: list[list[int]]):
         self.closures = closures
         self.last: tuple | None = None
+        self.reach: tuple | None = None
+
+    def unions(self, seed_set: frozenset[int]) -> tuple:
+        if self.last is None or self.last[0] != seed_set:
+            pairs = [(masks, closure_union(masks, seed_set)) for masks in self.closures]
+            self.last = (seed_set, pairs, sum(reached.bit_count() for _, reached in pairs))
+        return self.last
+
+    def zero_set(self, graph: DirectedGraph, partial: PartialRealization,
+                 seed_set: frozenset[int]) -> frozenset[int]:
+        """`zero_probability_set` of the seeds on this state."""
+        if self.reach is not None and self.reach[0] <= seed_set:
+            earlier, zero = self.reach
+            if earlier != seed_set:
+                zero = _still_unreached(graph, partial, zero, seed_set - earlier)
+        else:
+            zero = zero_probability_set(graph, seed_set, partial)
+        self.reach = (seed_set, zero)
+        return zero
 
 
 class MonteCarloEstimator(Estimator):
@@ -321,6 +363,10 @@ class MonteCarloEstimator(Estimator):
     pass over the snapshot (`_propagate`). Closures (`_batch`) are built
     only for states scanned for gains, cascades with candidates
     (`cascades_with`, the epsilon wrapper's scan) or single-node values.
+    On a state with closures, `activation` sums the seed unions that the
+    batch keeps for the round's scan (`_Completions.unions`), and its zero
+    set grows the one kept for the last seed set when the seeds contain
+    it (`_Completions.zero_set`).
 
     A batch of completions is a function of the observation alone, never
     of the seed set, so f(S), f(S + v), and every candidate in a
@@ -436,27 +482,22 @@ class MonteCarloEstimator(Estimator):
         seed_set = _check_state(graph, seeds, partial)
         batch = self._batches.lookup(graph, partial.codes)
         # a state scanned for gains already holds closures (every alpha = 0
-        # round, and a round right after a selection); a union of closures
-        # is cheaper there than a propagation. A zero-set node lies in no
-        # completion, so its count is already 0 on both routes.
+        # round, and a round right after a selection); its seed unions and
+        # zero set are kept on the batch for the next query. A zero-set node
+        # lies in no completion, so its count is already 0 on both routes.
         k = self.samples
         if batch is not None:
-            return ActivationEstimate(
-                _coverage_value((closure_union(masks, seed_set) for masks in batch.closures), k),
-                zero_probability_set(graph, seed_set, partial))
+            _, pairs, _ = batch.unions(seed_set)
+            return ActivationEstimate(_coverage_value((reached for _, reached in pairs), k),
+                                      batch.zero_set(graph, partial, seed_set))
         counts, zero = self._propagate(graph, seed_set, partial)
         return ActivationEstimate(math.fsum(c / k for c in counts), zero)
 
     def _seed_unions(self, graph, seeds, partial, candidates):
         """Check the query, then return the state's `batch.last` set for
-        these seeds: (seed set, (closure masks, seed union) per
-        completion, base count)."""
+        these seeds (`_Completions.unions`)."""
         seed_set = _check_state(graph, seeds, partial, candidates)
-        batch = self._batch(graph, partial)
-        if batch.last is None or batch.last[0] != seed_set:
-            pairs = [(masks, closure_union(masks, seed_set)) for masks in batch.closures]
-            batch.last = (seed_set, pairs, sum(reached.bit_count() for _, reached in pairs))
-        return batch.last
+        return self._batch(graph, partial).unions(seed_set)
 
     def cascades_with(self, graph, seeds, partial, candidates):
         _, pairs, _ = self._seed_unions(graph, seeds, partial, candidates)
@@ -477,14 +518,25 @@ class MonteCarloEstimator(Estimator):
         return [_coverage_value(column, self.samples) for column in zip(*closures)]
 
 
+@lru_cache(maxsize=32)
+def _count_terms(k: int, bits: int) -> tuple[int, tuple[int, ...]]:
+    """(shift, terms): terms[c] / 2**shift equals the float c / k exactly,
+    for every count c below 2**bits. For c >= 1 the float c / k >= 1 / k
+    has no bit below 2**-(52 + k.bit_length()), so every term is an
+    integer."""
+    shift = 52 + k.bit_length()
+    return shift, tuple(int(math.ldexp(c / k, shift)) for c in range(1 << bits))
+
+
 def _coverage_value(masks, k: int) -> float:
     """math.fsum of count / k over the nodes, where a node's count is the
     number of masks holding it: equal to fsum(c / k for c in counts).
 
     A carry-save sum of the masks gives bit planes: plane i holds bit i of
     each node's count. The nodes are split plane by plane into groups of
-    equal count, so fsum sees the same multiset of terms without a pass
-    over the nodes of each mask."""
+    equal count. Each group adds its exact scaled term (`_count_terms`)
+    times its size to an integer, which is divided once. fsum and int / int
+    both round the exact sum correctly, so the float is fsum's."""
     planes: list[int] = []
     for carry in masks:
         i = 0
@@ -509,8 +561,8 @@ def _coverage_value(masks, k: int) -> float:
             if nodes ^ high:
                 split.append((count, nodes ^ high))
         groups = split
-    return math.fsum(chain.from_iterable(repeat(count / k, nodes.bit_count())
-                                         for count, nodes in groups))
+    shift, terms = _count_terms(k, len(planes))
+    return sum(terms[count] * nodes.bit_count() for count, nodes in groups) / (1 << shift)
 
 
 _EPS_MODES = ("random", "adversarial-high", "adversarial-low")

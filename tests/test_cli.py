@@ -307,8 +307,8 @@ def test_epsilon_sweep_rows_parse_to_header_width(diamond_path, capsys):
 
 def test_fixed_seed_outputs_keep_their_bytes(tmp_path, capsys, monkeypatch):
     """sha256 of fixed-seed outputs: the enhanced-MC sweep, a cheap
-    evaluate, the eps sweep and the oracle-check report. A refactor keeps
-    them."""
+    evaluate at alpha 0.8 and one at alpha 0, the eps sweep and the
+    oracle-check report. A refactor keeps them."""
     monkeypatch.chdir(tmp_path)
 
     def digests(argv, *files):
@@ -333,6 +333,14 @@ def test_fixed_seed_outputs_keep_their_bytes(tmp_path, capsys, monkeypatch):
         "cheap.transcript.txt") == [
         "fcd043b4cfb9f4c5dfbb2905b418993de9082b884f5b4b9fb86f6727d8942ded",
         "e1a34fc978f8418daac983226d6d4c301593cda31e200d66022f75da65c90317"]
+    # alpha = 0: every cond= and |O|= is an activation on a scanned state
+    assert digests(
+        ["evaluate", "--graph", "g.edges", "--alpha", "0", "--budget", "10",
+         "--policy", "nonuniform", "--estimator", "mc", "--samples", "30",
+         "--realizations", "4", "--seed", "3", "--out", "blind"],
+        "blind.transcript.txt") == [
+        "908ef7f23d418ccff3510e2d3215a58f47dfb574e9a73425f1d01088c3ad0ff1",
+        "20730ffc15b5e7d85b6def4358ddcc0aa48f2284b9cd8571fa70773bc5ce48f1"]
     assert digests(
         ["sweep-alpha", "--graph", "g.edges", "--alpha", "0,0.8,1", "--budget", "3",
          "--policy", "uniform", "--estimator", "mc", "--samples", "20",

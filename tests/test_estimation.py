@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -10,8 +11,9 @@ from pfim.checks import estimator_agreement
 from pfim.diffusion import (EdgeState, PartialRealization, SeedSchedule,
                             empty_partial, observe, sample_full_realization)
 from pfim.estimation import (ActivationEstimate, EpsilonEstimator, ExactEstimator,
-                             InstanceTooLarge, MonteCarloEstimator, _coverage_value,
-                             exact_conditional_activation, zero_probability_set)
+                             InstanceTooLarge, MonteCarloEstimator, _count_terms,
+                             _coverage_value, exact_conditional_activation,
+                             zero_probability_set)
 from pfim.graph import DirectedGraph, generate_graph, load_graph
 from pfim.reach import mask_nodes, reachable_mask
 
@@ -320,9 +322,50 @@ class TestBatchedQueries:
     @example([], 3)
     @example([0, 0, 0], 7)
     @example([(1 << 70) - 1] * 40 + [5] * 23, 63)   # counts 63 and 40: 6 planes
+    @example([(1 << 70) - 1] * 3 + [(1 << 35) - 1] * 2 + [12345], 1000)
+    # node u is in the first u masks: every count from 0 to 30
+    @example([((1 << 31) - 1) ^ ((1 << j + 1) - 1) for j in range(30)], 30)
     def test_bit_sliced_coverage_equals_per_node_fsum(self, masks, k):
         counts = [sum(m >> u & 1 for m in masks) for u in range(70)]
         assert _coverage_value(masks, k) == math.fsum(c / k for c in counts)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 7, 10, 20, 30, 64, 100, 1000, 4097])
+    def test_count_terms_are_the_scaled_quotients(self, k):
+        # counts above k too: a column of masks may hold more than k
+        shift, terms = _count_terms(k, (2 * k).bit_length())
+        assert [Fraction(t, 1 << shift) for t in terms] == [
+            Fraction(c / k) for c in range(len(terms))]
+
+    @settings(max_examples=150, deadline=None)
+    @given(coded_states(),
+           st.lists(st.tuples(st.sampled_from(["activation", "gains", "cascades_with"]),
+                              st.frozensets(st.integers(0, 6), max_size=4)),
+                    max_size=8),
+           st.frozensets(st.integers(0, 6), max_size=4))
+    # the reach stored for {0} covers node 1, which {1} reaches, but not node 0
+    @example((CHAIN, frozenset(), empty_partial(CHAIN), 4, 0),
+             [("activation", frozenset({0}))], frozenset({1}))
+    def test_scanned_state_answers_activation_whatever_came_before(
+            self, state, history, last):
+        # growing, shrinking, disjoint and empty seed sets on one cached
+        # batch leave no trace in the answer: its float and zero set are a
+        # fresh estimator's (which propagates), and the zero set is
+        # `zero_probability_set`'s
+        g, seeds, psi, k, seed = state
+        n = g.node_count
+        est = MonteCarloEstimator(k, seed)
+        est.gains(g, seeds, psi, [])
+        for query, nodes in history:
+            nodes = frozenset(v for v in nodes if v < n)
+            if query == "activation":
+                est.activation(g, nodes, psi)
+            else:
+                getattr(est, query)(g, nodes, psi, [v for v in range(n) if v not in nodes])
+        last = frozenset(v for v in last if v < n)
+        got = est.activation(g, last, psi)
+        assert len(est._batches) == 1
+        assert got == MonteCarloEstimator(k, seed).activation(g, last, psi)
+        assert got.zero_set == zero_probability_set(g, last, psi)
 
     @settings(max_examples=80, deadline=None)
     @given(observed_states())
@@ -380,11 +423,13 @@ class TestBatchedQueries:
 
 def test_epsilon_gain_scan_reads_one_closure_batch(monkeypatch):
     # one batch of closures for the scanned state, and no propagation for
-    # f(S) or for any candidate
+    # f(S) or for any candidate. In the next round the alpha-gate's query
+    # on one more seed walks from that seed alone, and the scan's f(S)
+    # then reads the gate's unions and zero set: no union, no walk
     g = generate_graph(60, 240, "erdos-renyi", 40, 7)
     realization = sample_full_realization(g, 5)
     psi = observe(g, realization, SeedSchedule(((3, 0), (17, 0))), 2)
-    calls = {"propagate": 0, "closures": 0}
+    calls = {"propagate": 0, "closures": 0, "unions": 0, "zero sets": 0, "walks": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -392,15 +437,27 @@ def test_epsilon_gain_scan_reads_one_closure_batch(monkeypatch):
             return fn(*args)
         return wrapper
 
+    # a zero set from scratch is a `zero_probability_set` call; every walk,
+    # from scratch or from new seeds, is a `_still_unreached` call
     monkeypatch.setattr(MonteCarloEstimator, "_propagate",
                         counted("propagate", MonteCarloEstimator._propagate))
-    monkeypatch.setattr(estimation, "closure_masks",
-                        counted("closures", estimation.closure_masks))
+    for counter, name in [("closures", "closure_masks"), ("unions", "closure_union"),
+                          ("zero sets", "zero_probability_set"),
+                          ("walks", "_still_unreached")]:
+        monkeypatch.setattr(estimation, name, counted(counter, getattr(estimation, name)))
     wrapped = EpsilonEstimator(MonteCarloEstimator(10, 1), 0.2, "random", 1)
     candidates = [v for v in range(g.node_count) if v not in (3, 17)]
     assert len(wrapped.gains(g, [3, 17], psi, candidates)) == len(candidates)
-    assert calls == {"propagate": 0, "closures": 10}
+    assert calls == {"propagate": 0, "closures": 10, "unions": 10, "zero sets": 1,
+                     "walks": 1}
     assert len(wrapped.inner._batches) == 1
+
+    seeds = [3, 17, candidates[0]]
+    wrapped.activation(g, seeds, psi)
+    after_gate = {"propagate": 0, "closures": 10, "unions": 20, "zero sets": 1, "walks": 2}
+    assert calls == after_gate
+    assert len(wrapped.gains(g, seeds, psi, candidates[1:])) == len(candidates) - 1
+    assert calls == after_gate
 
 
 @pytest.mark.parametrize("make", [
