@@ -90,8 +90,8 @@ def _still_unreached(graph: DirectedGraph, partial: PartialRealization,
                      zero, seeds) -> frozenset[int]:
     """The nodes of `zero` that the seeds do not reach over possible edges
     (observed-live, or unobserved with p > 0). No possible edge may lead
-    into `zero` from outside it, so the walk never leaves `zero`: the
-    zero set of S + T is this with the zero set of S and the seeds T."""
+    into `zero` from outside it, so the walk never leaves `zero`. Given
+    the zero set of S and the seeds T, this is the zero set of S + T."""
     live, unobserved = EdgeState.LIVE, EdgeState.UNOBSERVED
     codes, edges, out_edges = partial.codes, graph.edges, graph.out_edges
     left = set(zero)
@@ -319,18 +319,19 @@ class _Completions:
     * `last`: the seed set, (closure masks, seed union) per completion and
       the base count (`unions`). The alpha-gate and the gain scan of one
       round, and a lazy round's second scan, ask for the same seeds.
-    * `reach`: the seed set and its zero set (`zero_set`), the complement
-      of its possible-edge reach. A greedy round asks with one more seed
-      than the last, so the walk starts from the new seeds only and stays
-      inside the stored zero set; any other seed set walks from scratch.
+    * `last_zero`: the seed set and its zero set (`zero_set`), the
+      complement of its possible-edge reach. A greedy round asks with one
+      more seed than the last, so the walk starts from the new seeds only
+      and stays inside the kept zero set; any other seed set walks from
+      scratch.
     """
 
-    __slots__ = ("closures", "last", "reach")
+    __slots__ = ("closures", "last", "last_zero")
 
     def __init__(self, closures: list[list[int]]):
         self.closures = closures
         self.last: tuple | None = None
-        self.reach: tuple | None = None
+        self.last_zero: tuple | None = None
 
     def unions(self, seed_set: frozenset[int]) -> tuple:
         if self.last is None or self.last[0] != seed_set:
@@ -341,13 +342,13 @@ class _Completions:
     def zero_set(self, graph: DirectedGraph, partial: PartialRealization,
                  seed_set: frozenset[int]) -> frozenset[int]:
         """`zero_probability_set` of the seeds on this state."""
-        if self.reach is not None and self.reach[0] <= seed_set:
-            earlier, zero = self.reach
+        if self.last_zero is not None and self.last_zero[0] <= seed_set:
+            earlier, zero = self.last_zero
             if earlier != seed_set:
                 zero = _still_unreached(graph, partial, zero, seed_set - earlier)
         else:
             zero = zero_probability_set(graph, seed_set, partial)
-        self.reach = (seed_set, zero)
+        self.last_zero = (seed_set, zero)
         return zero
 
 

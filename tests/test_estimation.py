@@ -342,7 +342,7 @@ class TestBatchedQueries:
                               st.frozensets(st.integers(0, 6), max_size=4)),
                     max_size=8),
            st.frozensets(st.integers(0, 6), max_size=4))
-    # the reach stored for {0} covers node 1, which {1} reaches, but not node 0
+    # the zero set kept for {0} is empty; the one of {1} holds node 0
     @example((CHAIN, frozenset(), empty_partial(CHAIN), 4, 0),
              [("activation", frozenset({0}))], frozenset({1}))
     def test_scanned_state_answers_activation_whatever_came_before(
