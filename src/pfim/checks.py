@@ -5,10 +5,9 @@ measurement; the caller owns its instances, its floor and its report."""
 import math
 from fractions import Fraction
 
-from .diffusion import empty_partial, live_subgraph, observe
+from .diffusion import empty_partial, live_adjacency, observe
 from .estimation import (EpsilonEstimator, ExactEstimator, MonteCarloEstimator,
                          exact_conditional_activation)
-from .graph import diameter
 from .oracles import evaluate_policy_exact, optimal_full_feedback_adaptive
 from .policies import PolicyConfig, run_policy
 
@@ -95,12 +94,28 @@ def estimator_agreement(graph, seeds, partial, samples: int,
     return off, zero == frozenset(v for v, p in enumerate(exact) if p == 0.0)
 
 
+def _deepest_live_layer(adjacency, seed: int) -> int:
+    """Index of the last nonempty breadth-first layer from ``seed``."""
+    seen, frontier, depth = {seed}, [seed], -1
+    while frontier:
+        depth += 1
+        nxt = []
+        for x in frontier:
+            for y in adjacency[x]:
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return depth
+
+
 def observation_violations(graph, realization, schedule, slots, far: int) -> int:
     """Observation invariants broken in one world. Each state observed at
     ``slots`` (ascending) is consistent with the world and contained in the
-    next. The revealed set freezes once the realized cascade has run its
-    course, a horizon set by the live component rather than the full graph:
-    the state there equals the state ``far`` slots later."""
+    next. Hop h of a seed's walk reveals the edges leaving its live layer
+    h - 1, so the revealed set is complete one slot after every seed's walk
+    reaches its deepest live layer: the state there equals the state
+    ``far`` slots later."""
     violations = 0
     previous = None
     for t in slots:
@@ -108,8 +123,9 @@ def observation_violations(graph, realization, schedule, slots, far: int) -> int
         violations += not psi.is_consistent_with(realization)
         violations += previous is not None and not previous.is_subset_of(psi)
         previous = psi
-    settle = (max(slot for _, slot in schedule.entries)
-              + diameter(live_subgraph(graph, realization)) + 1)
+    live = live_adjacency(graph, realization)
+    settle = max(slot + _deepest_live_layer(live, seed) + 1
+                 for seed, slot in schedule.entries)
     settled = observe(graph, realization, schedule, settle)
     return violations + (settled.codes != observe(graph, realization, schedule,
                                                   settle + far).codes)

@@ -22,13 +22,13 @@ from ._util import derive_seed, fmt_g
 from . import bounds as bounds_mod
 from . import checks
 from .diffusion import SeedSchedule, empty_partial, sample_full_realization
-from .estimation import (EpsilonEstimator, Estimator, ExactEstimator,
+from .estimation import (EPS_MODES, EpsilonEstimator, Estimator, ExactEstimator,
                          InstanceTooLarge, MonteCarloEstimator)
 from .graph import (DirectedGraph, GraphFormatError, assign_trivalency_probabilities,
                     edge_list_text, generate_graph, load_graph)
 from .oracles import (ENUMERATION_EDGE_LIMIT, evaluate_policy_exact,
                       evaluate_policy_sampled, sampled_world)
-from .policies import PolicyConfig, run_policy, transcript_lines
+from .policies import POLICY_KINDS, PolicyConfig, run_policy, transcript_lines
 
 CSV_HEADER = ("alpha,budget,i,policy,estimator,realizations,"
               "mean_spread,stderr,mean_slots,mean_seeds,rng_seed")
@@ -152,7 +152,7 @@ def _build_estimator(args) -> tuple[Estimator, str]:
         raise _config_error("epsilon", f"{epsilon:g} outside [0, 1)")
     if epsilon > 0.0:
         mode = str(_merged(args, "eps_mode", "random"))
-        if mode not in ("random", "adversarial-high", "adversarial-low"):
+        if mode not in EPS_MODES:
             raise _config_error("eps_mode", f"unknown mode {mode!r}")
         est = EpsilonEstimator(est, epsilon, mode, 0)
     return est, est.tag
@@ -209,7 +209,7 @@ def _threads() -> int:
 
 def _policy_name(args) -> str:
     name = str(_merged(args, "policy", "enhanced"))
-    if name not in ("uniform", "nonuniform", "enhanced"):
+    if name not in POLICY_KINDS:
         raise _config_error("policy", f"unknown policy {name!r}")
     return name
 
@@ -450,12 +450,11 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--samples", help="monte carlo samples per estimate")
     parser.add_argument("--estimator", help="exact | mc | mc:<samples>")
     parser.add_argument("--epsilon", help="perturbation magnitude")
-    parser.add_argument("--eps-mode", dest="eps_mode",
-                        help="random | adversarial-high | adversarial-low")
+    parser.add_argument("--eps-mode", dest="eps_mode", help=" | ".join(EPS_MODES))
     parser.add_argument("--realizations", help="sampled worlds per cell")
     parser.add_argument("--seed", help="base rng seed")
     parser.add_argument("--out", help="output path")
-    parser.add_argument("--policy", help="uniform | nonuniform | enhanced")
+    parser.add_argument("--policy", help=" | ".join(POLICY_KINDS))
 
 
 def build_parser() -> argparse.ArgumentParser:

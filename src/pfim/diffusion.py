@@ -39,9 +39,9 @@ class PartialRealization:
     codes: bytes
 
     def __post_init__(self):
-        for c in self.codes:
-            if c not in (0, 1, 2):
-                raise ValueError(f"invalid edge state code {c}")
+        bad = self.codes.translate(None, b"\x00\x01\x02")
+        if bad:
+            raise ValueError(f"invalid edge state code {bad[0]}")
 
     def is_subset_of(self, other: "PartialRealization") -> bool:
         """True if every edge observed here is observed identically there."""
@@ -53,16 +53,8 @@ class PartialRealization:
                    for k, c in enumerate(self.codes))
 
 
-def _valid_partial(codes: bytes) -> PartialRealization:
-    """A PartialRealization over codes that are valid by construction,
-    without the public constructor's per-byte check."""
-    partial = object.__new__(PartialRealization)
-    object.__setattr__(partial, "codes", codes)
-    return partial
-
-
 def empty_partial(graph: DirectedGraph) -> PartialRealization:
-    return _valid_partial(bytes([EdgeState.UNOBSERVED]) * graph.edge_count)
+    return PartialRealization(bytes([EdgeState.UNOBSERVED]) * graph.edge_count)
 
 
 @dataclass(frozen=True)
@@ -113,12 +105,6 @@ def live_adjacency(graph: DirectedGraph, realization: FullRealization) -> list[l
     return adj
 
 
-def live_subgraph(graph: DirectedGraph, realization: FullRealization) -> DirectedGraph:
-    """The graph restricted to live edges (probabilities kept)."""
-    kept = [e for k, e in enumerate(graph.edges) if realization.live[k]]
-    return DirectedGraph(graph.node_count, tuple(kept), graph.costs, graph.external_ids)
-
-
 def observe(graph: DirectedGraph, realization: FullRealization,
             schedule: SeedSchedule, current_slot: int) -> PartialRealization:
     """Partial realization visible at current_slot under the given seeds.
@@ -155,7 +141,7 @@ def observe(graph: DirectedGraph, realization: FullRealization,
                     else:
                         codes[idx] = EdgeState.BLOCKED
             frontier = nxt
-    return _valid_partial(bytes(codes))
+    return PartialRealization(bytes(codes))
 
 
 def cascade_size(graph: DirectedGraph, realization: FullRealization, seeds) -> int:

@@ -566,7 +566,7 @@ def _coverage_value(masks, k: int) -> float:
     return sum(terms[count] * nodes.bit_count() for count, nodes in groups) / (1 << shift)
 
 
-_EPS_MODES = ("random", "adversarial-high", "adversarial-low")
+EPS_MODES = ("random", "adversarial-high", "adversarial-low")
 
 
 class EpsilonEstimator(Estimator):
@@ -581,7 +581,7 @@ class EpsilonEstimator(Estimator):
     def __init__(self, inner: Estimator, epsilon: float, mode: str, rng_seed: int = 0):
         if not (0.0 <= epsilon < 1.0):
             raise ValueError("epsilon must lie in [0, 1)")
-        if mode not in _EPS_MODES:
+        if mode not in EPS_MODES:
             raise ValueError(f"unknown perturbation mode {mode!r}")
         self.inner = inner
         self.epsilon = epsilon

@@ -103,11 +103,6 @@ class DirectedGraph:
             buckets[e.source].append(idx)
         return tuple(tuple(b) for b in buckets)
 
-    @cached_property
-    def successors(self) -> tuple[tuple[int, ...], ...]:
-        """Target nodes per node, following edge index order."""
-        return tuple(tuple(self.edges[i].target for i in out) for out in self.out_edges)
-
     def with_probabilities(self, probabilities: Iterable[float]) -> "DirectedGraph":
         ps = tuple(float(p) for p in probabilities)
         if len(ps) != self.edge_count:
@@ -254,38 +249,6 @@ def assign_trivalency_probabilities(graph: DirectedGraph, i: int,
     rng = random.Random(rng_seed)
     ps = [hi if rng.random() < 0.5 else lo for _ in range(graph.edge_count)]
     return graph.with_probabilities(ps)
-
-
-# ---------------------------------------------------------------------------
-# metrics
-
-
-def diameter(graph: DirectedGraph) -> int:
-    """Longest shortest-path hop count over ordered reachable pairs.
-
-    Unreachable pairs are ignored, so the value is finite on disconnected
-    graphs; an edgeless graph has diameter 0.
-    """
-    n = graph.node_count
-    best = 0
-    succ = graph.successors
-    for start in range(n):
-        dist = [-1] * n
-        dist[start] = 0
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                du = dist[u]
-                for v in succ[u]:
-                    if dist[v] < 0:
-                        dist[v] = du + 1
-                        nxt.append(v)
-            frontier = nxt
-        reached_max = max(dist)
-        if reached_max > best:
-            best = reached_max
-    return best
 
 
 # ---------------------------------------------------------------------------

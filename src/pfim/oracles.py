@@ -1,4 +1,4 @@
-"""Ground-truth evaluation: exact policy values and brute-force optima.
+"""Ground-truth evaluation: exact policy values and a brute-force optimum.
 
 Both exact referees walk one world table (`_enumerate_worlds`), where a
 seed set's reach in a world is a union of closure masks. The table is
@@ -12,28 +12,24 @@ the run tree branches only where observations actually differ. That tree
 walk is the loop a live run uses (`policies._greedy_runs`): a live run
 is one of its branches.
 
-The non-adaptive optimum scores every affordable seed set; the
-full-feedback adaptive optimum does backward induction over observation
-states on deliberately tiny instances. Both are meant as referees for
-the policies, not as scalable solvers.
+The full-feedback adaptive optimum does backward induction over
+observation states on deliberately tiny instances. It is meant as a
+referee for the policies, not as a scalable solver.
 """
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 from ._util import derive_seed
-from .diffusion import (FullRealization, empty_partial, live_adjacency,
-                        sample_full_realization)
+from .diffusion import FullRealization, live_adjacency, sample_full_realization
 from .estimation import (Estimator, ExactEstimator, InstanceTooLarge, _assignments,
-                         _GraphCache, exact_conditional_activation)
+                         _GraphCache)
 from .graph import DirectedGraph, _as_fraction
 from .policies import (PolicyConfig, PolicyRun, _affordable_single_node, _GreedyCore,
                        _greedy_runs, run_policy)
 from .reach import closure_masks, closure_union, mask_nodes
 
 ENUMERATION_EDGE_LIMIT = 22          # 2^|E| realizations
-NONADAPTIVE_WORK_LIMIT = 1 << 24     # sum of C(n, s) * 2^|E| over sizes s <= B / c_min
 
 
 @dataclass(frozen=True)
@@ -135,17 +131,20 @@ def evaluate_policy_sampled(graph: DirectedGraph, config: PolicyConfig,
     worlds. World index w uses the stream derived from (rng_seed, "world",
     w), so results do not depend on scheduling and different base seeds
     share no worlds; integer totals are summed before any division. The
-    run on world 0 comes back whole, from a pool worker too."""
+    run on world 0 comes back whole, from a pool worker too. At most one
+    worker per world is started."""
     if realizations < 1:
         raise ValueError("need at least one realization")
     jobs = [(graph, config, estimator, rng_seed, w) for w in range(realizations)]
-    if threads > 1:
+    # a fork-started pool starts all its workers at once, busy or not
+    workers = min(threads, realizations)
+    if workers > 1:
         # imported here: it loads multiprocessing, about 30 ms of start-up
         # that single-process runs do not need
         from concurrent.futures import ProcessPoolExecutor
         # one chunk per worker, so each runs an even share of the worlds
-        chunk = -(-realizations // threads)
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        chunk = -(-realizations // workers)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_world_outcome, jobs, chunksize=chunk))
     else:
         outcomes = [_world_outcome(j) for j in jobs]
@@ -160,33 +159,6 @@ def evaluate_policy_sampled(graph: DirectedGraph, config: PolicyConfig,
     else:
         stderr = 0.0
     return SampledEvaluation(mean, stderr, slot_sum / k, seed_sum / k, k, runs[0])
-
-
-def optimal_nonadaptive(graph: DirectedGraph, budget) -> tuple[frozenset[int], float]:
-    """Best fixed seed set by exhaustive search, ties to the
-    lexicographically smallest set."""
-    frac_budget = _as_fraction(budget)
-    if frac_budget <= 0:
-        raise ValueError("budget must be positive")
-    n = graph.node_count
-    cap = min(n, int(frac_budget // min(graph.costs)) if n else 0)
-    sets = 0
-    for size in range(1, cap + 1):
-        sets += math.comb(n, size)
-        if sets << graph.edge_count > NONADAPTIVE_WORK_LIMIT:
-            raise InstanceTooLarge("non-adaptive search space exceeds the work guard")
-
-    empty = empty_partial(graph)
-    best_set: tuple[int, ...] = ()
-    best_value = 0.0
-    for size in range(1, cap + 1):
-        for combo in combinations(range(n), size):
-            if sum(graph.costs[v] for v in combo) > frac_budget:
-                continue
-            value = math.fsum(exact_conditional_activation(graph, combo, empty))
-            if value > best_value or (value == best_value and combo < best_set):
-                best_set, best_value = combo, value
-    return frozenset(best_set), best_value
 
 
 def optimal_full_feedback_adaptive(graph: DirectedGraph, budget) -> float:

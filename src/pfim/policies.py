@@ -68,6 +68,9 @@ class PolicyRun:
     arm: str | None = None           # enhanced only: "single" or "greedy"
 
 
+POLICY_KINDS = ("uniform", "nonuniform", "enhanced")
+
+
 @dataclass(frozen=True)
 class PolicyConfig:
     kind: str
@@ -77,7 +80,7 @@ class PolicyConfig:
     def __post_init__(self):
         # exact budget arithmetic from here on, whatever number was given
         object.__setattr__(self, "budget", Fraction(self.budget))
-        if self.kind not in ("uniform", "nonuniform", "enhanced"):
+        if self.kind not in POLICY_KINDS:
             raise ValueError(f"unknown policy kind {self.kind!r}")
         if not (0.0 <= self.alpha <= 1.0):
             raise ValueError("alpha must lie in [0, 1]")

@@ -17,6 +17,13 @@ from bruteforce import greedy_nonadaptive_uniform
 
 DIAMOND = load_graph("0 1 0.5\n0 2 0.5\n1 3 0.5\n2 3 0.5\n")
 CHAIN = load_graph("0 1 1\n1 2 1\n2 3 1\n")
+# the chain beside a longer live path 4->8: the live diameter, 4, would put
+# the horizon a slot late
+BESIDE_LONGER = load_graph("0 1 1\n1 2 1\n2 3 1\n4 5 1\n5 6 1\n6 7 1\n7 8 1\n")
+# the chain and node 4 without edges: a seed there at slot 2 settles at
+# once, so the horizon is a max over seeds, not the last slot plus the
+# deepest layer
+CHAIN_AND_ISLE = load_graph("# nodes=5\n0 1 1\n1 2 1\n2 3 1\n")
 
 
 def test_guarantee_ratio_drops_with_a_scaled_policy_value(monkeypatch):
@@ -63,22 +70,26 @@ def test_estimator_agreement_flags_a_shifted_estimate_and_zero_set(monkeypatch):
     assert checks.estimator_agreement(g, [0], empty_partial(g), 4000, 3) == (3, False)
 
 
-@pytest.mark.parametrize("edge, code, slots", [
-    (0, EdgeState.UNOBSERVED, range(3, 9)),   # forgets a revealed edge
-    (0, EdgeState.BLOCKED, range(9)),         # contradicts the world
-    (2, EdgeState.UNOBSERVED, range(6)),      # still changing past the horizon
-], ids=["forgets", "contradicts", "late"])
-def test_observation_violations_flag_a_wrong_observe(monkeypatch, edge, code, slots):
-    # every chain edge live, seed 0 at slot 0: settled at slot 4, compared at 7
-    world, schedule = FullRealization((True,) * 3), SeedSchedule(((0, 0),))
-    assert checks.observation_violations(CHAIN, world, schedule, range(6), 3) == 0
+@pytest.mark.parametrize("graph, entries, edge, code, wrong, slots", [
+    (CHAIN, ((0, 0),), 0, EdgeState.UNOBSERVED, range(3, 9), range(6)),
+    (CHAIN, ((0, 0),), 0, EdgeState.BLOCKED, range(9), range(6)),
+    (CHAIN, ((0, 0),), 2, EdgeState.UNOBSERVED, range(6), range(6)),
+    (BESIDE_LONGER, ((0, 0),), 2, EdgeState.UNOBSERVED, (4,), ()),
+    (CHAIN_AND_ISLE, ((0, 0), (4, 2)), 2, EdgeState.UNOBSERVED, (4, 5), ()),
+], ids=["forgets", "contradicts", "late", "late-beside-a-longer-path", "late-two-seeds"])
+def test_observation_violations_flag_a_wrong_observe(monkeypatch, graph, entries, edge,
+                                                     code, wrong, slots):
+    # every edge live, seed 0 at slot 0 on the chain 0->1->2->3: the edge
+    # 2->3 shows at slot 3, and the state settles at slot 4, compared at 7
+    world, schedule = FullRealization((True,) * graph.edge_count), SeedSchedule(entries)
+    assert checks.observation_violations(graph, world, schedule, slots, 3) == 0
     real = checks.observe
 
-    def wrong(graph, realization, sched, t):
-        codes = bytearray(real(graph, realization, sched, t).codes)
-        if t in slots:
+    def wrong_observe(g, realization, sched, t):
+        codes = bytearray(real(g, realization, sched, t).codes)
+        if t in wrong:
             codes[edge] = code
         return PartialRealization(bytes(codes))
 
-    monkeypatch.setattr(checks, "observe", wrong)
-    assert checks.observation_violations(CHAIN, world, schedule, range(6), 3) > 0
+    monkeypatch.setattr(checks, "observe", wrong_observe)
+    assert checks.observation_violations(graph, world, schedule, slots, 3) > 0

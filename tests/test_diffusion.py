@@ -90,7 +90,7 @@ class TestObserve:
                 want = naive_observe(g, realization, schedule, t)
                 assert got.codes == want.codes, (seed, t)
 
-    def test_settles_within_live_diameter(self):
+    def test_settles_after_the_deepest_live_layer(self):
         for seed in range(120):
             g, realization, schedule = random_instance(seed)
             # with no slots listed, only the settled state is compared
@@ -137,9 +137,13 @@ class TestPartialRealization:
     def test_rejects_bad_codes(self):
         with pytest.raises(ValueError):
             PartialRealization(b"\x03")
+        # the message names the first bad byte, after valid ones
+        with pytest.raises(ValueError, match="^invalid edge state code 7$"):
+            PartialRealization(bytes([0, 1, 2, 7, 2, 9]))
 
     def test_built_states_equal_checked_ones(self):
-        # observe and empty_partial skip the constructor's check
+        # states that observe and empty_partial build equal those rebuilt
+        # from their codes
         g, realization, schedule = random_instance(4)
         t = max(s for _, s in schedule.entries) + 2
         for psi in (empty_partial(g), observe(g, realization, schedule, t)):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pfim.graph import (DirectedGraph, Edge, GraphFormatError,
-                        assign_trivalency_probabilities, diameter, edge_list_text,
+                        assign_trivalency_probabilities, edge_list_text,
                         generate_graph, load_graph)
 
 
@@ -143,18 +143,3 @@ class TestGenerateGraph:
     def test_unknown_model(self):
         with pytest.raises(ValueError):
             generate_graph(3, 2, "small-world", 1, 0)
-
-
-class TestDiameter:
-    def test_chain(self):
-        g = load_graph("0 1 1\n1 2 1\n2 3 1\n")
-        assert diameter(g) == 3
-
-    def test_unreachable_pairs_ignored(self):
-        g = load_graph("# nodes=4\n0 1 1\n")
-        assert diameter(g) == 1
-
-    def test_no_edges(self):
-        g = load_graph("# nodes=3\n")
-        assert diameter(g) == 0
-

@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 from dataclasses import replace
 from fractions import Fraction
@@ -10,7 +11,7 @@ from pfim.diffusion import sample_full_realization
 from pfim.estimation import ExactEstimator, InstanceTooLarge, MonteCarloEstimator
 from pfim.graph import DirectedGraph, generate_graph, load_graph
 from pfim.oracles import (evaluate_policy_exact, evaluate_policy_sampled,
-                          optimal_full_feedback_adaptive, optimal_nonadaptive)
+                          optimal_full_feedback_adaptive)
 from pfim.policies import PolicyConfig, run_policy
 
 from bruteforce import (bfs_cascade, best_seed_set_exhaustive, full_feedback_optimum,
@@ -175,6 +176,32 @@ class TestSampledEvaluation:
         b = evaluate_policy_sampled(DIAMOND, cfg, 40, 3, ExactEstimator(), threads=2)
         assert a == b
 
+    def test_pool_gets_no_more_workers_than_worlds(self, monkeypatch):
+        # a fork-started pool starts all its workers at once: record the
+        # size asked for and map in this process, starting none
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs, chunksize):
+                return map(fn, jobs)
+
+        cfg = PolicyConfig("uniform", 0.5, Fraction(2))
+        serial = evaluate_policy_sampled(DIAMOND, cfg, 3, 5, MonteCarloEstimator(20, 1))
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        pooled = evaluate_policy_sampled(DIAMOND, cfg, 3, 5, MonteCarloEstimator(20, 1),
+                                         threads=64)
+        assert sizes == [3]
+        assert pooled == serial
+
     def test_single_sample_has_zero_stderr(self):
         cfg = PolicyConfig("uniform", 0.0, Fraction(1))
         result = evaluate_policy_sampled(DIAMOND, cfg, 1, 0, ExactEstimator())
@@ -233,37 +260,6 @@ class TestSampledEvaluation:
                 else:
                     worst = max(worst, gap / sampled.std_error)
         assert worst <= 4.0
-
-
-class TestNonadaptiveOptimum:
-    def test_matches_exhaustive_search(self):
-        for g in tiny_instances(5, 700, max_edges=7):
-            best_set, best_value = optimal_nonadaptive(g, Fraction(2))
-            want_set, want_value = best_seed_set_exhaustive(g, Fraction(2))
-            assert best_value == pytest.approx(want_value, abs=1e-9)
-            assert best_set == want_set
-
-    def test_respects_costs(self):
-        g = DIAMOND.with_costs(tuple(Fraction(c) for c in (10, 1, 1, 1)))
-        best_set, _ = optimal_nonadaptive(g, Fraction(3))
-        assert 0 not in best_set
-
-    def test_single_node_budget(self):
-        best_set, value = optimal_nonadaptive(DIAMOND, Fraction(1))
-        assert best_set == {0}
-        assert value == pytest.approx(2.4375, abs=1e-12)
-
-    def test_guard_counts_every_affordable_size(self, monkeypatch):
-        # one unit of budget buys up to 10 nodes of cost 1/10: 53,009,101
-        # seed sets of sizes 1 to 10, not C(30, 1) = 30
-        g = DirectedGraph.build(30, [(0, 1, 0.5), (1, 2, 0.5)], [Fraction(1, 10)] * 30)
-
-        def search_started(*args):
-            raise AssertionError("the search started")
-
-        monkeypatch.setattr(oracles, "exact_conditional_activation", search_started)
-        with pytest.raises(InstanceTooLarge):
-            optimal_nonadaptive(g, Fraction(1))
 
 
 class TestWorldTable:

@@ -343,7 +343,7 @@ class TestStallGuard:
             run = run_policy(g, PolicyConfig("uniform", 1.0, 2),
                              real, ExactEstimator(), 0)
             waits = [r for r in run.rounds if r.action == "wait"]
-            # settling takes at most the live diameter, far below the guard
+            # settled one slot past the deepest live layer, far below the guard
             assert len(waits) <= 2 * g.node_count
 
 
