@@ -1,13 +1,15 @@
 """Command-line harness: experiment sweeps, single evaluations, oracle
 self-checks, bound calculators, and synthetic graph generation.
 
-Every command takes its settings from flags, optionally seeded by a flat
-key-value config file (``key = value`` lines, ``#`` comments); a flag
-given on the command line overrides the file. Errors come out on stderr
-as a single machine-parseable line ``error: <code>: <message>`` with a
-nonzero exit status. The PFIM_THREADS environment variable caps how many
-worker processes the realization loops may use (default 1); results are
-identical regardless because per-world streams are indexed, not shared.
+Each command takes only the options it reads (`_OPTIONS`). An option
+left off the command line comes from a flat key-value config file
+(``key = value`` lines, ``#`` comments) when one is given, else from
+its default in that table. Errors, usage errors included, come out on
+stderr as a single machine-parseable line ``error: <code>: <message>``
+with a nonzero exit status. The PFIM_THREADS environment variable caps
+how many worker processes the realization loops may use (default 1);
+results are identical regardless because per-world streams are
+indexed, not shared.
 """
 
 import argparse
@@ -26,9 +28,8 @@ from .estimation import (EPS_MODES, EpsilonEstimator, Estimator, ExactEstimator,
                          InstanceTooLarge, MonteCarloEstimator)
 from .graph import (DirectedGraph, GraphFormatError, assign_trivalency_probabilities,
                     edge_list_text, generate_graph, load_graph)
-from .oracles import (ENUMERATION_EDGE_LIMIT, evaluate_policy_exact,
-                      evaluate_policy_sampled, sampled_world)
-from .policies import POLICY_KINDS, PolicyConfig, run_policy, transcript_lines
+from .oracles import ENUMERATION_EDGE_LIMIT, evaluate_policy_exact, evaluate_policy_sampled
+from .policies import POLICY_KINDS, PolicyConfig, transcript_lines
 
 CSV_HEADER = ("alpha,budget,i,policy,estimator,realizations,"
               "mean_spread,stderr,mean_slots,mean_seeds,rng_seed")
@@ -47,8 +48,22 @@ def _config_error(field: str, problem: str) -> CliError:
 # config assembly
 
 
-_CONFIG_KEYS = {"graph", "costs", "alpha", "budget", "i", "samples", "estimator",
-                "epsilon", "eps_mode", "realizations", "seed", "out", "policy"}
+# the options each subcommand reads, with the default of each; None is
+# unset. `samples` stays unset so that an explicit count can be told
+# from the 1000 that `_build_estimator` falls back to.
+_EXPERIMENT = {"graph": None, "costs": None, "alpha": "0", "budget": "1", "i": None,
+               "samples": None, "estimator": "mc", "epsilon": 0.0, "eps_mode": "random",
+               "realizations": 100, "seed": 0, "out": None, "policy": "enhanced"}
+_OPTIONS = {
+    "sweep-alpha": _EXPERIMENT,
+    "evaluate": _EXPERIMENT,
+    "oracle-check": {"graph": None, "costs": None, "i": None, "seed": 7},
+    "bound": {"alpha": "1", "epsilon": 0.0, "budget": None, "n": None, "f_star": None,
+              "c_max": None, "c_min": None},
+    "gen-graph": {"nodes": None, "edges": None, "i": 1, "seed": 0, "out": None},
+}
+# a config file may serve several subcommands: each reads its own keys
+_CONFIG_KEYS = frozenset(_EXPERIMENT)
 
 
 def _read_text(path, what: str) -> str:
@@ -61,11 +76,10 @@ def _read_text(path, what: str) -> str:
 
 def _write_output(args, text: str):
     """Write to --out if given, else to stdout."""
-    out = _merged(args, "out")
-    if out is None:
+    if args.out is None:
         sys.stdout.write(text)
     else:
-        with open(str(out), "w", encoding="utf-8", newline="\n") as fh:
+        with open(str(args.out), "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
 
 
@@ -84,13 +98,6 @@ def _read_config_file(path: str) -> dict:
             raise _config_error(path, f"unknown key {key!r} on line {lineno}")
         values[key] = value.strip()
     return values
-
-
-def _merged(args: argparse.Namespace, key: str, fallback=None):
-    explicit = getattr(args, key, None)
-    if explicit is not None:
-        return explicit
-    return getattr(args, "_file_values", {}).get(key, fallback)
 
 
 def _parse_list(field: str, text, parse, problem) -> list:
@@ -129,29 +136,28 @@ def _parse_int(field: str, text, minimum: int) -> int:
 
 
 def _build_estimator(args) -> tuple[Estimator, str]:
-    spec = str(_merged(args, "estimator", "mc")).strip()
-    samples = _parse_int("samples", _merged(args, "samples", 1000), 1)
+    spec = str(args.estimator).strip()
+    samples = _parse_int("samples", 1000 if args.samples is None else args.samples, 1)
     if spec == "exact":
         est: Estimator = ExactEstimator()
     elif spec == "mc":
         est = MonteCarloEstimator(samples, 0)
     elif spec.startswith("mc:"):
         spec_samples = _parse_int("estimator", spec[3:], 1)
-        if _merged(args, "samples") is not None and samples != spec_samples:
+        if args.samples is not None and samples != spec_samples:
             raise _config_error("samples", f"{samples} differs from the {spec_samples} "
                                            f"of estimator {spec!r}")
         est = MonteCarloEstimator(spec_samples, 0)
     else:
         raise _config_error("estimator", f"unknown spec {spec!r}")
-    raw_eps = _merged(args, "epsilon", 0.0)
     try:
-        epsilon = float(raw_eps)
+        epsilon = float(args.epsilon)
     except ValueError:
-        raise _config_error("epsilon", f"{raw_eps!r} is not a number")
+        raise _config_error("epsilon", f"{args.epsilon!r} is not a number")
     if not (0.0 <= epsilon < 1.0):
         raise _config_error("epsilon", f"{epsilon:g} outside [0, 1)")
     if epsilon > 0.0:
-        mode = str(_merged(args, "eps_mode", "random"))
+        mode = str(args.eps_mode)
         if mode not in EPS_MODES:
             raise _config_error("eps_mode", f"unknown mode {mode!r}")
         est = EpsilonEstimator(est, epsilon, mode, 0)
@@ -159,12 +165,10 @@ def _build_estimator(args) -> tuple[Estimator, str]:
 
 
 def _load_experiment_graph(args, seed: int) -> tuple[DirectedGraph, int | None]:
-    source = _merged(args, "graph")
-    if source is None:
+    if args.graph is None:
         raise _config_error("graph", "no graph source given")
-    source = str(source)
-    trivalency = _merged(args, "i")
-    trivalency = None if trivalency is None else _parse_int("i", trivalency, 1)
+    source = str(args.graph)
+    trivalency = None if args.i is None else _parse_int("i", args.i, 1)
     if source.startswith("gen:"):
         parts = source.split(":")
         if len(parts) != 4:
@@ -179,8 +183,7 @@ def _load_experiment_graph(args, seed: int) -> tuple[DirectedGraph, int | None]:
             raise _config_error("graph", str(exc))
         return graph, trivalency or 1
     edge_text = _read_text(source, "graph")
-    cost_path = _merged(args, "costs")
-    cost_data = None if cost_path is None else _read_text(cost_path, "cost")
+    cost_data = None if args.costs is None else _read_text(args.costs, "cost")
     try:
         graph = load_graph(edge_text, cost_data)
     except GraphFormatError as exc:
@@ -208,7 +211,7 @@ def _threads() -> int:
 
 
 def _policy_name(args) -> str:
-    name = str(_merged(args, "policy", "enhanced"))
+    name = str(args.policy)
     if name not in POLICY_KINDS:
         raise _config_error("policy", f"unknown policy {name!r}")
     return name
@@ -228,11 +231,11 @@ def _check_policy_budget(graph: DirectedGraph, policy: str, budget: Fraction):
 
 def cmd_sweep_alpha(args) -> int:
     estimator, tag = _build_estimator(args)
-    seed = _parse_int("seed", _merged(args, "seed", 0), 0)
+    seed = _parse_int("seed", args.seed, 0)
     graph, trivalency = _load_experiment_graph(args, seed)
-    alphas = _parse_alpha_list(_merged(args, "alpha", "0"))
-    budgets = _parse_budget_list(_merged(args, "budget", "1"))
-    realizations = _parse_int("realizations", _merged(args, "realizations", 100), 1)
+    alphas = _parse_alpha_list(args.alpha)
+    budgets = _parse_budget_list(args.budget)
+    realizations = _parse_int("realizations", args.realizations, 1)
     policy = _policy_name(args)
     threads = _threads()
     i_cell = "na" if trivalency is None else str(trivalency)
@@ -256,31 +259,29 @@ def cmd_sweep_alpha(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    seed = _parse_int("seed", _merged(args, "seed", 0), 0)
+    seed = _parse_int("seed", args.seed, 0)
     graph, _ = _load_experiment_graph(args, seed)
-    alphas = _parse_alpha_list(_merged(args, "alpha", "0"))
-    budgets = _parse_budget_list(_merged(args, "budget", "1"))
+    alphas = _parse_alpha_list(args.alpha)
+    budgets = _parse_budget_list(args.budget)
     if len(alphas) != 1 or len(budgets) != 1:
         raise _config_error("alpha/budget", "evaluate takes a single cell")
     alpha, budget = alphas[0], budgets[0]
     policy = _policy_name(args)
     _check_policy_budget(graph, policy, budget)
     estimator, tag = _build_estimator(args)
-    realizations = _parse_int("realizations", _merged(args, "realizations", 100), 1)
+    realizations = _parse_int("realizations", args.realizations, 1)
     config = PolicyConfig(policy, alpha, budget)
 
     # the transcript is world 0 of the sample, drawn even when the value
     # is exact, for inspection
     if tag == "exact" and graph.edge_count <= ENUMERATION_EDGE_LIMIT:
         mean, stderr = evaluate_policy_exact(graph, config).value, 0.0
-        realization, policy_seed = sampled_world(graph, seed, 0)
-        run = run_policy(graph, config, realization, estimator, policy_seed)
+        run = evaluate_policy_sampled(graph, config, 1, seed, estimator).world_zero
     else:
         sampled = evaluate_policy_sampled(graph, config, realizations, seed,
                                           estimator, _threads())
         mean, stderr, run = sampled.mean_spread, sampled.std_error, sampled.world_zero
-    base = _merged(args, "out")
-    transcript_path = (str(base) if base is not None else "evaluate") + ".transcript.txt"
+    transcript_path = f"{'evaluate' if args.out is None else args.out}.transcript.txt"
     with open(transcript_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(transcript_lines(run)) + "\n")
     print(f"mean={fmt_g(mean)} stderr={fmt_g(stderr)} transcript={transcript_path}")
@@ -298,7 +299,7 @@ def _oracle_instances(count: int, seed: int):
 
 
 def cmd_oracle_check(args) -> int:
-    seed = _parse_int("seed", _merged(args, "seed", 7), 0)
+    seed = _parse_int("seed", args.seed, 0)
     failures = 0
 
     def report(ok: bool, passed: str, failed: str):
@@ -306,7 +307,7 @@ def cmd_oracle_check(args) -> int:
         failures += not ok
         print(f"ok: {passed}" if ok else f"FAIL: {failed}")
 
-    if _merged(args, "graph") is not None:
+    if args.graph is not None:
         graph, _ = _load_experiment_graph(args, seed)
         if graph.edge_count > ENUMERATION_EDGE_LIMIT:
             print("skipped: alpha-1 guarantee (enumeration guard exceeded)")
@@ -395,7 +396,7 @@ _BOUNDS = {
 
 def cmd_bound(args) -> int:
     variant = args.variant
-    alpha = _parse_alpha_list(_merged(args, "alpha", "1"))
+    alpha = _parse_alpha_list(args.alpha)
     if len(alpha) != 1:
         raise _config_error("alpha", "bound takes a single alpha")
     a = alpha[0]
@@ -409,10 +410,7 @@ def cmd_bound(args) -> int:
             raise _config_error(name, f"{value!r} is not a number")
 
     fn, names = _BOUNDS[variant]
-    supplied = {"epsilon": _merged(args, "epsilon", 0.0), "n": args.n,
-                "f_star": args.f_star, "budget": _merged(args, "budget"),
-                "c_max": args.c_max, "c_min": args.c_min}
-    params = [need(k, supplied[k], int if k == "n" else float) for k in names]
+    params = [need(k, getattr(args, k), int if k == "n" else float) for k in names]
     try:
         value = fn(a, *params)
     except ValueError as exc:
@@ -423,13 +421,12 @@ def cmd_bound(args) -> int:
 
 
 def cmd_gen_graph(args) -> int:
-    seed = _parse_int("seed", _merged(args, "seed", 0), 0)
+    seed = _parse_int("seed", args.seed, 0)
     n = _parse_int("nodes", args.nodes, 1)
     m = _parse_int("edges", args.edges, 0)
-    model = args.model
-    trivalency = _parse_int("i", _merged(args, "i", 1), 1)
+    trivalency = _parse_int("i", args.i, 1)
     try:
-        graph = generate_graph(n, m, model, trivalency, seed)
+        graph = generate_graph(n, m, args.model, trivalency, seed)
     except ValueError as exc:
         raise _config_error("gen-graph", str(exc))
     _write_output(args, edge_list_text(graph))
@@ -440,60 +437,53 @@ def cmd_gen_graph(args) -> int:
 # argument wiring
 
 
-def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("--config", help="flat key-value settings file")
-    parser.add_argument("--graph", help="edge-list path or gen:<model>:<n>:<m>")
-    parser.add_argument("--costs", help="cost file path")
-    parser.add_argument("--alpha", help="comma-separated thresholds in [0, 1]")
-    parser.add_argument("--budget", help="comma-separated budgets")
-    parser.add_argument("--i", help="trivalency index")
-    parser.add_argument("--samples", help="monte carlo samples per estimate")
-    parser.add_argument("--estimator", help="exact | mc | mc:<samples>")
-    parser.add_argument("--epsilon", help="perturbation magnitude")
-    parser.add_argument("--eps-mode", dest="eps_mode", help=" | ".join(EPS_MODES))
-    parser.add_argument("--realizations", help="sampled worlds per cell")
-    parser.add_argument("--seed", help="base rng seed")
-    parser.add_argument("--out", help="output path")
-    parser.add_argument("--policy", help=" | ".join(POLICY_KINDS))
+_HELP = {
+    "graph": "edge-list path or gen:<model>:<n>:<m>", "costs": "cost file path",
+    "alpha": "comma-separated thresholds in [0, 1]", "budget": "comma-separated budgets",
+    "i": "trivalency index", "samples": "monte carlo samples per estimate",
+    "estimator": "exact | mc | mc:<samples>", "epsilon": "perturbation magnitude",
+    "eps_mode": " | ".join(EPS_MODES), "realizations": "sampled worlds per cell",
+    "seed": "base rng seed", "out": "output path", "policy": " | ".join(POLICY_KINDS),
+    "n": "node count (eps variants)", "f_star": "optimal spread (eps variants)",
+    "c_max": "largest node cost", "c_min": "smallest node cost",
+    "nodes": "node count", "edges": "edge count",
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors come out as the one-line `error: usage: ...`."""
+
+    def error(self, message):
+        raise CliError("usage", message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="pfim",
-        description="Adaptive influence maximization under partial feedback")
+    parser = _Parser(prog="pfim",
+                     description="Adaptive influence maximization under partial feedback")
     sub = parser.add_subparsers(dest="command", required=True)
-
     for name, fn in (("sweep-alpha", cmd_sweep_alpha), ("evaluate", cmd_evaluate),
-                     ("oracle-check", cmd_oracle_check)):
+                     ("oracle-check", cmd_oracle_check), ("bound", cmd_bound),
+                     ("gen-graph", cmd_gen_graph)):
         p = sub.add_parser(name)
-        _add_common(p)
         p.set_defaults(func=fn)
-
-    p = sub.add_parser("bound")
-    _add_common(p)
-    p.add_argument("--variant", required=True, choices=list(_BOUNDS))
-    p.add_argument("--n", help="node count (eps variants)")
-    p.add_argument("--f-star", dest="f_star", help="optimal spread (eps variants)")
-    p.add_argument("--c-max", dest="c_max", help="largest node cost")
-    p.add_argument("--c-min", dest="c_min", help="smallest node cost")
-    p.set_defaults(func=cmd_bound)
-
-    p = sub.add_parser("gen-graph")
-    _add_common(p)
-    p.add_argument("--nodes", required=True)
-    p.add_argument("--edges", required=True)
-    p.add_argument("--model", default="erdos-renyi",
-                   choices=["erdos-renyi", "scale-free-ish"])
-    p.set_defaults(func=cmd_gen_graph)
+        p.add_argument("--config", help="flat key-value settings file")
+        for key in _OPTIONS[name]:
+            p.add_argument("--" + key.replace("_", "-"), help=_HELP[key],
+                           required=key in ("nodes", "edges"))
+    sub.choices["bound"].add_argument("--variant", required=True, choices=list(_BOUNDS))
+    sub.choices["gen-graph"].add_argument("--model", default="erdos-renyi",
+                                          choices=["erdos-renyi", "scale-free-ish"])
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        config = getattr(args, "config", None)
-        args._file_values = _read_config_file(config) if config else {}
+        args = build_parser().parse_args(argv)
+        file_values = _read_config_file(args.config) if args.config else {}
+        # flag, then config file, then the table's default
+        for key, default in _OPTIONS[args.command].items():
+            if getattr(args, key) is None:
+                setattr(args, key, file_values.get(key, default))
         return args.func(args)
     except CliError as exc:
         print(str(exc), file=sys.stderr)

@@ -296,6 +296,8 @@ class ExactEstimator(Estimator):
     """Enumeration backend with a small memo over (seeds, observation)."""
 
     def __init__(self):
+        # many states, not one: `reseeded` returns this same estimator, so
+        # every world of a sampled evaluation re-asks the empty state
         self._cache = _GraphCache(128)
 
     def activation(self, graph, seeds, partial):
@@ -383,7 +385,8 @@ class MonteCarloEstimator(Estimator):
             raise ValueError("sample count must be positive")
         self.samples = samples
         self.rng_seed = rng_seed
-        self._batches = _GraphCache(8)
+        # every batch that is read again is read on the state asked last
+        self._batches = _GraphCache(1)
         self._snapshots = _GraphCache(1)
 
     def reseeded(self, salt):

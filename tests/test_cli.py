@@ -156,15 +156,12 @@ class TestEvaluate:
             runs.append(real(*args))
             return runs[-1]
 
-        def repeated(*args):
-            raise AssertionError("world 0 was run again for the transcript")
-
         monkeypatch.setattr(oracles, "run_policy", recorded)
-        monkeypatch.setattr(cli, "run_policy", repeated)
         code, _, _ = run_cli(
             ["evaluate", "--graph", "gen:erdos-renyi:60:240", "--alpha", "0.8",
              "--budget", "4", "--policy", "uniform", "--estimator", "mc",
              "--samples", "10", "--realizations", "2", "--seed", "5", "--out", "w"], capsys)
+        # two worlds, two runs: world 0 is not run again for the transcript
         assert code == 0 and len(runs) == 2
         assert (tmp_path / "w.transcript.txt").read_text() == (
             "\n".join(transcript_lines(runs[0])) + "\n")
@@ -271,6 +268,74 @@ class TestErrors:
              "--realizations", "2"], capsys)
         assert code != 0
         assert err.startswith("error: config: PFIM_THREADS")
+
+
+EXPERIMENT_FLAGS = ("graph", "costs", "alpha", "budget", "i", "samples", "estimator",
+                    "epsilon", "eps-mode", "realizations", "seed", "out", "policy")
+# a run of each subcommand that succeeds, and the experiment flags it reads
+BASE_ARGV = {"sweep-alpha": ["sweep-alpha"], "evaluate": ["evaluate"],
+             "oracle-check": ["oracle-check"], "bound": ["bound", "--variant", "uniform"],
+             "gen-graph": ["gen-graph", "--nodes", "4", "--edges", "3"]}
+READS = {"sweep-alpha": set(EXPERIMENT_FLAGS), "evaluate": set(EXPERIMENT_FLAGS),
+         "oracle-check": {"graph", "costs", "i", "seed"},
+         "bound": {"alpha", "epsilon", "budget"}, "gen-graph": {"i", "seed", "out"}}
+UNREAD = [(command, flag) for command in BASE_ARGV for flag in EXPERIMENT_FLAGS
+          if flag not in READS[command]]
+
+
+@pytest.mark.parametrize("command,flag", UNREAD, ids=[f"{c}-{f}" for c, f in UNREAD])
+def test_unread_flag_is_a_usage_error(command, flag, capsys):
+    assert len(UNREAD) == 29
+    code, out, err = run_cli(BASE_ARGV[command] + [f"--{flag}", "1"], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: usage: unrecognized arguments: --{flag} 1\n"
+
+
+def test_usage_errors_are_one_line(capsys):
+    code, out, err = run_cli(["bound"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: usage: the following arguments are required: --variant\n"
+
+
+@pytest.mark.parametrize("argv,fallbacks,outputs", [
+    (["sweep-alpha", "--graph", "DIAMOND"],
+     ["--alpha", "0", "--budget", "1", "--estimator", "mc", "--epsilon", "0.0",
+      "--eps-mode", "random", "--realizations", "100", "--seed", "0",
+      "--policy", "enhanced", "--samples", "1000"], []),
+    (["evaluate", "--graph", "DIAMOND", "--estimator", "exact"],
+     ["--alpha", "0", "--budget", "1", "--epsilon", "0.0", "--eps-mode", "random",
+      "--realizations", "100", "--seed", "0", "--policy", "enhanced"],
+     ["evaluate.transcript.txt"]),
+    (["oracle-check"], ["--seed", "7"], []),
+    (["bound", "--variant", "enhanced-eps", "--n", "10", "--f-star", "5",
+      "--budget", "2", "--c-min", "1"], ["--alpha", "1", "--epsilon", "0.0"], []),
+    (["gen-graph", "--nodes", "10", "--edges", "15"],
+     ["--i", "1", "--seed", "0", "--model", "erdos-renyi"], []),
+], ids=["sweep-alpha", "evaluate", "oracle-check", "bound", "gen-graph"])
+def test_defaults_are_the_spelled_out_fallbacks(argv, fallbacks, outputs, diamond_path,
+                                                tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = [diamond_path if a == "DIAMOND" else a for a in argv]
+    results = []
+    for extra in ([], fallbacks):
+        code, out, err = run_cli(argv + extra, capsys)
+        assert (code, err) == (0, "")
+        results.append([out] + [(tmp_path / name).read_bytes() for name in outputs])
+    assert results[0] == results[1]
+
+
+def test_experiment_config_serves_gen_graph_and_bound(tmp_path, capsys):
+    # keys a subcommand does not read are ignored, so one file serves all
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("graph = gen:erdos-renyi:9:9\nalpha = 0.5\nbudget = 3\ni = 30\n"
+                   "seed = 4\nestimator = mc:20\nrealizations = 5\npolicy = uniform\n")
+    config = ["--config", str(cfg)]
+    gen = ["gen-graph", "--nodes", "10", "--edges", "15"]
+    assert run_cli(gen + config, capsys) == run_cli(gen + ["--i", "30", "--seed", "4"], capsys)
+    bound = ["bound", "--variant", "nonuniform", "--c-max", "1"]
+    code, out, err = run_cli(bound + config, capsys)
+    assert (code, err) == (0, "")
+    assert (code, out, err) == run_cli(bound + ["--alpha", "0.5", "--budget", "3"], capsys)
 
 
 def test_thread_env_does_not_change_numbers(diamond_path, capsys, monkeypatch):

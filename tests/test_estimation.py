@@ -183,6 +183,21 @@ class TestMonteCarlo:
     def test_backend_tag(self):
         assert MonteCarloEstimator(128, 0).tag == "mc(128)"
 
+    def test_holds_one_closure_batch(self):
+        g = generate_graph(60, 240, "erdos-renyi", 40, 7)
+        realization = sample_full_realization(g, 5)
+        first = observe(g, realization, SeedSchedule(((3, 0),)), 0)
+        second = observe(g, realization, SeedSchedule(((3, 0), (17, 1))), 1)
+        assert first.codes != second.codes
+        candidates = list(range(20, 40))
+        est = MonteCarloEstimator(20, 1)
+        est.gains(g, [3], first, candidates)
+        est.gains(g, [3, 17], second, candidates)
+        assert len(est._batches) == 1
+        fresh = MonteCarloEstimator(20, 1)
+        assert est.gains(g, [3], first, candidates) == fresh.gains(g, [3], first, candidates)
+        assert est.activation(g, [3], first) == fresh.activation(g, [3], first)
+
 
 class TestGain:
     def test_chain_marginal(self):
