@@ -49,11 +49,12 @@ def _config_error(field: str, problem: str) -> CliError:
 
 
 # the options each subcommand reads, with the default of each; None is
-# unset. `samples` stays unset so that an explicit count can be told
-# from the 1000 that `_build_estimator` falls back to.
+# unset. `samples` and `realizations` stay unset so that an explicit
+# value can be told from the fallback (`_build_estimator`'s 1000 samples,
+# `_realizations`'s 100 worlds).
 _EXPERIMENT = {"graph": None, "costs": None, "alpha": "0", "budget": "1", "i": None,
                "samples": None, "estimator": "mc", "epsilon": 0.0, "eps_mode": "random",
-               "realizations": 100, "seed": 0, "out": None, "policy": "enhanced"}
+               "realizations": None, "seed": 0, "out": None, "policy": "enhanced"}
 _OPTIONS = {
     "sweep-alpha": _EXPERIMENT,
     "evaluate": _EXPERIMENT,
@@ -197,6 +198,11 @@ def _load_experiment_graph(args, seed: int) -> tuple[DirectedGraph, int | None]:
     return graph, trivalency
 
 
+def _realizations(args) -> int:
+    return _parse_int("realizations",
+                      100 if args.realizations is None else args.realizations, 1)
+
+
 def _threads() -> int:
     raw = os.environ.get("PFIM_THREADS")
     if raw is None or raw == "":
@@ -235,7 +241,7 @@ def cmd_sweep_alpha(args) -> int:
     graph, trivalency = _load_experiment_graph(args, seed)
     alphas = _parse_alpha_list(args.alpha)
     budgets = _parse_budget_list(args.budget)
-    realizations = _parse_int("realizations", args.realizations, 1)
+    realizations = _realizations(args)
     policy = _policy_name(args)
     threads = _threads()
     i_cell = "na" if trivalency is None else str(trivalency)
@@ -269,16 +275,18 @@ def cmd_evaluate(args) -> int:
     policy = _policy_name(args)
     _check_policy_budget(graph, policy, budget)
     estimator, tag = _build_estimator(args)
-    realizations = _parse_int("realizations", args.realizations, 1)
     config = PolicyConfig(policy, alpha, budget)
 
     # the transcript is world 0 of the sample, drawn even when the value
     # is exact, for inspection
     if tag == "exact" and graph.edge_count <= ENUMERATION_EDGE_LIMIT:
+        if args.realizations is not None:
+            raise _config_error("realizations", "not read: the exact value of a graph "
+                                f"with at most {ENUMERATION_EDGE_LIMIT} edges is enumerated")
         mean, stderr = evaluate_policy_exact(graph, config).value, 0.0
         run = evaluate_policy_sampled(graph, config, 1, seed, estimator).world_zero
     else:
-        sampled = evaluate_policy_sampled(graph, config, realizations, seed,
+        sampled = evaluate_policy_sampled(graph, config, _realizations(args), seed,
                                           estimator, _threads())
         mean, stderr, run = sampled.mean_spread, sampled.std_error, sampled.world_zero
     transcript_path = f"{'evaluate' if args.out is None else args.out}.transcript.txt"

@@ -18,7 +18,10 @@ coin. Three backends:
   pointwise-coupled estimates, hence non-negative. A state scanned for
   gains holds a closure batch; `activation` there reads the seed unions
   and the zero set that the batch kept for the last seed set, and walks
-  only from the seeds that set lacks.
+  only from the seeds that set lacks. A newly scanned state derives its
+  batch from the one held for the state scanned before: per completion,
+  only the nodes whose closure holds the source of an edge that changed
+  there are rebuilt.
 * epsilon wrapper: multiplies each cascade value produced by an inner
   backend by a factor in [1-eps, 1+eps], either drawn uniformly per
   query or pinned to an end of the interval. Its gain scan reads the
@@ -325,15 +328,16 @@ class _Completions:
       complement of its possible-edge reach. A greedy round asks with one
       more seed than the last, so the walk starts from the new seeds only
       and stays inside the kept zero set; any other seed set walks from
-      scratch.
+      scratch. A new batch starts from the zero set that the last
+      propagated query on its state kept (`MonteCarloEstimator._zeros`).
     """
 
     __slots__ = ("closures", "last", "last_zero")
 
-    def __init__(self, closures: list[list[int]]):
+    def __init__(self, closures: list[list[int]], last_zero: tuple | None):
         self.closures = closures
         self.last: tuple | None = None
-        self.last_zero: tuple | None = None
+        self.last_zero = last_zero
 
     def unions(self, seed_set: frozenset[int]) -> tuple:
         if self.last is None or self.last[0] != seed_set:
@@ -369,7 +373,16 @@ class MonteCarloEstimator(Estimator):
     On a state with closures, `activation` sums the seed unions that the
     batch keeps for the round's scan (`_Completions.unions`), and its zero
     set grows the one kept for the last seed set when the seeds contain
-    it (`_Completions.zero_set`).
+    it (`_Completions.zero_set`). A new batch starts from the zero set
+    that the last propagated query on its state computed.
+
+    The estimator holds one batch. A state without one derives its batch
+    from the held one when that was built for the same graph
+    (`_derived`): the two states share their coins, so a completion
+    differs only where an edge's liveness changed, and only the nodes
+    that reach such an edge's source get a new closure. Without a held
+    batch (the first scan, or another graph) it is built from scratch
+    (`_built`). Both routes give the same masks.
 
     A batch of completions is a function of the observation alone, never
     of the seed set, so f(S), f(S + v), and every candidate in a
@@ -388,6 +401,9 @@ class MonteCarloEstimator(Estimator):
         # every batch that is read again is read on the state asked last
         self._batches = _GraphCache(1)
         self._snapshots = _GraphCache(1)
+        # (seed set, zero set) of the last propagated query, keyed by its
+        # codes: a batch built for those codes starts from it (`last_zero`)
+        self._zeros = _GraphCache(1)
 
     def reseeded(self, salt):
         return MonteCarloEstimator(self.samples, derive_seed(self.rng_seed, salt))
@@ -423,11 +439,22 @@ class MonteCarloEstimator(Estimator):
         return self._snapshots.store(None, (rows, coins))
 
     def _batch(self, graph: DirectedGraph, partial: PartialRealization) -> _Completions:
-        hit = self._batches.lookup(graph, partial.codes)
+        codes = partial.codes
+        hit = self._batches.lookup(graph, codes)
         if hit is not None:
             return hit
+        # the lookup emptied the cache on another graph, so a held batch
+        # shares this graph's snapshot
+        held = next(iter(self._batches.items()), None)
+        closures = (self._built(graph, codes) if held is None
+                    else self._derived(graph, codes, *held))
+        batch = _Completions(closures, self._zeros.lookup(graph, codes))
+        return self._batches.store(codes, batch)
+
+    def _built(self, graph: DirectedGraph, codes: bytes) -> list[list[int]]:
+        """The closures of each completion of state `codes`, from scratch."""
         rows, _ = self._snapshot(graph)
-        codes, edges = partial.codes, graph.edges
+        edges = graph.edges
         live, unobserved = EdgeState.LIVE, EdgeState.UNOBSERVED
         base_adj: list[list[int]] = [[] for _ in range(graph.node_count)]
         for c, e in zip(codes, edges):
@@ -446,7 +473,46 @@ class MonteCarloEstimator(Estimator):
                     else:
                         adj[u].append(v)
             closures.append(closure_masks(graph.node_count, adj))
-        return self._batches.store(partial.codes, _Completions(closures))
+        return closures
+
+    def _derived(self, graph: DirectedGraph, codes: bytes, held_codes: bytes,
+                 held: _Completions) -> list[list[int]]:
+        """The closures of state `codes`, derived from the batch `held` of
+        state `held_codes` on the same graph.
+
+        An edge changed in completion j when its liveness there differs
+        between the two codes; it is live there when observed live, or
+        unobserved with coin j set. A node's closure can change only if
+        its held closure holds the source of a changed edge: only those
+        nodes are rebuilt, and no other node reaches one. A completion
+        without a changed edge keeps its held mask list."""
+        _, coins = self._snapshot(graph)
+        every = (1 << self.samples) - 1
+        live, unobserved = EdgeState.LIVE, EdgeState.UNOBSERVED
+        n, edges, out_edges = graph.node_count, graph.edges, graph.out_edges
+
+        def live_in(c: int, idx: int) -> int:
+            return every if c == live else coins[idx] & every if c == unobserved else 0
+
+        sources = [0] * self.samples     # per completion: the changed edges' sources
+        for idx, (was, now) in enumerate(zip(held_codes, codes)):
+            if was != now:
+                bit = 1 << edges[idx].source
+                for j in mask_nodes(live_in(was, idx) ^ live_in(now, idx)):
+                    sources[j] |= bit
+        closures = []
+        for j, (masks, touched) in enumerate(zip(held.closures, sources)):
+            if touched:
+                roots = [v for v, reach in enumerate(masks) if reach & touched]
+                adj = [None] * n
+                coin = 1 << j
+                for u in roots:
+                    adj[u] = [edges[idx].target for idx in out_edges[u]
+                              if (c := codes[idx]) == live
+                              or (c == unobserved and coins[idx] & coin)]
+                masks = closure_masks(n, adj, masks, roots)
+            closures.append(masks)
+        return closures
 
     def _propagate(self, graph: DirectedGraph, seed_set,
                    partial: PartialRealization) -> tuple[list[int], frozenset[int]]:
@@ -495,6 +561,11 @@ class MonteCarloEstimator(Estimator):
             return ActivationEstimate(_coverage_value((reached for _, reached in pairs), k),
                                       batch.zero_set(graph, partial, seed_set))
         counts, zero = self._propagate(graph, seed_set, partial)
+        # the zero set of no seeds is every node: growing it is a walk
+        # from scratch, so it is not kept
+        if seed_set:
+            self._zeros.lookup(graph, partial.codes)    # empties it on another graph
+            self._zeros.store(partial.codes, (seed_set, zero))
         return ActivationEstimate(math.fsum(c / k for c in counts), zero)
 
     def _seed_unions(self, graph, seeds, partial, candidates):

@@ -174,6 +174,24 @@ class TestEvaluate:
         assert err.strip() == \
             "error: config: budget exceeds node count under uniform cost"
 
+    @pytest.mark.parametrize("given", ["flag", "file"])
+    def test_exact_enumeration_rejects_realizations(self, diamond_path, tmp_path,
+                                                   capsys, monkeypatch, given):
+        # the diamond's exact value is enumerated: a world count is never read
+        monkeypatch.chdir(tmp_path)
+        argv = ["evaluate", "--graph", diamond_path, "--alpha", "0.5", "--budget", "2",
+                "--estimator", "exact", "--seed", "4"]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, err) == (0, "")
+        assert out.startswith("mean=2.78125 stderr=0 ")
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("realizations = 3\n")
+        extra = {"flag": ["--realizations", "3"], "file": ["--config", str(cfg)]}[given]
+        code, out, err = run_cli(argv + extra, capsys)
+        assert (code, out) == (1, "")
+        assert err == ("error: config: realizations: not read: the exact value of a "
+                       "graph with at most 22 edges is enumerated\n")
+
     def test_multi_cell_rejected(self, diamond_path, capsys):
         code, _, err = run_cli(
             ["evaluate", "--graph", diamond_path, "--alpha", "0,1",
@@ -302,9 +320,11 @@ def test_usage_errors_are_one_line(capsys):
      ["--alpha", "0", "--budget", "1", "--estimator", "mc", "--epsilon", "0.0",
       "--eps-mode", "random", "--realizations", "100", "--seed", "0",
       "--policy", "enhanced", "--samples", "1000"], []),
+    # the exact value of the diamond is enumerated, so `--realizations`
+    # is not read there and giving it is an error
     (["evaluate", "--graph", "DIAMOND", "--estimator", "exact"],
      ["--alpha", "0", "--budget", "1", "--epsilon", "0.0", "--eps-mode", "random",
-      "--realizations", "100", "--seed", "0", "--policy", "enhanced"],
+      "--seed", "0", "--policy", "enhanced"],
      ["evaluate.transcript.txt"]),
     (["oracle-check"], ["--seed", "7"], []),
     (["bound", "--variant", "enhanced-eps", "--n", "10", "--f-star", "5",

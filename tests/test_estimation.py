@@ -15,7 +15,7 @@ from pfim.estimation import (ActivationEstimate, EpsilonEstimator, ExactEstimato
                              _coverage_value, exact_conditional_activation,
                              zero_probability_set)
 from pfim.graph import DirectedGraph, generate_graph, load_graph
-from pfim.reach import mask_nodes, reachable_mask
+from pfim.reach import closure_masks, mask_nodes, node_mask, reachable_mask
 
 from bruteforce import naive_activation_probability
 
@@ -72,6 +72,22 @@ def coded_states(draw):
     seeds = frozenset(draw(st.lists(st.integers(0, n - 1), max_size=3)))
     return (g, seeds, PartialRealization(bytes(codes)), draw(st.integers(1, 12)),
             draw(st.integers(0, 1 << 30)))
+
+
+@st.composite
+def coded_state_pairs(draw):
+    """Tiny graph (p = 0 and p = 1 edges included), two arbitrary coded
+    states of it, a sample count and a completion seed."""
+    n = draw(st.integers(2, 8))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=16))
+    probs = draw(st.lists(st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0]),
+                          min_size=len(chosen), max_size=len(chosen)))
+    g = DirectedGraph.build(n, [(u, v, p) for (u, v), p in zip(chosen, probs)])
+    states = [PartialRealization(bytes(draw(st.lists(
+        st.sampled_from(list(EdgeState)), min_size=g.edge_count, max_size=g.edge_count))))
+        for _ in range(2)]
+    return g, *states, draw(st.integers(1, 12)), draw(st.integers(0, 1 << 30))
 
 
 class TestExactActivation:
@@ -436,6 +452,67 @@ class TestBatchedQueries:
         assert wrapped.gains(g, seeds, psi, candidates) == want
 
 
+def _adjacency(n, edges):
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+    return adj
+
+
+class TestDerivedBatches:
+    """A state scanned after another derives its closure batch from the
+    one the estimator holds; the masks are a fresh build's."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(coded_state_pairs())
+    # edge 0 -> 1 goes from unobserved to blocked: every completion whose
+    # coin made it live loses node 1
+    @example((CHAIN, PartialRealization(bytes([2, 2])), PartialRealization(bytes([0, 2])),
+              8, 0))
+    def test_derived_batch_equals_a_fresh_build(self, pair):
+        g, held, psi, k, seed = pair
+        est = MonteCarloEstimator(k, seed)
+        est._batch(g, held)
+        assert est._batch(g, psi).closures == MonteCarloEstimator(k, seed)._batch(
+            g, psi).closures
+
+    def test_closure_masks_rebuilds_only_the_roots(self):
+        # 0 -> 1 <-> 2 and 3 -> 4; then 4 -> 3 and 4 -> 1 are added, so
+        # the new component {3, 4} reaches the kept component {1, 2}
+        old = closure_masks(6, _adjacency(6, [(0, 1), (1, 2), (2, 1), (3, 4)]))
+        adj = _adjacency(6, [(0, 1), (1, 2), (2, 1), (3, 4), (4, 3), (4, 1)])
+        roots = [3, 4]
+        only_roots = [adj[v] if v in roots else None for v in range(6)]
+        assert closure_masks(6, only_roots, old, roots) == closure_masks(6, adj) == [
+            0b111, 0b110, 0b110, 0b11110, 0b11110, 0b100000]
+
+    def test_closure_masks_with_kept_masks_equal_a_full_build(self):
+        rng = random.Random(5)
+        for _ in range(300):
+            n = rng.randrange(1, 9)
+            pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+            before = set(rng.sample(pairs, rng.randrange(len(pairs) + 1)))
+            after = set(rng.sample(pairs, rng.randrange(len(pairs) + 1)))
+            old = closure_masks(n, _adjacency(n, sorted(before)))
+            adj = _adjacency(n, sorted(after))
+            changed = node_mask(u for u, _ in before ^ after)
+            roots = [v for v in range(n) if old[v] & changed]
+            assert closure_masks(n, adj, old, roots) == closure_masks(n, adj)
+
+    def test_a_completion_without_a_changed_edge_keeps_its_mask_list(self):
+        est = MonteCarloEstimator(20, 3)
+        held = est._batch(CHAIN, empty_partial(CHAIN)).closures
+        # edge 0 -> 1 is blocked: it changes exactly the completions whose
+        # coin made it live
+        psi = PartialRealization(bytes([EdgeState.BLOCKED, EdgeState.UNOBSERVED]))
+        derived = est._batch(CHAIN, psi).closures
+        coins = est._snapshot(CHAIN)[1][0]
+        kept = [j for j in range(20) if not coins >> j & 1]
+        assert 0 < len(kept) < 20
+        assert [j for j in range(20) if derived[j] is held[j]] == kept
+        assert derived == MonteCarloEstimator(20, 3)._batch(CHAIN, psi).closures
+
+
 def test_epsilon_gain_scan_reads_one_closure_batch(monkeypatch):
     # one batch of closures for the scanned state, and no propagation for
     # f(S) or for any candidate. In the next round the alpha-gate's query
@@ -473,6 +550,40 @@ def test_epsilon_gain_scan_reads_one_closure_batch(monkeypatch):
     assert calls == after_gate
     assert len(wrapped.gains(g, seeds, psi, candidates[1:])) == len(candidates) - 1
     assert calls == after_gate
+
+
+def test_gate_zero_set_seeds_the_next_batch(monkeypatch):
+    # gate on S (propagation), scan S (a new batch), select v, gate on
+    # S + v: the batch starts from the gate's zero set of S, so the second
+    # gate walks from v alone and no zero set is walked from scratch
+    g = generate_graph(60, 240, "erdos-renyi", 40, 7)
+    psi = observe(g, sample_full_realization(g, 5), SeedSchedule(((3, 0), (17, 0))), 2)
+    calls = {"zero sets": 0, "walks": 0}
+    for counter, name in [("zero sets", "zero_probability_set"),
+                          ("walks", "_still_unreached")]:
+        def counted(*args, counter=counter, fn=getattr(estimation, name)):
+            calls[counter] += 1
+            return fn(*args)
+        monkeypatch.setattr(estimation, name, counted)
+    est = MonteCarloEstimator(10, 1)
+    est.activation(g, [3, 17], psi)
+    candidates = [v for v in range(g.node_count) if v not in (3, 17)]
+    est.gains(g, [3, 17], psi, candidates)
+    got = est.activation(g, [3, 17, candidates[0]], psi)
+    assert calls == {"zero sets": 0, "walks": 1}
+    assert got == MonteCarloEstimator(10, 1).activation(g, [3, 17, candidates[0]], psi)
+
+
+def test_gate_zero_set_is_never_read_on_another_graph():
+    # equal edge counts and codes; from node 0 the first graph reaches
+    # node 1 and the second does not
+    forward, backward = load_graph("0 1 0.5\n"), load_graph("1 0 0.5\n")
+    psi = empty_partial(forward)
+    est = MonteCarloEstimator(8, 2)
+    assert est.activation(forward, [0], psi).zero_set == set()
+    est.gains(backward, [0], psi, [1])
+    assert est._batch(backward, psi).last_zero is None
+    assert est.activation(backward, [0], psi).zero_set == {1}
 
 
 @pytest.mark.parametrize("make", [
