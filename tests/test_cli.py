@@ -392,8 +392,9 @@ def test_epsilon_sweep_rows_parse_to_header_width(diamond_path, capsys):
 
 def test_fixed_seed_outputs_keep_their_bytes(tmp_path, capsys, monkeypatch):
     """sha256 of fixed-seed outputs: the enhanced-MC sweep, a cheap
-    evaluate at alpha 0.8 and one at alpha 0, the eps sweep and the
-    oracle-check report. A refactor keeps them."""
+    evaluate at alpha 0.8 and one at alpha 0, the eps sweep, a run where
+    the stall guard fires and the oracle-check report. A refactor keeps
+    them."""
     monkeypatch.chdir(tmp_path)
 
     def digests(argv, *files):
@@ -432,6 +433,15 @@ def test_fixed_seed_outputs_keep_their_bytes(tmp_path, capsys, monkeypatch):
          "--epsilon", "0.2", "--eps-mode", "random", "--realizations", "10",
          "--seed", "2"]) == [
         "0c197133ae775c53b4861425fee84e42b76cb4aebd8d00517b88cbd9d8e21bb4"]
+    # the adversarial-low wrapper holds the condition below alpha = 1, so
+    # the stall guard forces the selections at slots 60 and 120
+    assert digests(
+        ["evaluate", "--graph", "g.edges", "--alpha", "1", "--budget", "3",
+         "--policy", "uniform", "--estimator", "mc", "--samples", "10",
+         "--epsilon", "0.9", "--eps-mode", "adversarial-low", "--realizations", "4",
+         "--seed", "3", "--out", "stall"], "stall.transcript.txt") == [
+        "bc0d60b9a980069a12059a55d9a81d5a0fad969b055dae22ace91f0ff84093f1",
+        "07e640bf17df169eddc003f8af1257d939e2606ad69fab15ca2e40c6de71d1c8"]
     assert digests(["oracle-check"]) == [
         "55286e5aebd597119dfb1b7396234368ddbc7715acef9d3be09c46d83063171a"]
 
