@@ -18,7 +18,7 @@ from .estimation import (ActivationEstimate, EpsilonEstimator, Estimator,
                          ExactEstimator, InstanceTooLarge, MonteCarloEstimator,
                          exact_conditional_activation, zero_probability_set)
 from .policies import (PolicyConfig, PolicyRun, RoundLog, best_single_node,
-                       condition_satisfied, run_policy, transcript_lines)
+                       run_policy, transcript_lines)
 from .oracles import (ExactEvaluation, SampledEvaluation, evaluate_policy_exact,
                       evaluate_policy_sampled, optimal_full_feedback_adaptive)
 from .bounds import (bound_enhanced, bound_enhanced_eps, bound_nonuniform,
@@ -37,7 +37,7 @@ __all__ = [
     "InstanceTooLarge", "MonteCarloEstimator", "exact_conditional_activation",
     "zero_probability_set",
     "PolicyConfig", "PolicyRun", "RoundLog", "best_single_node",
-    "condition_satisfied", "run_policy", "transcript_lines",
+    "run_policy", "transcript_lines",
     "ExactEvaluation", "SampledEvaluation", "evaluate_policy_exact",
     "evaluate_policy_sampled", "optimal_full_feedback_adaptive",
     "bound_enhanced", "bound_enhanced_eps", "bound_nonuniform",

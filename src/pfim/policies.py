@@ -40,7 +40,7 @@ from fractions import Fraction
 from ._util import derive_seed, fmt_g
 from .diffusion import (FullRealization, PartialRealization, SeedSchedule,
                         cascade_size, empty_partial, observe)
-from .estimation import ActivationEstimate, Estimator
+from .estimation import Estimator
 from .graph import DirectedGraph
 
 
@@ -88,17 +88,6 @@ class PolicyConfig:
             raise ValueError("budget must be positive")
 
 
-def condition_satisfied(estimate: ActivationEstimate, alpha: float,
-                        node_count: int) -> bool:
-    """The adaptivity gate: estimated cascade per still-activatable node
-    reaches alpha. Vacuously true at alpha = 0; false when every node is
-    in the zero set (no seeds yet)."""
-    if alpha == 0.0:
-        return True
-    live_nodes = node_count - len(estimate.zero_set)
-    return live_nodes > 0 and estimate.expected_cascade / live_nodes >= alpha
-
-
 def transcript_lines(run: PolicyRun) -> list[str]:
     """Render round logs in the stable transcript format."""
     lines = []
@@ -113,18 +102,10 @@ def transcript_lines(run: PolicyRun) -> list[str]:
     return lines
 
 
-@dataclass(frozen=True)
-class _Decision:
-    action: str                  # "select" | "wait" | "stop"
-    node: int | None = None
-    gain: float | None = None
-    condition_value: float | None = None
-    zero_set_size: int = 0
-
-
 class _GreedyCore:
-    """Per-round decision logic of the greedy loop (`_greedy_runs`). The
-    caller owns seeds, slot, and observations.
+    """Per-round decision logic of the greedy loop (`_greedy_runs`): each
+    `decide` is one round. The caller owns the schedule, the slot, the
+    remaining budget and the observations.
     The PolicyConfig has already checked the ranges of alpha and budget;
     the enhanced kind runs the nonuniform loop (its greedy arm).
 
@@ -157,11 +138,6 @@ class _GreedyCore:
                 raise ValueError("uniform-cost policy requires all node costs equal 1")
         elif graph.node_count == 0 or min(graph.costs) > self.budget:
             raise ValueError("no affordable first node")
-
-    def seeds_complete(self, seeds: list[int]) -> bool:
-        if len(seeds) == self.graph.node_count:
-            return True
-        return self.uniform and len(seeds) == int(self.budget)
 
     def _best(self, gains: dict[int, float]) -> tuple[int | None, float]:
         """The largest score (gain per unit cost), smallest id on ties,
@@ -203,70 +179,69 @@ class _GreedyCore:
             self._bounds = (partial.codes, frozenset(seeded), bounds)
         return best, gains.get(best)
 
-    def decide(self, seeds: list[int], partial: PartialRealization, slot: int,
-               last_select_slot: int, remaining: Fraction) -> _Decision:
+    def decide(self, entries: list[tuple[int, int]], partial: PartialRealization,
+               slot: int, remaining: Fraction, round_index: int) -> RoundLog | None:
+        """The round's log, a select or a wait, or None to stop. `entries`
+        is the schedule so far as (node, slot) pairs. The gate waits while
+        the estimated cascade per still-activatable node is below alpha,
+        unless the newest seed has been active for `stall_bound` slots;
+        the first selection skips it. The run stops when every seed is
+        placed, when no candidate is left, or when the ratio argmax after
+        the first selection is unaffordable (no cheaper substitute)."""
         graph = self.graph
+        seeds = [v for v, _ in entries]
+        if len(seeds) == graph.node_count or (
+                self.uniform and len(seeds) == int(self.budget)):
+            return None
         estimate = self.estimator.activation(graph, seeds, partial)
         zero_size = len(estimate.zero_set)
         first = not seeds
-        if first:
-            cond_value = None
-            proceed = True
-        else:
+        cond_value = None
+        if not first:
             live_nodes = graph.node_count - zero_size
             # a selected seed always sits outside the zero set
             assert live_nodes > 0, "zero set swallowed a seeded node"
             cond_value = estimate.expected_cascade / live_nodes
-            proceed = condition_satisfied(estimate, self.alpha, graph.node_count)
-        if not proceed and slot - last_select_slot < self.stall_bound:
-            return _Decision("wait", condition_value=cond_value,
-                             zero_set_size=zero_size)
+            # cond_value >= 0, so alpha = 0 never waits
+            if cond_value < self.alpha and slot - entries[-1][1] < self.stall_bound:
+                return RoundLog(round_index, slot, "wait", None, None, None,
+                                cond_value, zero_size)
 
         seeded = set(seeds)
         candidates = [v for v in range(graph.node_count) if v not in seeded and (
             self.uniform or not first or graph.costs[v] <= remaining)]
         best, best_gain = self._argmax(seeds, seeded, partial, candidates)
-        # no candidate, or the ratio argmax is unaffordable: terminate,
-        # no substitution
-        if best is None or (not self.uniform and not first
-                            and remaining - graph.costs[best] < 0):
-            return _Decision("stop", condition_value=cond_value,
-                             zero_set_size=zero_size)
-        return _Decision("select", node=best, gain=best_gain,
-                         condition_value=cond_value, zero_set_size=zero_size)
+        if best is None or graph.costs[best] > remaining:
+            return None
+        return RoundLog(round_index, slot, "select", best, best_gain,
+                        remaining - graph.costs[best], cond_value, zero_size)
 
 
 def _greedy_runs(core: _GreedyCore, worlds: list[FullRealization], selection_hook=None):
     """The greedy loop on all worlds at once: a walk over the policy's
     decision tree of observations. A group is the worlds that share every
-    observation so far. A wait observes each world of the group at the
-    next slot and splits the group by the codes revealed; the smallest
-    codes go on at once and the other parts wait on a stack, so the parts
-    finish depth-first in ascending codes order. Yields (world indices,
-    schedule, rounds, cost, slots) per final group; a live run is the one
-    group of one world. `selection_hook(seeds, partial)` runs before each
-    selection."""
+    observation so far, with their schedule entries, round logs, slot,
+    remaining budget and observation. Each round appends the log that
+    `core.decide` returns; a select extends the schedule and takes the
+    remaining budget from its log. A wait observes each world of the
+    group at the next slot and splits the group by the codes revealed;
+    the smallest codes go on at once and the other parts wait on a stack,
+    so the parts finish depth-first in ascending codes order. Yields
+    (world indices, schedule, rounds, cost, slots) per final group; a
+    live run is the one group of one world. `selection_hook(seeds,
+    partial)` runs before each selection."""
     graph = core.graph
-    stack = [(list(range(len(worlds))), [], [], 0, 0, core.budget, empty_partial(graph))]
+    stack = [(list(range(len(worlds))), [], [], 0, core.budget, empty_partial(graph))]
     while stack:
-        indices, entries, rounds, slot, last_select_slot, remaining, partial = stack.pop()
-        seeds = [v for v, _ in entries]
-        while not core.seeds_complete(seeds):
-            d = core.decide(seeds, partial, slot, last_select_slot, remaining)
-            if d.action == "stop":
-                break
-            if d.action == "select":
+        indices, entries, rounds, slot, remaining, partial = stack.pop()
+        while (log := core.decide(entries, partial, slot, remaining, len(rounds))) is not None:
+            rounds.append(log)
+            if log.action == "select":
                 if selection_hook is not None:
-                    selection_hook(list(seeds), partial)
-                seeds.append(d.node)
-                entries.append((d.node, slot))
-                remaining -= graph.costs[d.node]
-                last_select_slot = slot
-                rounds.append(RoundLog(len(rounds), slot, "select", d.node, d.gain,
-                                       remaining, d.condition_value, d.zero_set_size))
+                    selection_hook([v for v, _ in entries], partial)
+                entries.append((log.node, slot))
+                remaining = log.remaining_budget
                 continue
-            rounds.append(RoundLog(len(rounds), slot, "wait", None, None, None,
-                                   d.condition_value, d.zero_set_size))
             slot += 1
             schedule = SeedSchedule(tuple(entries))
             parts = {}
@@ -275,8 +250,7 @@ def _greedy_runs(core: _GreedyCore, worlds: list[FullRealization], selection_hoo
                 parts.setdefault(psi.codes, (psi, []))[1].append(i)
             (partial, indices), *rest = (parts[codes] for codes in sorted(parts))
             for psi, sub in reversed(rest):
-                stack.append((sub, list(entries), list(rounds), slot,
-                              last_select_slot, remaining, psi))
+                stack.append((sub, list(entries), list(rounds), slot, remaining, psi))
         yield (indices, SeedSchedule(tuple(entries)), tuple(rounds),
                core.budget - remaining, slot)
 

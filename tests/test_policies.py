@@ -9,11 +9,12 @@ import pfim.policies as policies
 from pfim.checks import alpha_zero_seeds
 from pfim.diffusion import (EdgeState, FullRealization, PartialRealization,
                             SeedSchedule, empty_partial, observe, sample_full_realization)
-from pfim.estimation import (ActivationEstimate, EpsilonEstimator, ExactEstimator,
-                             MonteCarloEstimator, exact_conditional_activation)
+from pfim.estimation import (ActivationEstimate, EpsilonEstimator, Estimator,
+                             ExactEstimator, MonteCarloEstimator,
+                             exact_conditional_activation)
 from pfim.graph import DirectedGraph, generate_graph, load_graph
-from pfim.policies import (PolicyConfig, _GreedyCore, best_single_node,
-                           condition_satisfied, run_policy, transcript_lines)
+from pfim.policies import (PolicyConfig, RoundLog, _GreedyCore, best_single_node,
+                           run_policy, transcript_lines)
 
 from bruteforce import greedy_nonadaptive_uniform
 
@@ -22,25 +23,43 @@ DIAMOND = load_graph("0 1 0.5\n0 2 0.5\n1 3 0.5\n2 3 0.5\n")
 ALL_LIVE_DIAMOND = FullRealization((True, True, True, True))
 
 
-def make_estimate(probabilities):
-    zero = frozenset(v for v, p in probabilities.items() if p == 0.0)
-    return ActivationEstimate(sum(probabilities.values()), zero)
+class FixedActivation(Estimator):
+    """Every activation is one estimate and every gain is 1."""
+
+    def __init__(self, expected_cascade, zero_set=()):
+        self.estimate = ActivationEstimate(expected_cascade, frozenset(zero_set))
+
+    def activation(self, graph, seeds, partial):
+        return self.estimate
+
+    def gains(self, graph, seeds, partial, candidates):
+        return [1.0] * len(candidates)
 
 
 class TestCondition:
-    def test_alpha_zero_always_passes(self):
-        est = make_estimate({0: 0.0, 1: 0.0})
-        assert condition_satisfied(est, 0.0, 2)
+    """The gate of the second round, node 0 seeded at slot 0: it waits
+    while the estimated cascade per node outside the zero set is below
+    alpha."""
+
+    @staticmethod
+    def second_round(n, alpha, expected_cascade, zero_set=()):
+        g = DirectedGraph.build(n, [])
+        core = _GreedyCore(g, PolicyConfig("uniform", alpha, n),
+                           FixedActivation(expected_cascade, zero_set))
+        return core.decide([(0, 0)], empty_partial(g), 0, Fraction(n - 1), 1)
+
+    def test_alpha_zero_never_waits(self):
+        log = self.second_round(2, 0.0, 0.0)
+        assert (log.action, log.node, log.condition_value) == ("select", 1, 0.0)
 
     def test_threshold_on_surviving_nodes(self):
-        # one node certainly dead: share measured over the other two
-        est = make_estimate({0: 1.0, 1: 0.2, 2: 0.0})
-        assert condition_satisfied(est, 0.6, 3)
-        assert not condition_satisfied(est, 0.61, 3)
+        # node 2 certainly dead: the share is measured over the other two
+        assert self.second_round(3, 0.6, 1.2, {2}).action == "select"
+        wait = self.second_round(3, 0.61, 1.2, {2})
+        assert wait == RoundLog(1, 0, "wait", None, None, None, 0.6, 1)
 
     def test_boundary_is_inclusive(self):
-        est = make_estimate({0: 1.0, 1: 0.5})
-        assert condition_satisfied(est, 0.75, 2)
+        assert self.second_round(2, 0.75, 1.5).action == "select"
 
 
 class TestUniformPolicy:
@@ -274,6 +293,9 @@ class TestLazyGreedy:
                 m.setattr(MonteCarloEstimator, "submodular_gains", False)
                 return _GreedyCore(g, config, est).decide(*args)
 
+        def choice(log):
+            return None if log is None else (log.action, log.node, log.gain)
+
         seeds, state = [], states[0]
         for _ in range(data.draw(st.integers(1, 12))):
             # several selections share a state; a new state or a seed set
@@ -284,13 +306,14 @@ class TestLazyGreedy:
             elif move == "reset":
                 seeds = data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=3))
             remaining = budget - sum(g.costs[v] for v in seeds)
-            if core.seeds_complete(seeds) or remaining < 0:
+            complete = len(seeds) == n or config.kind == "uniform" and len(seeds) == budget
+            if complete or remaining < 0:
                 seeds = []
                 remaining = budget
-            args = (list(seeds), state, 0, 0, remaining)
+            args = ([(v, 0) for v in seeds], state, 0, remaining, 0)
             lazy, full = core.decide(*args), full_scan(*args)
-            assert (lazy.action, lazy.node, lazy.gain) == (full.action, full.node, full.gain)
-            if lazy.action == "select":
+            assert choice(lazy) == choice(full)
+            if lazy is not None:
                 seeds.append(lazy.node)
 
     @pytest.mark.parametrize("n, edges, costs, steps", [
@@ -314,8 +337,9 @@ class TestLazyGreedy:
         core = _GreedyCore(g, config, MonteCarloEstimator(1, 0))
         for seeds, node in steps:
             remaining = budget - sum(g.costs[v] for v in seeds)
-            d = core.decide(seeds, empty_partial(g), 0, 0, remaining)
-            assert (d.action, d.node) == (("stop", None) if node is None else ("select", node))
+            log = core.decide([(v, 0) for v in seeds], empty_partial(g), 0, remaining, 0)
+            assert (None if log is None else (log.action, log.node)) == (
+                None if node is None else ("select", node))
 
     def test_bounds_stay_with_their_observation_state(self):
         # Before 4's edges are observed, no completion draws them (p =
@@ -324,8 +348,8 @@ class TestLazyGreedy:
         g = DirectedGraph.build(8, [(0, 3, 1.0), (1, 6, 1.0), (4, 5, 1e-9), (4, 7, 1e-9)])
         seen = PartialRealization(bytes([EdgeState.UNOBSERVED] * 2 + [EdgeState.LIVE] * 2))
         core = _GreedyCore(g, PolicyConfig("uniform", 0.0, 3), MonteCarloEstimator(4, 0))
-        assert core.decide([], empty_partial(g), 0, 0, Fraction(3)).node == 0
-        assert core.decide([0], seen, 1, 0, Fraction(2)).node == 4
+        assert core.decide([], empty_partial(g), 0, Fraction(3), 0).node == 0
+        assert core.decide([(0, 0)], seen, 1, Fraction(2), 1).node == 4
 
 
 class TestStallGuard:
