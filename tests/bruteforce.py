@@ -7,9 +7,12 @@ none of that machinery, so agreement between the two is meaningful.
 """
 
 import itertools
+import random
 from fractions import Fraction
 
-from pfim.diffusion import EdgeState, FullRealization, PartialRealization
+from pfim._util import derive_seed, fmt_g
+from pfim.diffusion import EdgeState, FullRealization, PartialRealization, SeedSchedule
+from pfim.estimation import ExactEstimator
 
 
 def enumerate_realizations(graph):
@@ -155,3 +158,86 @@ def full_feedback_optimum(graph, picks):
         return best
 
     return value([], list(enumerate_realizations(graph)))
+
+
+def naive_policy_run(graph, config, realization, rng_seed, epsilon=0.0):
+    """One run of the alpha-greedy policy, step by step from the
+    `pfim.policies` docstrings, on the exact backend (epsilon 0) or its
+    adversarial-low epsilon wrapper. Returns (transcript lines, schedule
+    entries, realized cascade, arm); raises ValueError where the policy
+    cannot start.
+
+    Each value is a fresh `ExactEstimator().activation` of one seed set;
+    the wrapper scales it by f = 1 - epsilon. Each round stops once every
+    seed is placed, or else reads f(S) and the zero set O of the seeds S.
+    After the first seed the gate waits one slot, and observes, while
+    f(S) / (n - |O|) < alpha, unless the newest seed has been active for n
+    slots (the stall guard). Otherwise it scans every candidate, the
+    affordable ones only before the first seed; a gain is max(f(S + c) -
+    f(S), 0) on the exact backend and f(S + c) * f - f(S) * f under the
+    wrapper. The largest gain per unit cost wins, smallest id on ties;
+    under non-uniform costs the run stops if it does not fit the
+    remaining budget. The enhanced policy's fair coin (stream "arm-coin")
+    picks between the best single node alone and the non-uniform run; an
+    unaffordable best single node stops both arms."""
+    n, costs, budget = graph.node_count, graph.costs, config.budget
+    factor = 1.0 - epsilon
+
+    def value(seeds, partial):
+        est = ExactEstimator().activation(graph, frozenset(seeds), partial)
+        return est.expected_cascade, len(est.zero_set)
+
+    def gain(with_c, base):
+        if epsilon:
+            return with_c * factor - base * factor
+        return max(with_c - base, 0.0)
+
+    def line(r, slot, act, cond, zero):
+        cond = "na" if cond is None else fmt_g(cond)
+        return f"r={r} slot={slot} action={act} cond={cond} |O|={zero}"
+
+    empty = naive_observe(graph, realization, SeedSchedule(()), 0)
+    arm = None
+    if config.kind == "enhanced":
+        singles = [value([v], empty)[0] * factor for v in range(n)]
+        star = max(range(n), key=lambda v: (singles[v], -v))
+        if costs[star] > budget:
+            raise ValueError("best single node is unaffordable")
+        if random.Random(derive_seed(rng_seed, "arm-coin")).random() < 0.5:
+            act = f"select:{star},{fmt_g(singles[star])},{budget - costs[star]}"
+            return ([line(0, 0, act, None, n)], [(star, 0)],
+                    bfs_cascade(graph, realization.live, [star]), "single")
+        arm = "greedy"
+    uniform = config.kind == "uniform"
+    if not uniform and min(costs) > budget:
+        raise ValueError("no affordable first node")
+
+    lines, entries, slot, remaining, partial = [], [], 0, budget, empty
+    while True:
+        seeds = [v for v, _ in entries]
+        if len(seeds) == n or uniform and len(seeds) == budget:
+            break
+        base, zero = value(seeds, partial)
+        cond = None
+        if seeds:
+            cond = base * factor / (n - zero)
+            if cond < config.alpha and slot - entries[-1][1] < n:
+                lines.append(line(len(lines), slot, "wait", cond, zero))
+                slot += 1
+                partial = naive_observe(graph, realization,
+                                        SeedSchedule(tuple(entries)), slot)
+                continue
+        candidates = [c for c in range(n) if c not in seeds
+                      and (uniform or seeds or costs[c] <= remaining)]
+        if not candidates:
+            break
+        gains = {c: gain(value(seeds + [c], partial)[0], base) for c in candidates}
+        best = max(candidates, key=lambda c: (gains[c] / float(costs[c]), -c))
+        if costs[best] > remaining:
+            break
+        remaining -= costs[best]
+        act = f"select:{best},{fmt_g(gains[best])},{remaining}"
+        lines.append(line(len(lines), slot, act, cond, zero))
+        entries.append((best, slot))
+    return (lines, entries,
+            bfs_cascade(graph, realization.live, [v for v, _ in entries]), arm)

@@ -13,10 +13,10 @@ from pfim.estimation import (ActivationEstimate, EpsilonEstimator, Estimator,
                              ExactEstimator, MonteCarloEstimator,
                              exact_conditional_activation)
 from pfim.graph import DirectedGraph, generate_graph, load_graph
-from pfim.policies import (PolicyConfig, RoundLog, _GreedyCore, best_single_node,
-                           run_policy, transcript_lines)
+from pfim.policies import (POLICY_KINDS, PolicyConfig, RoundLog, _GreedyCore,
+                           best_single_node, run_policy, transcript_lines)
 
-from bruteforce import greedy_nonadaptive_uniform
+from bruteforce import greedy_nonadaptive_uniform, naive_policy_run
 
 CHAIN = load_graph("0 1 0.5\n1 2 0.5\n")
 DIAMOND = load_graph("0 1 0.5\n0 2 0.5\n1 3 0.5\n2 3 0.5\n")
@@ -369,6 +369,46 @@ class TestStallGuard:
             waits = [r for r in run.rounds if r.action == "wait"]
             # settled one slot past the deepest live layer, far below the guard
             assert len(waits) <= 2 * g.node_count
+
+
+class TestSlowTwin:
+    """`run_policy` against `bruteforce.naive_policy_run`, which shares no
+    code with the greedy loop: the same transcript, schedule and cascade,
+    or the same refusal to start."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_run_matches_the_naive_loop(self, data):
+        n = data.draw(st.integers(2, 7))
+        pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+        chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=10))
+        probs = data.draw(st.lists(st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+                                   min_size=len(chosen), max_size=len(chosen)))
+        g = DirectedGraph.build(n, [(u, v, p) for (u, v), p in zip(chosen, probs)])
+        kind = data.draw(st.sampled_from(POLICY_KINDS))
+        if kind == "uniform":
+            budget = Fraction(data.draw(st.integers(1, n)))
+        else:
+            costs = st.lists(st.integers(1, 8), min_size=n, max_size=n)
+            g = g.with_costs(tuple(Fraction(c, 2) for c in data.draw(costs)))
+            budget = Fraction(data.draw(st.integers(1, 16)), 2)
+        config = PolicyConfig(kind, data.draw(st.sampled_from([0.0, 0.3, 0.8, 1.0])), budget)
+        epsilon = data.draw(st.sampled_from([0.0, 0.0, 0.5, 0.9]))
+        world = sample_full_realization(g, data.draw(st.integers(0, 1 << 20)))
+        rng_seed = data.draw(st.integers(0, 99))
+        est = ExactEstimator()
+        if epsilon:
+            est = EpsilonEstimator(est, epsilon, "adversarial-low", 0)
+        try:
+            run = run_policy(g, config, world, est, rng_seed)
+        except ValueError:
+            with pytest.raises(ValueError):
+                naive_policy_run(g, config, world, rng_seed, epsilon)
+            return
+        lines, entries, cascade, arm = naive_policy_run(g, config, world, rng_seed, epsilon)
+        assert transcript_lines(run) == lines
+        assert list(run.schedule.entries) == entries
+        assert (run.realized_cascade, run.arm) == (cascade, arm)
 
 
 class TestTranscripts:
