@@ -29,7 +29,7 @@ from .estimation import (EPS_MODES, EpsilonEstimator, Estimator, ExactEstimator,
 from .graph import (DirectedGraph, GraphFormatError, assign_trivalency_probabilities,
                     edge_list_text, generate_graph, load_graph)
 from .oracles import ENUMERATION_EDGE_LIMIT, evaluate_policy_exact, evaluate_policy_sampled
-from .policies import POLICY_KINDS, PolicyConfig, transcript_lines
+from .policies import POLICY_KINDS, PolicyConfig, UnaffordableBudget, transcript_lines
 
 CSV_HEADER = ("alpha,budget,i,policy,estimator,realizations,"
               "mean_spread,stderr,mean_slots,mean_seeds,rng_seed")
@@ -229,6 +229,8 @@ def _check_policy_budget(graph: DirectedGraph, policy: str, budget: Fraction):
             raise _config_error("budget", "uniform policy needs an integer budget")
         if budget > graph.node_count:
             raise CliError("config", "budget exceeds node count under uniform cost")
+    elif all(c > budget for c in graph.costs):
+        raise _config_error("budget", f"{budget} is below every node's cost")
 
 
 # ---------------------------------------------------------------------------
@@ -246,12 +248,14 @@ def cmd_sweep_alpha(args) -> int:
     threads = _threads()
     i_cell = "na" if trivalency is None else str(trivalency)
 
+    for budget in budgets:
+        _check_policy_budget(graph, policy, budget)
+
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(CSV_HEADER.split(","))
     for alpha in alphas:
         for budget in budgets:
-            _check_policy_budget(graph, policy, budget)
             config = PolicyConfig(policy, alpha, budget)
             result = evaluate_policy_sampled(graph, config, realizations,
                                              seed, estimator, threads)
@@ -498,6 +502,10 @@ def main(argv=None) -> int:
         return 1
     except InstanceTooLarge as exc:
         print(f"error: guard: {exc}", file=sys.stderr)
+        return 1
+    except UnaffordableBudget as exc:
+        # the best single node, known only from the estimate
+        print(str(_config_error("budget", str(exc))), file=sys.stderr)
         return 1
 
 

@@ -71,6 +71,11 @@ class PolicyRun:
 POLICY_KINDS = ("uniform", "nonuniform", "enhanced")
 
 
+class UnaffordableBudget(ValueError):
+    """The budget cannot start the run: no node fits it, or the enhanced
+    policy's best single node does not."""
+
+
 @dataclass(frozen=True)
 class PolicyConfig:
     kind: str
@@ -137,7 +142,7 @@ class _GreedyCore:
             if not graph.has_uniform_unit_costs():
                 raise ValueError("uniform-cost policy requires all node costs equal 1")
         elif graph.node_count == 0 or min(graph.costs) > self.budget:
-            raise ValueError("no affordable first node")
+            raise UnaffordableBudget("no affordable first node")
 
     def _best(self, gains: dict[int, float]) -> tuple[int | None, float]:
         """The largest score (gain per unit cost), smallest id on ties,
@@ -272,7 +277,7 @@ def _affordable_single_node(graph: DirectedGraph, estimator: Estimator,
     """`best_single_node`, rejected when it costs more than the budget."""
     star, value = best_single_node(graph, estimator)
     if graph.costs[star] > budget:
-        raise ValueError(f"best single node {star} is unaffordable "
+        raise UnaffordableBudget(f"best single node {star} is unaffordable "
                          f"(cost {graph.costs[star]} exceeds budget {budget})")
     return star, value
 

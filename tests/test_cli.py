@@ -278,6 +278,31 @@ class TestErrors:
         assert err == ("error: config: samples: 50 differs from the 20 of "
                        "estimator 'mc:20'\n")
 
+    @pytest.mark.parametrize("command", ["sweep-alpha", "evaluate"])
+    @pytest.mark.parametrize("policy, budget", [("nonuniform", "1/3"), ("enhanced", "1/2")])
+    def test_budget_below_every_cost(self, diamond_path, capsys, command, policy, budget):
+        code, out, err = run_cli([command, "--graph", diamond_path, "--policy", policy,
+                                  "--budget", budget], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: config: budget: {budget} is below every node's cost\n"
+
+    @pytest.mark.parametrize("argv", [["sweep-alpha", "--realizations", "2"], ["evaluate"]],
+                             ids=["sweep-alpha", "evaluate"])
+    def test_unaffordable_best_single_node(self, diamond_path, tmp_path, capsys,
+                                           monkeypatch, argv):
+        # nodes 1 to 3 fit the budget; node 0, the best alone, does not
+        monkeypatch.chdir(tmp_path)
+        costs = tmp_path / "diamond.costs"
+        costs.write_text("0 9\n")
+        code, out, err = run_cli(argv + [
+            "--graph", diamond_path, "--costs", str(costs), "--policy", "enhanced",
+            "--budget", "2", "--estimator", "exact"], capsys)
+        assert (code, out) == (1, "")
+        assert err == ("error: config: budget: best single node 0 is unaffordable "
+                       "(cost 9 exceeds budget 2)\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["diamond.costs",
+                                                              "diamond.edges"]
+
     def test_bad_thread_env(self, diamond_path, capsys, monkeypatch):
         monkeypatch.setenv("PFIM_THREADS", "zero")
         code, _, err = run_cli(
