@@ -49,11 +49,12 @@ def _config_error(field: str, problem: str) -> CliError:
 
 
 # the options each subcommand reads, with the default of each; None is
-# unset. `samples` and `realizations` stay unset so that an explicit
-# value can be told from the fallback (`_build_estimator`'s 1000 samples,
-# `_realizations`'s 100 worlds).
+# unset. `samples`, `eps_mode` and `realizations` stay unset so that an
+# explicit value can be told from the fallback (`_build_estimator`'s 1000
+# samples and random mode, `_realizations`'s 100 worlds): a run that does
+# not read one rejects it.
 _EXPERIMENT = {"graph": None, "costs": None, "alpha": "0", "budget": "1", "i": None,
-               "samples": None, "estimator": "mc", "epsilon": 0.0, "eps_mode": "random",
+               "samples": None, "estimator": "mc", "epsilon": 0.0, "eps_mode": None,
                "realizations": None, "seed": 0, "out": None, "policy": "enhanced"}
 _OPTIONS = {
     "sweep-alpha": _EXPERIMENT,
@@ -140,6 +141,8 @@ def _build_estimator(args) -> tuple[Estimator, str]:
     spec = str(args.estimator).strip()
     samples = _parse_int("samples", 1000 if args.samples is None else args.samples, 1)
     if spec == "exact":
+        if args.samples is not None:
+            raise _config_error("samples", "not read: the exact estimator does not sample")
         est: Estimator = ExactEstimator()
     elif spec == "mc":
         est = MonteCarloEstimator(samples, 0)
@@ -158,10 +161,12 @@ def _build_estimator(args) -> tuple[Estimator, str]:
     if not (0.0 <= epsilon < 1.0):
         raise _config_error("epsilon", f"{epsilon:g} outside [0, 1)")
     if epsilon > 0.0:
-        mode = str(args.eps_mode)
+        mode = "random" if args.eps_mode is None else str(args.eps_mode)
         if mode not in EPS_MODES:
             raise _config_error("eps_mode", f"unknown mode {mode!r}")
         est = EpsilonEstimator(est, epsilon, mode, 0)
+    elif args.eps_mode is not None:
+        raise _config_error("eps_mode", "not read: epsilon is 0, so nothing is perturbed")
     return est, est.tag
 
 

@@ -192,6 +192,25 @@ class TestEvaluate:
         assert err == ("error: config: realizations: not read: the exact value of a "
                        "graph with at most 22 edges is enumerated\n")
 
+    @pytest.mark.parametrize("given", ["flag", "file"])
+    @pytest.mark.parametrize("key, value, problem", [
+        ("samples", "7", "the exact estimator does not sample"),
+        ("eps_mode", "adversarial-low", "epsilon is 0, so nothing is perturbed"),
+    ], ids=["samples", "eps-mode"])
+    def test_unread_option_is_a_config_error(self, diamond_path, tmp_path, capsys,
+                                             monkeypatch, given, key, value, problem):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        extra = {"flag": ["--" + key.replace("_", "-"), value],
+                 "file": ["--config", str(cfg)]}[given]
+        code, out, err = run_cli(
+            ["evaluate", "--graph", diamond_path, "--alpha", "0.5", "--budget", "2",
+             "--estimator", "exact", "--seed", "4"] + extra, capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: config: {key}: not read: {problem}\n"
+        assert not (tmp_path / "evaluate.transcript.txt").exists()
+
     def test_multi_cell_rejected(self, diamond_path, capsys):
         code, _, err = run_cli(
             ["evaluate", "--graph", diamond_path, "--alpha", "0,1",
@@ -341,15 +360,16 @@ def test_usage_errors_are_one_line(capsys):
 
 
 @pytest.mark.parametrize("argv,fallbacks,outputs", [
+    # at epsilon 0 nothing reads `--eps-mode`, so giving it is an error
     (["sweep-alpha", "--graph", "DIAMOND"],
      ["--alpha", "0", "--budget", "1", "--estimator", "mc", "--epsilon", "0.0",
-      "--eps-mode", "random", "--realizations", "100", "--seed", "0",
-      "--policy", "enhanced", "--samples", "1000"], []),
+      "--realizations", "100", "--seed", "0", "--policy", "enhanced",
+      "--samples", "1000"], []),
     # the exact value of the diamond is enumerated, so `--realizations`
     # is not read there and giving it is an error
     (["evaluate", "--graph", "DIAMOND", "--estimator", "exact"],
-     ["--alpha", "0", "--budget", "1", "--epsilon", "0.0", "--eps-mode", "random",
-      "--seed", "0", "--policy", "enhanced"],
+     ["--alpha", "0", "--budget", "1", "--epsilon", "0.0", "--seed", "0",
+      "--policy", "enhanced"],
      ["evaluate.transcript.txt"]),
     (["oracle-check"], ["--seed", "7"], []),
     (["bound", "--variant", "enhanced-eps", "--n", "10", "--f-star", "5",
