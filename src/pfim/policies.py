@@ -278,7 +278,7 @@ def _affordable_single_node(graph: DirectedGraph, estimator: Estimator,
     star, value = best_single_node(graph, estimator)
     if graph.costs[star] > budget:
         raise UnaffordableBudget(f"best single node {star} is unaffordable "
-                         f"(cost {graph.costs[star]} exceeds budget {budget})")
+                                 f"(cost {graph.costs[star]} exceeds budget {budget})")
     return star, value
 
 
