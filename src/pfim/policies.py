@@ -72,8 +72,7 @@ POLICY_KINDS = ("uniform", "nonuniform", "enhanced")
 
 
 class UnaffordableBudget(ValueError):
-    """The budget cannot start the run: no node fits it, or the enhanced
-    policy's best single node does not."""
+    """No node fits the budget, or the enhanced best single node does not."""
 
 
 @dataclass(frozen=True)
@@ -132,7 +131,6 @@ class _GreedyCore:
         self.budget = config.budget
         self.estimator = estimator
         self.uniform = config.kind == "uniform"
-        self.stall_bound = max(graph.node_count, 1)
         self._bounds: tuple[bytes, frozenset[int], dict[int, float]] | None = None
         # a uniform-cost graph has every cost 1, so a score is the gain itself
         self._float_costs = [float(c) for c in graph.costs]
@@ -186,13 +184,11 @@ class _GreedyCore:
 
     def decide(self, entries: list[tuple[int, int]], partial: PartialRealization,
                slot: int, remaining: Fraction, round_index: int) -> RoundLog | None:
-        """The round's log, a select or a wait, or None to stop. `entries`
-        is the schedule so far as (node, slot) pairs. The gate waits while
-        the estimated cascade per still-activatable node is below alpha,
-        unless the newest seed has been active for `stall_bound` slots;
-        the first selection skips it. The run stops when every seed is
-        placed, when no candidate is left, or when the ratio argmax after
-        the first selection is unaffordable (no cheaper substitute)."""
+        """One round on the schedule `entries`, (node, slot) pairs: its log,
+        a select or a wait, or None to stop (every seed placed, or the
+        argmax missing or unaffordable). After the first seed the gate
+        waits while the expected cascade per node outside the zero set is
+        below alpha, unless the newest seed is node_count slots old."""
         graph = self.graph
         seeds = [v for v, _ in entries]
         if len(seeds) == graph.node_count or (
@@ -200,21 +196,20 @@ class _GreedyCore:
             return None
         estimate = self.estimator.activation(graph, seeds, partial)
         zero_size = len(estimate.zero_set)
-        first = not seeds
         cond_value = None
-        if not first:
+        if seeds:
             live_nodes = graph.node_count - zero_size
             # a selected seed always sits outside the zero set
             assert live_nodes > 0, "zero set swallowed a seeded node"
             cond_value = estimate.expected_cascade / live_nodes
             # cond_value >= 0, so alpha = 0 never waits
-            if cond_value < self.alpha and slot - entries[-1][1] < self.stall_bound:
+            if cond_value < self.alpha and slot - entries[-1][1] < graph.node_count:
                 return RoundLog(round_index, slot, "wait", None, None, None,
                                 cond_value, zero_size)
 
         seeded = set(seeds)
         candidates = [v for v in range(graph.node_count) if v not in seeded and (
-            self.uniform or not first or graph.costs[v] <= remaining)]
+            self.uniform or seeds or graph.costs[v] <= remaining)]
         best, best_gain = self._argmax(seeds, seeded, partial, candidates)
         if best is None or graph.costs[best] > remaining:
             return None

@@ -376,7 +376,7 @@ class TestSlowTwin:
     code with the greedy loop: the same transcript, schedule and cascade,
     or the same refusal to start."""
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_run_matches_the_naive_loop(self, data):
         n = data.draw(st.integers(2, 7))
@@ -389,10 +389,12 @@ class TestSlowTwin:
         if kind == "uniform":
             budget = Fraction(data.draw(st.integers(1, n)))
         else:
-            costs = st.lists(st.integers(1, 8), min_size=n, max_size=n)
+            costs = st.lists(st.integers(1, 6), min_size=n, max_size=n)
             g = g.with_costs(tuple(Fraction(c, 2) for c in data.draw(costs)))
             budget = Fraction(data.draw(st.integers(1, 16)), 2)
-        config = PolicyConfig(kind, data.draw(st.sampled_from([0.0, 0.3, 0.8, 1.0])), budget)
+        # at alpha 1 a settled exact condition equals alpha exactly
+        alpha = data.draw(st.sampled_from([0.0, 0.3, 0.8, 1.0, 1.0]))
+        config = PolicyConfig(kind, alpha, budget)
         epsilon = data.draw(st.sampled_from([0.0, 0.0, 0.5, 0.9]))
         world = sample_full_realization(g, data.draw(st.integers(0, 1 << 20)))
         rng_seed = data.draw(st.integers(0, 99))
