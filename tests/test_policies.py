@@ -48,7 +48,7 @@ class TestCondition:
                            FixedActivation(expected_cascade, zero_set))
         return core.decide([(0, 0)], empty_partial(g), 0, Fraction(n - 1), 1)
 
-    def test_alpha_zero_never_waits(self):
+    def test_alpha_zero_always_passes(self):
         log = self.second_round(2, 0.0, 0.0)
         assert (log.action, log.node, log.condition_value) == ("select", 1, 0.0)
 
