@@ -6,7 +6,8 @@ left off the command line comes from a flat key-value config file
 (``key = value`` lines, ``#`` comments) when one is given, else from
 its default in that table. Errors, usage errors included, come out on
 stderr as a single machine-parseable line ``error: <code>: <message>``
-with a nonzero exit status. The PFIM_THREADS environment variable caps
+with a nonzero exit status; a budget is refused by `policies.check_budget`
+before any cell runs. The PFIM_THREADS environment variable caps
 how many worker processes the realization loops may use (default 1);
 results are identical regardless because per-world streams are
 indexed, not shared.
@@ -27,9 +28,9 @@ from .diffusion import SeedSchedule, empty_partial, sample_full_realization
 from .estimation import (EPS_MODES, EpsilonEstimator, Estimator, ExactEstimator,
                          InstanceTooLarge, MonteCarloEstimator)
 from .graph import (DirectedGraph, GraphFormatError, assign_trivalency_probabilities,
-                    edge_list_text, generate_graph, load_graph)
+                    edge_list_text, generate_graph, load_graph, trivalency_levels)
 from .oracles import ENUMERATION_EDGE_LIMIT, evaluate_policy_exact, evaluate_policy_sampled
-from .policies import POLICY_KINDS, PolicyConfig, UnaffordableBudget, transcript_lines
+from .policies import POLICY_KINDS, BudgetError, PolicyConfig, check_budget, transcript_lines
 
 CSV_HEADER = ("alpha,budget,i,policy,estimator,realizations,"
               "mean_spread,stderr,mean_slots,mean_seeds,rng_seed")
@@ -59,7 +60,7 @@ _EXPERIMENT = {"graph": None, "costs": None, "alpha": "0", "budget": "1", "i": N
 _OPTIONS = {
     "sweep-alpha": _EXPERIMENT,
     "evaluate": _EXPERIMENT,
-    "oracle-check": {"graph": None, "costs": None, "i": None, "seed": 7},
+    "oracle-check": {"graph": None, "i": None, "seed": 7},
     "bound": {"alpha": "1", "epsilon": 0.0, "budget": None, "n": None, "f_star": None,
               "c_max": None, "c_min": None},
     "gen-graph": {"nodes": None, "edges": None, "i": 1, "seed": 0, "out": None},
@@ -174,8 +175,18 @@ def _load_experiment_graph(args, seed: int) -> tuple[DirectedGraph, int | None]:
     if args.graph is None:
         raise _config_error("graph", "no graph source given")
     source = str(args.graph)
-    trivalency = None if args.i is None else _parse_int("i", args.i, 1)
+    trivalency = None
+    if args.i is not None:
+        trivalency = _parse_int("i", args.i, 1)
+        try:
+            trivalency_levels(trivalency)
+        except ValueError as exc:
+            raise _config_error("i", str(exc))
+    # oracle-check takes no cost file
+    costs = getattr(args, "costs", None)
     if source.startswith("gen:"):
+        if costs is not None:
+            raise _config_error("costs", "not read: a generated graph has unit costs")
         parts = source.split(":")
         if len(parts) != 4:
             raise _config_error("graph", "generator spec is gen:<model>:<nodes>:<edges>")
@@ -189,17 +200,14 @@ def _load_experiment_graph(args, seed: int) -> tuple[DirectedGraph, int | None]:
             raise _config_error("graph", str(exc))
         return graph, trivalency or 1
     edge_text = _read_text(source, "graph")
-    cost_data = None if args.costs is None else _read_text(args.costs, "cost")
+    cost_data = None if costs is None else _read_text(costs, "cost")
     try:
         graph = load_graph(edge_text, cost_data)
     except GraphFormatError as exc:
         raise CliError("io", str(exc))
     if trivalency is not None:
-        try:
-            graph = assign_trivalency_probabilities(graph, trivalency,
-                                                    derive_seed(seed, "trivalency"))
-        except ValueError as exc:
-            raise _config_error("i", str(exc))
+        graph = assign_trivalency_probabilities(graph, trivalency,
+                                                derive_seed(seed, "trivalency"))
     return graph, trivalency
 
 
@@ -221,21 +229,21 @@ def _threads() -> int:
     return value
 
 
-def _policy_name(args) -> str:
-    name = str(args.policy)
-    if name not in POLICY_KINDS:
-        raise _config_error("policy", f"unknown policy {name!r}")
-    return name
-
-
-def _check_policy_budget(graph: DirectedGraph, policy: str, budget: Fraction):
-    if policy == "uniform":
-        if budget.denominator != 1:
-            raise _config_error("budget", "uniform policy needs an integer budget")
-        if budget > graph.node_count:
-            raise CliError("config", "budget exceeds node count under uniform cost")
-    elif all(c > budget for c in graph.costs):
-        raise _config_error("budget", f"{budget} is below every node's cost")
+def _cells(args) -> tuple[int, DirectedGraph, str, list[PolicyConfig]]:
+    """The seed, the graph, the CSV's `i` cell and one PolicyConfig per
+    (alpha, budget) cell, alpha-major. Every cell's budget is checked
+    (`check_budget`) before any cell runs."""
+    seed = _parse_int("seed", args.seed, 0)
+    graph, trivalency = _load_experiment_graph(args, seed)
+    alphas = _parse_alpha_list(args.alpha)
+    budgets = _parse_budget_list(args.budget)
+    policy = str(args.policy)
+    if policy not in POLICY_KINDS:
+        raise _config_error("policy", f"unknown policy {policy!r}")
+    configs = [PolicyConfig(policy, alpha, budget) for alpha in alphas for budget in budgets]
+    for config in configs:
+        check_budget(graph, config)
+    return seed, graph, "na" if trivalency is None else str(trivalency), configs
 
 
 # ---------------------------------------------------------------------------
@@ -244,47 +252,31 @@ def _check_policy_budget(graph: DirectedGraph, policy: str, budget: Fraction):
 
 def cmd_sweep_alpha(args) -> int:
     estimator, tag = _build_estimator(args)
-    seed = _parse_int("seed", args.seed, 0)
-    graph, trivalency = _load_experiment_graph(args, seed)
-    alphas = _parse_alpha_list(args.alpha)
-    budgets = _parse_budget_list(args.budget)
+    seed, graph, i_cell, configs = _cells(args)
     realizations = _realizations(args)
-    policy = _policy_name(args)
     threads = _threads()
-    i_cell = "na" if trivalency is None else str(trivalency)
-
-    for budget in budgets:
-        _check_policy_budget(graph, policy, budget)
 
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(CSV_HEADER.split(","))
-    for alpha in alphas:
-        for budget in budgets:
-            config = PolicyConfig(policy, alpha, budget)
-            result = evaluate_policy_sampled(graph, config, realizations,
-                                             seed, estimator, threads)
-            writer.writerow([
-                fmt_g(alpha), str(budget), i_cell, policy, tag,
-                str(realizations), fmt_g(result.mean_spread),
-                fmt_g(result.std_error), fmt_g(result.mean_slots),
-                fmt_g(result.mean_seeds), str(seed)])
+    for config in configs:
+        result = evaluate_policy_sampled(graph, config, realizations,
+                                         seed, estimator, threads)
+        writer.writerow([
+            fmt_g(config.alpha), str(config.budget), i_cell, config.kind, tag,
+            str(realizations), fmt_g(result.mean_spread),
+            fmt_g(result.std_error), fmt_g(result.mean_slots),
+            fmt_g(result.mean_seeds), str(seed)])
     _write_output(args, buffer.getvalue())
     return 0
 
 
 def cmd_evaluate(args) -> int:
-    seed = _parse_int("seed", args.seed, 0)
-    graph, _ = _load_experiment_graph(args, seed)
-    alphas = _parse_alpha_list(args.alpha)
-    budgets = _parse_budget_list(args.budget)
-    if len(alphas) != 1 or len(budgets) != 1:
+    seed, graph, _, configs = _cells(args)
+    if len(configs) != 1:
         raise _config_error("alpha/budget", "evaluate takes a single cell")
-    alpha, budget = alphas[0], budgets[0]
-    policy = _policy_name(args)
-    _check_policy_budget(graph, policy, budget)
+    config, = configs
     estimator, tag = _build_estimator(args)
-    config = PolicyConfig(policy, alpha, budget)
 
     # the transcript is world 0 of the sample, drawn even when the value
     # is exact, for inspection
@@ -508,9 +500,8 @@ def main(argv=None) -> int:
     except InstanceTooLarge as exc:
         print(f"error: guard: {exc}", file=sys.stderr)
         return 1
-    except UnaffordableBudget as exc:
-        # the best single node, known only from the estimate
-        print(str(_config_error("budget", str(exc))), file=sys.stderr)
+    except BudgetError as exc:
+        print(str(_config_error(exc.field, str(exc))), file=sys.stderr)
         return 1
 
 

@@ -235,17 +235,23 @@ def edge_list_text(graph: DirectedGraph) -> str:
 # randomized attribute assignment
 
 
+def trivalency_levels(i: int) -> tuple[float, float]:
+    """The two edge probabilities of trivalency index i, i*0.01 and
+    i*0.001; ValueError unless i is positive and i*0.01 at most 1."""
+    if i < 1:
+        raise ValueError("trivalency index must be a positive integer")
+    if i * 0.01 > 1.0:
+        raise ValueError(f"trivalency index {i} puts i*0.01 above 1")
+    return i * 0.01, i * 0.001
+
+
 def assign_trivalency_probabilities(graph: DirectedGraph, i: int,
                                     rng_seed: int) -> DirectedGraph:
     """Redraw every edge probability as i*0.01 or i*0.001, a fair coin each.
 
     Topology and costs are untouched. Raises if i*0.01 would exceed 1.
     """
-    if i < 1:
-        raise ValueError("trivalency index must be a positive integer")
-    hi, lo = i * 0.01, i * 0.001
-    if hi > 1.0:
-        raise ValueError(f"trivalency index {i} puts i*0.01 above 1")
+    hi, lo = trivalency_levels(i)
     rng = random.Random(rng_seed)
     ps = [hi if rng.random() < 0.5 else lo for _ in range(graph.edge_count)]
     return graph.with_probabilities(ps)

@@ -92,12 +92,12 @@ def evaluate_policy_exact(graph: DirectedGraph, config: PolicyConfig,
         raise InstanceTooLarge(
             f"realization enumeration over {graph.edge_count} edges exceeds "
             f"the {ENUMERATION_EDGE_LIMIT}-edge guard")
-    worlds = _enumerate_worlds(graph)
     estimator = ExactEstimator()
+    core = _GreedyCore(graph, config, estimator)
+    worlds = _enumerate_worlds(graph)
     if config.kind == "enhanced":
         star, _ = _affordable_single_node(graph, estimator, config.budget)
         single = _expected_cascade(worlds, range(len(worlds)), [star])
-    core = _GreedyCore(graph, config, estimator)
     value = 0.0
     for indices, schedule, *_ in _greedy_runs(core, [r for r, *_ in worlds],
                                               selection_hook):

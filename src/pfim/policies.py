@@ -14,9 +14,9 @@ Three selection rules: uniform cost (argmax gain, exactly B seeds),
 non-uniform cost (argmax gain per cost; terminates early if the argmax
 is unaffordable), and the enhanced variant that flips a fair coin
 between the best single node and the non-uniform greedy run. The coin
-comes first: the best single node is computed on its own arm, and on the
-greedy arm only when some node costs more than the budget, to reject an
-unaffordable best node on both arms alike.
+comes first; the greedy arm computes the best single node only when some
+node costs more than the budget, to reject it on both arms alike. The
+budget rules are `check_budget`'s, which every `_GreedyCore` runs first.
 
 On the Monte Carlo backend the argmax scans lazily (CELF): a round on
 the same observation state as the last selection round, with more seeds,
@@ -71,8 +71,13 @@ class PolicyRun:
 POLICY_KINDS = ("uniform", "nonuniform", "enhanced")
 
 
-class UnaffordableBudget(ValueError):
-    """No node fits the budget, or the enhanced best single node does not."""
+class BudgetError(ValueError):
+    """A budget that the policy cannot run under. `field` names the option
+    to blame: "budget" or "costs"."""
+
+    def __init__(self, field: str, problem: str):
+        super().__init__(problem)
+        self.field = field
 
 
 @dataclass(frozen=True)
@@ -90,6 +95,22 @@ class PolicyConfig:
             raise ValueError("alpha must lie in [0, 1]")
         if self.budget <= 0:
             raise ValueError("budget must be positive")
+
+
+def check_budget(graph: DirectedGraph, config: PolicyConfig):
+    """BudgetError unless uniform cost has an integer budget of at most the
+    node count and every node cost 1, or another kind an affordable node."""
+    budget = config.budget
+    if config.kind == "uniform":
+        if budget.denominator != 1:
+            raise BudgetError("budget", "uniform policy needs an integer budget")
+        if budget > graph.node_count:
+            raise BudgetError("budget", f"{budget} exceeds the node count "
+                                        f"{graph.node_count} under uniform cost")
+        if not graph.has_uniform_unit_costs():
+            raise BudgetError("costs", "uniform policy needs every node cost 1")
+    elif all(c > budget for c in graph.costs):
+        raise BudgetError("budget", f"{budget} is below every node's cost")
 
 
 def transcript_lines(run: PolicyRun) -> list[str]:
@@ -110,8 +131,8 @@ class _GreedyCore:
     """Per-round decision logic of the greedy loop (`_greedy_runs`): each
     `decide` is one round. The caller owns the schedule, the slot, the
     remaining budget and the observations.
-    The PolicyConfig has already checked the ranges of alpha and budget;
-    the enhanced kind runs the nonuniform loop (its greedy arm).
+    The PolicyConfig checks the ranges of alpha and budget, `check_budget`
+    the budget on the graph; the enhanced kind runs the nonuniform loop.
 
     The only state a core keeps between rounds is the last selection
     round's gains, as upper bounds for CELF lazy greedy (Leskovec et al.,
@@ -126,6 +147,7 @@ class _GreedyCore:
 
     def __init__(self, graph: DirectedGraph, config: PolicyConfig,
                  estimator: Estimator):
+        check_budget(graph, config)
         self.graph = graph
         self.alpha = config.alpha
         self.budget = config.budget
@@ -134,13 +156,6 @@ class _GreedyCore:
         self._bounds: tuple[bytes, frozenset[int], dict[int, float]] | None = None
         # a uniform-cost graph has every cost 1, so a score is the gain itself
         self._float_costs = [float(c) for c in graph.costs]
-        if self.uniform:
-            if self.budget.denominator != 1 or self.budget < 1:
-                raise ValueError("uniform-cost policy needs an integer budget >= 1")
-            if not graph.has_uniform_unit_costs():
-                raise ValueError("uniform-cost policy requires all node costs equal 1")
-        elif graph.node_count == 0 or min(graph.costs) > self.budget:
-            raise UnaffordableBudget("no affordable first node")
 
     def _best(self, gains: dict[int, float]) -> tuple[int | None, float]:
         """The largest score (gain per unit cost), smallest id on ties,
@@ -272,30 +287,31 @@ def _affordable_single_node(graph: DirectedGraph, estimator: Estimator,
     """`best_single_node`, rejected when it costs more than the budget."""
     star, value = best_single_node(graph, estimator)
     if graph.costs[star] > budget:
-        raise UnaffordableBudget(f"best single node {star} is unaffordable "
-                                 f"(cost {graph.costs[star]} exceeds budget {budget})")
+        raise BudgetError("budget", f"best single node {star} is unaffordable "
+                                    f"(cost {graph.costs[star]} exceeds budget {budget})")
     return star, value
 
 
 def run_policy(graph: DirectedGraph, config: PolicyConfig,
                realization: FullRealization, estimator: Estimator,
                rng_seed: int) -> PolicyRun:
-    """Run a configured policy against one realization.
+    """Run a configured policy against one realization, after `check_budget`.
 
-    uniform: argmax marginal gain, exactly B seeds (fewer only if the
-    graph runs out of nodes). nonuniform: argmax gain per unit cost; the
-    first selection considers only affordable nodes, and afterwards the
-    run terminates if the ratio argmax does not fit the remaining budget,
-    without substituting a cheaper node. enhanced: a fair coin between
-    seeding only the best single node and the nonuniform run with the
-    same seeds.
+    uniform: argmax marginal gain, exactly B seeds. nonuniform: argmax
+    gain per unit cost; the first selection considers only affordable
+    nodes, and afterwards the run terminates if the ratio argmax does not
+    fit the remaining budget, without substituting a cheaper node.
+    enhanced: a fair coin between seeding only the best single node and
+    the nonuniform run with the same seeds.
     """
+    core = _GreedyCore(graph, config,
+                       estimator.reseeded(derive_seed(rng_seed, "estimation")))
     arm = None
     if config.kind == "enhanced":
         coin = random.Random(derive_seed(rng_seed, "arm-coin")).random() < 0.5
         # The greedy arm needs the best single node only to reject it when
         # it is unaffordable, which cannot happen if every node fits the budget.
-        if coin or graph.node_count == 0 or max(graph.costs) > config.budget:
+        if coin or max(graph.costs) > config.budget:
             est_single = estimator.reseeded(derive_seed(rng_seed, "estimation", "single"))
             star, star_value = _affordable_single_node(graph, est_single, config.budget)
         if coin:
@@ -306,8 +322,6 @@ def run_policy(graph: DirectedGraph, config: PolicyConfig,
                              cascade_size(graph, realization, [star]),
                              star_cost, 0, arm="single")
         arm = "greedy"
-    core = _GreedyCore(graph, config,
-                       estimator.reseeded(derive_seed(rng_seed, "estimation")))
     (_, schedule, rounds, cost, slots), = _greedy_runs(core, [realization])
     return PolicyRun(schedule, rounds, cascade_size(graph, realization, schedule.nodes),
                      cost, slots, arm)

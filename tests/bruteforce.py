@@ -7,6 +7,7 @@ none of that machinery, so agreement between the two is meaningful.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -160,46 +161,85 @@ def full_feedback_optimum(graph, picks):
     return value([], list(enumerate_realizations(graph)))
 
 
-def naive_policy_run(graph, config, realization, rng_seed, epsilon=0.0):
+def naive_policy_run(graph, config, realization, rng_seed, epsilon=0.0,
+                     samples=None, base=0):
     """One run of the alpha-greedy policy, step by step from the
-    `pfim.policies` docstrings, on the exact backend (epsilon 0) or its
-    adversarial-low epsilon wrapper. Returns (transcript lines, schedule
-    entries, realized cascade, arm); raises ValueError where the policy
-    cannot start.
+    `pfim.policies` docstrings, on the exact backend (samples None) or the
+    Monte Carlo one with `samples` completions and base seed `base`, bare
+    or under the adversarial-low epsilon wrapper. Returns (transcript
+    lines, schedule entries, realized cascade, arm); raises ValueError
+    where a non-uniform or enhanced run cannot start.
 
-    Each value is a fresh `ExactEstimator().activation` of one seed set;
-    the wrapper scales it by f = 1 - epsilon. Each round stops once every
-    seed is placed, or else reads f(S) and the zero set O of the seeds S.
+    On the exact backend f(S) is a fresh `ExactEstimator().activation`.
+    A Monte Carlo estimator seeded s draws its coins from the stream
+    derive_seed(s, "completions", the empty state's codes), completion by
+    completion, one random() per edge; an edge's coin in completion j is
+    draw < p. The greedy arm's seed is derive_seed(base,
+    derive_seed(rng_seed, "estimation")), the single arm's
+    derive_seed(base, derive_seed(rng_seed, "estimation", "single")).
+    Completion j of a state has its observed-live edges and the
+    unobserved edges whose coin j is set, built afresh for every query;
+    a node's count is the number of completions in which a BFS from S
+    reaches it, and f(S) is math.fsum of count / samples over the nodes.
+    The wrapper scales f(S) by f = 1 - epsilon. The zero set O of S is
+    every node that S does not reach over observed-live edges and
+    unobserved edges with p > 0.
+
+    Each round stops once every seed is placed, or else reads f(S) and O.
     After the first seed the gate waits one slot, and observes, while
     f(S) / (n - |O|) < alpha, unless the newest seed has been active for n
     slots (the stall guard). Otherwise it scans every candidate, the
-    affordable ones only before the first seed; a gain is max(f(S + c) -
-    f(S), 0) on the exact backend and f(S + c) * f - f(S) * f under the
-    wrapper. The largest gain per unit cost wins, smallest id on ties;
+    affordable ones only before the first seed; a gain is f(S + c) * f -
+    f(S) * f under the wrapper, else max(f(S + c) - f(S), 0) on the exact
+    backend and the difference of the two count totals over `samples` on
+    Monte Carlo. The largest gain per unit cost wins, smallest id on ties;
     under non-uniform costs the run stops if it does not fit the
     remaining budget. The enhanced policy's fair coin (stream "arm-coin")
     picks between the best single node alone and the non-uniform run; an
     unaffordable best single node stops both arms."""
     n, costs, budget = graph.node_count, graph.costs, config.budget
     factor = 1.0 - epsilon
+    empty = naive_observe(graph, realization, SeedSchedule(()), 0)
 
-    def value(seeds, partial):
-        est = ExactEstimator().activation(graph, frozenset(seeds), partial)
-        return est.expected_cascade, len(est.zero_set)
+    def coins(salt):
+        if samples is None:
+            return None
+        rng = random.Random(derive_seed(derive_seed(base, salt), "completions", empty.codes))
+        return [[rng.random() < e.probability for e in graph.edges] for _ in range(samples)]
 
-    def gain(with_c, base):
+    def value(seeds, partial, rows):
+        """(f(S), the count total over the completions; None when exact)."""
+        if rows is None:
+            est = ExactEstimator().activation(graph, frozenset(seeds), partial)
+            return est.expected_cascade, None
+        counts = [0] * n
+        for row in rows:
+            live = [c == EdgeState.LIVE or (c == EdgeState.UNOBSERVED and coin)
+                    for c, coin in zip(partial.codes, row)]
+            for v in bfs_active(graph, live, seeds):
+                counts[v] += 1
+        return math.fsum(c / samples for c in counts), sum(counts)
+
+    def zero_size(seeds, partial):
+        possible = [c == EdgeState.LIVE or (c == EdgeState.UNOBSERVED and e.probability > 0)
+                    for c, e in zip(partial.codes, graph.edges)]
+        return n - len(bfs_active(graph, possible, seeds))
+
+    def gain(with_c, without):
         if epsilon:
-            return with_c * factor - base * factor
-        return max(with_c - base, 0.0)
+            return with_c[0] * factor - without[0] * factor
+        if samples is None:
+            return max(with_c[0] - without[0], 0.0)
+        return (with_c[1] - without[1]) / samples
 
     def line(r, slot, act, cond, zero):
         cond = "na" if cond is None else fmt_g(cond)
         return f"r={r} slot={slot} action={act} cond={cond} |O|={zero}"
 
-    empty = naive_observe(graph, realization, SeedSchedule(()), 0)
     arm = None
     if config.kind == "enhanced":
-        singles = [value([v], empty)[0] * factor for v in range(n)]
+        rows = coins(derive_seed(rng_seed, "estimation", "single"))
+        singles = [value([v], empty, rows)[0] * factor for v in range(n)]
         star = max(range(n), key=lambda v: (singles[v], -v))
         if costs[star] > budget:
             raise ValueError("best single node is unaffordable")
@@ -212,15 +252,16 @@ def naive_policy_run(graph, config, realization, rng_seed, epsilon=0.0):
     if not uniform and min(costs) > budget:
         raise ValueError("no affordable first node")
 
+    rows = coins(derive_seed(rng_seed, "estimation"))
     lines, entries, slot, remaining, partial = [], [], 0, budget, empty
     while True:
         seeds = [v for v, _ in entries]
         if len(seeds) == n or uniform and len(seeds) == budget:
             break
-        base, zero = value(seeds, partial)
+        base_value, zero = value(seeds, partial, rows), zero_size(seeds, partial)
         cond = None
         if seeds:
-            cond = base * factor / (n - zero)
+            cond = base_value[0] * factor / (n - zero)
             if cond < config.alpha and slot - entries[-1][1] < n:
                 lines.append(line(len(lines), slot, "wait", cond, zero))
                 slot += 1
@@ -231,7 +272,7 @@ def naive_policy_run(graph, config, realization, rng_seed, epsilon=0.0):
                       and (uniform or seeds or costs[c] <= remaining)]
         if not candidates:
             break
-        gains = {c: gain(value(seeds + [c], partial)[0], base) for c in candidates}
+        gains = {c: gain(value(seeds + [c], partial, rows), base_value) for c in candidates}
         best = max(candidates, key=lambda c: (gains[c] / float(costs[c]), -c))
         if costs[best] > remaining:
             break

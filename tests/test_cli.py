@@ -172,7 +172,7 @@ class TestEvaluate:
              "--policy", "uniform", "--estimator", "exact"], capsys)
         assert code != 0
         assert err.strip() == \
-            "error: config: budget exceeds node count under uniform cost"
+            "error: config: budget: 9 exceeds the node count 4 under uniform cost"
 
     @pytest.mark.parametrize("given", ["flag", "file"])
     def test_exact_enumeration_rejects_realizations(self, diamond_path, tmp_path,
@@ -305,6 +305,47 @@ class TestErrors:
         assert (code, out) == (1, "")
         assert err == f"error: config: budget: {budget} is below every node's cost\n"
 
+    @pytest.mark.parametrize("command", ["sweep-alpha", "evaluate"])
+    @pytest.mark.parametrize("extra, line", [
+        (["--budget", "9"], "budget: 9 exceeds the node count 4 under uniform cost"),
+        (["--budget", "3/2"], "budget: uniform policy needs an integer budget"),
+        (["--costs", "COSTS"], "costs: uniform policy needs every node cost 1"),
+    ], ids=["above-node-count", "fractional", "nonunit-cost"])
+    def test_uniform_budget_rules(self, diamond_path, tmp_path, capsys, monkeypatch,
+                                  command, extra, line):
+        # the policy's own check, before any cell runs or any file is written
+        monkeypatch.chdir(tmp_path)
+        costs = tmp_path / "diamond.costs"
+        costs.write_text("0 2\n")
+        extra = [str(costs) if a == "COSTS" else a for a in extra]
+        code, out, err = run_cli([command, "--graph", diamond_path, "--policy", "uniform"]
+                                 + extra, capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: config: {line}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["diamond.costs",
+                                                              "diamond.edges"]
+
+    @pytest.mark.parametrize("command", ["sweep-alpha", "evaluate"])
+    @pytest.mark.parametrize("given", ["flag", "file"])
+    def test_costs_with_a_generated_graph(self, tmp_path, capsys, command, given):
+        # a generated graph has unit costs, so a cost file is never read
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("costs = /nonexistent\n")
+        extra = {"flag": ["--costs", "/nonexistent"], "file": ["--config", str(cfg)]}[given]
+        code, out, err = run_cli([command, "--graph", "gen:erdos-renyi:7:14", "--policy",
+                                  "nonuniform", "--budget", "2", "--estimator", "exact"]
+                                 + extra, capsys)
+        assert (code, out) == (1, "")
+        assert err == "error: config: costs: not read: a generated graph has unit costs\n"
+
+    @pytest.mark.parametrize("command", ["sweep-alpha", "evaluate", "oracle-check"])
+    @pytest.mark.parametrize("source", ["generator", "file"])
+    def test_trivalency_index_above_100(self, diamond_path, capsys, command, source):
+        graph = {"generator": "gen:erdos-renyi:3:2", "file": diamond_path}[source]
+        code, out, err = run_cli([command, "--graph", graph, "--i", "200"], capsys)
+        assert (code, out) == (1, "")
+        assert err == "error: config: i: trivalency index 200 puts i*0.01 above 1\n"
+
     @pytest.mark.parametrize("argv", [["sweep-alpha", "--realizations", "2"], ["evaluate"]],
                              ids=["sweep-alpha", "evaluate"])
     def test_unaffordable_best_single_node(self, diamond_path, tmp_path, capsys,
@@ -339,7 +380,7 @@ BASE_ARGV = {"sweep-alpha": ["sweep-alpha"], "evaluate": ["evaluate"],
              "oracle-check": ["oracle-check"], "bound": ["bound", "--variant", "uniform"],
              "gen-graph": ["gen-graph", "--nodes", "4", "--edges", "3"]}
 READS = {"sweep-alpha": set(EXPERIMENT_FLAGS), "evaluate": set(EXPERIMENT_FLAGS),
-         "oracle-check": {"graph", "costs", "i", "seed"},
+         "oracle-check": {"graph", "i", "seed"},
          "bound": {"alpha", "epsilon", "budget"}, "gen-graph": {"i", "seed", "out"}}
 UNREAD = [(command, flag) for command in BASE_ARGV for flag in EXPERIMENT_FLAGS
           if flag not in READS[command]]
@@ -347,7 +388,7 @@ UNREAD = [(command, flag) for command in BASE_ARGV for flag in EXPERIMENT_FLAGS
 
 @pytest.mark.parametrize("command,flag", UNREAD, ids=[f"{c}-{f}" for c, f in UNREAD])
 def test_unread_flag_is_a_usage_error(command, flag, capsys):
-    assert len(UNREAD) == 29
+    assert len(UNREAD) == 30
     code, out, err = run_cli(BASE_ARGV[command] + [f"--{flag}", "1"], capsys)
     assert (code, out) == (1, "")
     assert err == f"error: usage: unrecognized arguments: --{flag} 1\n"

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 import pfim.policies as policies
 from pfim.checks import alpha_zero_seeds
@@ -13,8 +13,9 @@ from pfim.estimation import (ActivationEstimate, EpsilonEstimator, Estimator,
                              ExactEstimator, MonteCarloEstimator,
                              exact_conditional_activation)
 from pfim.graph import DirectedGraph, generate_graph, load_graph
-from pfim.policies import (POLICY_KINDS, PolicyConfig, RoundLog, _GreedyCore,
-                           best_single_node, run_policy, transcript_lines)
+from pfim.oracles import evaluate_policy_exact
+from pfim.policies import (BudgetError, PolicyConfig, RoundLog, _GreedyCore,
+                           best_single_node, check_budget, run_policy, transcript_lines)
 
 from bruteforce import greedy_nonadaptive_uniform, naive_policy_run
 
@@ -371,46 +372,81 @@ class TestStallGuard:
             assert len(waits) <= 2 * g.node_count
 
 
+def draw_twin_case(data):
+    """A graph of 2 to 7 nodes (p in {0, 0.3, 0.5, 1}), a policy config, a
+    world and a policy seed for the slow twins. Most draws place two or
+    more seeds: a uniform budget is mostly 2 or more, and most non-uniform
+    budgets afford any two nodes. The single arm, a uniform budget of 1,
+    early stops and refusals stay reachable."""
+    n = data.draw(st.integers(2, 7))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=10))
+    probs = data.draw(st.lists(st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+                               min_size=len(chosen), max_size=len(chosen)))
+    g = DirectedGraph.build(n, [(u, v, p) for (u, v), p in zip(chosen, probs)])
+    kind = data.draw(st.sampled_from(["nonuniform", "uniform"] * 3 + ["enhanced"]))
+    # one budget in eight is free; the others start at two seeds' worth
+    free = data.draw(st.sampled_from([False] * 7 + [True]))
+    if kind == "uniform":
+        budget = Fraction(data.draw(st.integers(1 if free else 2, n)))
+    else:
+        halves = data.draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
+        g = g.with_costs(tuple(Fraction(c, 2) for c in halves))
+        low = 1 if free else sum(sorted(halves)[-2:])
+        budget = Fraction(data.draw(st.integers(low, max(16, low + 8))), 2)
+    # at alpha 1 a settled exact condition equals alpha exactly
+    alpha = data.draw(st.sampled_from([0.0, 0.3, 0.8, 1.0, 1.0]))
+    world = sample_full_realization(g, data.draw(st.integers(0, 1 << 20)))
+    return g, PolicyConfig(kind, alpha, budget), world, data.draw(st.integers(0, 99))
+
+
+def assert_twins_agree(run_package, run_naive):
+    """The same transcript, schedule, cascade and arm, or the same refusal
+    to start; the seeds placed are a hypothesis event."""
+    try:
+        run = run_package()
+    except ValueError:
+        event("refused")
+        with pytest.raises(ValueError):
+            run_naive()
+        return
+    event("one seed" if len(run.schedule) == 1 else "two or more seeds")
+    lines, entries, cascade, arm = run_naive()
+    assert transcript_lines(run) == lines
+    assert list(run.schedule.entries) == entries
+    assert (run.realized_cascade, run.arm) == (cascade, arm)
+
+
 class TestSlowTwin:
     """`run_policy` against `bruteforce.naive_policy_run`, which shares no
-    code with the greedy loop: the same transcript, schedule and cascade,
-    or the same refusal to start."""
+    code with the greedy loop or the estimators' fast paths."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_run_matches_the_naive_loop(self, data):
-        n = data.draw(st.integers(2, 7))
-        pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
-        chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=10))
-        probs = data.draw(st.lists(st.sampled_from([0.0, 0.3, 0.5, 1.0]),
-                                   min_size=len(chosen), max_size=len(chosen)))
-        g = DirectedGraph.build(n, [(u, v, p) for (u, v), p in zip(chosen, probs)])
-        kind = data.draw(st.sampled_from(POLICY_KINDS))
-        if kind == "uniform":
-            budget = Fraction(data.draw(st.integers(1, n)))
-        else:
-            costs = st.lists(st.integers(1, 6), min_size=n, max_size=n)
-            g = g.with_costs(tuple(Fraction(c, 2) for c in data.draw(costs)))
-            budget = Fraction(data.draw(st.integers(1, 16)), 2)
-        # at alpha 1 a settled exact condition equals alpha exactly
-        alpha = data.draw(st.sampled_from([0.0, 0.3, 0.8, 1.0, 1.0]))
-        config = PolicyConfig(kind, alpha, budget)
+        g, config, world, rng_seed = draw_twin_case(data)
         epsilon = data.draw(st.sampled_from([0.0, 0.0, 0.5, 0.9]))
-        world = sample_full_realization(g, data.draw(st.integers(0, 1 << 20)))
-        rng_seed = data.draw(st.integers(0, 99))
         est = ExactEstimator()
         if epsilon:
             est = EpsilonEstimator(est, epsilon, "adversarial-low", 0)
-        try:
-            run = run_policy(g, config, world, est, rng_seed)
-        except ValueError:
-            with pytest.raises(ValueError):
-                naive_policy_run(g, config, world, rng_seed, epsilon)
-            return
-        lines, entries, cascade, arm = naive_policy_run(g, config, world, rng_seed, epsilon)
-        assert transcript_lines(run) == lines
-        assert list(run.schedule.entries) == entries
-        assert (run.realized_cascade, run.arm) == (cascade, arm)
+        assert_twins_agree(lambda: run_policy(g, config, world, est, rng_seed),
+                           lambda: naive_policy_run(g, config, world, rng_seed, epsilon))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_monte_carlo_run_matches_the_naive_loop(self, data):
+        # the coin snapshot, cached and derived closure batches, the kept
+        # seed unions and zero sets, CELF bounds and the scaled-integer
+        # values all compose in one run here
+        g, config, world, rng_seed = draw_twin_case(data)
+        samples, base = data.draw(st.integers(1, 12)), data.draw(st.integers(0, 99))
+        epsilon = data.draw(st.sampled_from([0.0, 0.0, 0.5, 0.9]))
+        est = MonteCarloEstimator(samples, base)
+        if epsilon:
+            est = EpsilonEstimator(est, epsilon, "adversarial-low", 0)
+        assert_twins_agree(lambda: run_policy(g, config, world, est, rng_seed),
+                           lambda: naive_policy_run(g, config, world, rng_seed, epsilon,
+                                                    samples, base))
 
 
 class TestTranscripts:
@@ -436,6 +472,27 @@ class TestDispatch:
             cfg = PolicyConfig(kind, 0.0, Fraction(2))
             run = run_policy(DIAMOND, cfg, real, ExactEstimator(), 4)
             assert len(run.schedule) >= 1
+
+    @pytest.mark.parametrize("kind, budget, costs, field", [
+        ("uniform", 5, None, "budget"),
+        ("uniform", Fraction(3, 2), None, "budget"),
+        ("uniform", 2, (2, 1, 1, 1), "costs"),
+        ("nonuniform", Fraction(1, 3), None, "budget"),
+        ("enhanced", Fraction(1, 2), None, "budget"),
+    ], ids=["above-node-count", "fractional", "nonunit-cost", "nonuniform", "enhanced"])
+    def test_every_entry_point_refuses_a_budget_alike(self, kind, budget, costs, field):
+        g = DIAMOND if costs is None else DIAMOND.with_costs(tuple(map(Fraction, costs)))
+        config = PolicyConfig(kind, 0.5, Fraction(budget))
+        real = sample_full_realization(g, 0)
+        # policy seeds 1 and 2 land the enhanced greedy and single arms
+        calls = [lambda: check_budget(g, config), lambda: evaluate_policy_exact(g, config)]
+        calls += [lambda s=s: run_policy(g, config, real, ExactEstimator(), s) for s in (1, 2)]
+        refusals = set()
+        for call in calls:
+            with pytest.raises(BudgetError) as err:
+                call()
+            refusals.add((err.value.field, str(err.value)))
+        assert [blamed for blamed, _ in refusals] == [field]
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
