@@ -7,10 +7,9 @@ left off the command line comes from a flat key-value config file
 its default in that table. Errors, usage errors included, come out on
 stderr as a single machine-parseable line ``error: <code>: <message>``
 with a nonzero exit status; a budget is refused by `policies.check_budget`
-before any cell runs. The PFIM_THREADS environment variable caps
-how many worker processes the realization loops may use (default 1);
-results are identical regardless because per-world streams are
-indexed, not shared.
+before any cell runs. The PFIM_THREADS environment variable caps how
+many worker processes the realization loops may use (default 1); results
+are identical regardless because per-world streams are indexed, not shared.
 """
 
 import argparse
@@ -229,14 +228,16 @@ def _threads() -> int:
     return value
 
 
-def _cells(args) -> tuple[int, DirectedGraph, str, list[PolicyConfig]]:
+def _cells(args, single: bool = False) -> tuple[int, DirectedGraph, str, list[PolicyConfig]]:
     """The seed, the graph, the CSV's `i` cell and one PolicyConfig per
-    (alpha, budget) cell, alpha-major. Every cell's budget is checked
-    (`check_budget`) before any cell runs."""
+    (alpha, budget) cell, alpha-major; exactly one cell if `single`. Every
+    cell's budget is checked (`check_budget`) before any cell runs."""
     seed = _parse_int("seed", args.seed, 0)
     graph, trivalency = _load_experiment_graph(args, seed)
     alphas = _parse_alpha_list(args.alpha)
     budgets = _parse_budget_list(args.budget)
+    if single and len(alphas) * len(budgets) != 1:
+        raise _config_error("alpha/budget", "evaluate takes a single cell")
     policy = str(args.policy)
     if policy not in POLICY_KINDS:
         raise _config_error("policy", f"unknown policy {policy!r}")
@@ -272,10 +273,7 @@ def cmd_sweep_alpha(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    seed, graph, _, configs = _cells(args)
-    if len(configs) != 1:
-        raise _config_error("alpha/budget", "evaluate takes a single cell")
-    config, = configs
+    seed, graph, _, (config,) = _cells(args, single=True)
     estimator, tag = _build_estimator(args)
 
     # the transcript is world 0 of the sample, drawn even when the value

@@ -79,6 +79,9 @@ class BudgetError(ValueError):
         super().__init__(problem)
         self.field = field
 
+    def __reduce__(self):  # a worker process's refusal reaches the parent pickled
+        return type(self), (self.field, str(self))
+
 
 @dataclass(frozen=True)
 class PolicyConfig:

@@ -218,6 +218,13 @@ class TestEvaluate:
         assert code != 0
         assert err.startswith("error: config:")
 
+    def test_multi_cell_is_reported_before_the_budget(self, diamond_path, capsys):
+        code, out, err = run_cli(
+            ["evaluate", "--graph", diamond_path, "--alpha", "0,1", "--budget", "9",
+             "--policy", "uniform", "--estimator", "exact"], capsys)
+        assert (code, out) == (1, "")
+        assert err == "error: config: alpha/budget: evaluate takes a single cell\n"
+
 
 class TestBound:
     def test_plain_variant(self, capsys):
@@ -346,12 +353,17 @@ class TestErrors:
         assert (code, out) == (1, "")
         assert err == "error: config: i: trivalency index 200 puts i*0.01 above 1\n"
 
-    @pytest.mark.parametrize("argv", [["sweep-alpha", "--realizations", "2"], ["evaluate"]],
-                             ids=["sweep-alpha", "evaluate"])
+    @pytest.mark.parametrize("argv, threads", [
+        (["sweep-alpha", "--realizations", "2"], "1"),
+        (["sweep-alpha", "--realizations", "2"], "2"),
+        (["evaluate"], "1"),
+    ], ids=["sweep-alpha", "sweep-alpha-2-workers", "evaluate"])
     def test_unaffordable_best_single_node(self, diamond_path, tmp_path, capsys,
-                                           monkeypatch, argv):
-        # nodes 1 to 3 fit the budget; node 0, the best alone, does not
+                                           monkeypatch, argv, threads):
+        # nodes 1 to 3 fit the budget; node 0, the best alone, does not.
+        # With 2 workers the refusal is raised in a worker process.
         monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("PFIM_THREADS", threads)
         costs = tmp_path / "diamond.costs"
         costs.write_text("0 9\n")
         code, out, err = run_cli(argv + [

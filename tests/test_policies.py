@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -492,6 +493,10 @@ class TestDispatch:
             with pytest.raises(BudgetError) as err:
                 call()
             refusals.add((err.value.field, str(err.value)))
+            # a refusal in a worker process reaches the parent pickled
+            copy = pickle.loads(pickle.dumps(err.value))
+            assert (type(copy), copy.field, str(copy)) == (
+                BudgetError, err.value.field, str(err.value))
         assert [blamed for blamed, _ in refusals] == [field]
 
     def test_unknown_kind_rejected(self):
