@@ -10,13 +10,17 @@ certainly active or certainly unreachable, which is full feedback. One
 loop (`_greedy_runs`) serves a live run on one world and the exact
 evaluator on all worlds at once, split by what each wait reveals.
 
-Three selection rules: uniform cost (argmax gain, exactly B seeds),
-non-uniform cost (argmax gain per cost; terminates early if the argmax
-is unaffordable), and the enhanced variant that flips a fair coin
-between the best single node and the non-uniform greedy run. The coin
-comes first; the greedy arm computes the best single node only when some
-node costs more than the budget, to reject it on both arms alike. The
-budget rules are `check_budget`'s, which every `_GreedyCore` runs first.
+One selection rule: the largest gain per unit cost, smallest id on ties.
+A run ends once no unseeded node costs at most the remaining budget;
+before that, the first round considers only the affordable nodes, and a
+later round whose argmax does not fit stops the run rather than take a
+cheaper node. The kinds differ only in `check_budget`, which every
+`_GreedyCore` runs first, and in the enhanced coin. Uniform cost is the
+unit-cost case (every node costs 1, an integer B <= n), so its run
+places B seeds by argmax gain. The enhanced variant flips a fair coin
+between the best single node and the non-uniform greedy run; the coin
+comes first, and the greedy arm computes the best single node only when
+some node costs more than the budget, to reject it on both arms alike.
 
 On the Monte Carlo backend the argmax scans lazily (CELF): a round on
 the same observation state as the last selection round, with more seeds,
@@ -135,7 +139,8 @@ class _GreedyCore:
     `decide` is one round. The caller owns the schedule, the slot, the
     remaining budget and the observations.
     The PolicyConfig checks the ranges of alpha and budget, `check_budget`
-    the budget on the graph; the enhanced kind runs the nonuniform loop.
+    the budget on the graph; past that the core reads no policy kind, and
+    the enhanced kind's greedy arm is this loop.
 
     The only state a core keeps between rounds is the last selection
     round's gains, as upper bounds for CELF lazy greedy (Leskovec et al.,
@@ -155,7 +160,6 @@ class _GreedyCore:
         self.alpha = config.alpha
         self.budget = config.budget
         self.estimator = estimator
-        self.uniform = config.kind == "uniform"
         self._bounds: tuple[bytes, frozenset[int], dict[int, float]] | None = None
         # a uniform-cost graph has every cost 1, so a score is the gain itself
         self._float_costs = [float(c) for c in graph.costs]
@@ -203,14 +207,15 @@ class _GreedyCore:
     def decide(self, entries: list[tuple[int, int]], partial: PartialRealization,
                slot: int, remaining: Fraction, round_index: int) -> RoundLog | None:
         """One round on the schedule `entries`, (node, slot) pairs: its log,
-        a select or a wait, or None to stop (every seed placed, or the
-        argmax missing or unaffordable). After the first seed the gate
-        waits while the expected cascade per node outside the zero set is
-        below alpha, unless the newest seed is node_count slots old."""
+        a select or a wait, or None to stop: no unseeded node costs at most
+        the remaining budget, or the argmax does not. After the first seed
+        the gate waits while the expected cascade per node outside the zero
+        set is below alpha, unless the newest seed is node_count slots old."""
         graph = self.graph
         seeds = [v for v, _ in entries]
-        if len(seeds) == graph.node_count or (
-                self.uniform and len(seeds) == int(self.budget)):
+        seeded = set(seeds)
+        # returns at the first affordable node: only a run's last round scans all
+        if not any(c <= remaining for v, c in enumerate(graph.costs) if v not in seeded):
             return None
         estimate = self.estimator.activation(graph, seeds, partial)
         zero_size = len(estimate.zero_set)
@@ -225,11 +230,10 @@ class _GreedyCore:
                 return RoundLog(round_index, slot, "wait", None, None, None,
                                 cond_value, zero_size)
 
-        seeded = set(seeds)
         candidates = [v for v in range(graph.node_count) if v not in seeded and (
-            self.uniform or seeds or graph.costs[v] <= remaining)]
+            seeds or graph.costs[v] <= remaining)]
         best, best_gain = self._argmax(seeds, seeded, partial, candidates)
-        if best is None or graph.costs[best] > remaining:
+        if graph.costs[best] > remaining:
             return None
         return RoundLog(round_index, slot, "select", best, best_gain,
                         remaining - graph.costs[best], cond_value, zero_size)
@@ -300,10 +304,8 @@ def run_policy(graph: DirectedGraph, config: PolicyConfig,
                rng_seed: int) -> PolicyRun:
     """Run a configured policy against one realization, after `check_budget`.
 
-    uniform: argmax marginal gain, exactly B seeds. nonuniform: argmax
-    gain per unit cost; the first selection considers only affordable
-    nodes, and afterwards the run terminates if the ratio argmax does not
-    fit the remaining budget, without substituting a cheaper node.
+    uniform and nonuniform: the greedy loop of the module docstring; a
+    uniform run places exactly B seeds by argmax gain.
     enhanced: a fair coin between seeding only the best single node and
     the nonuniform run with the same seeds.
     """

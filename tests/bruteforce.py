@@ -185,16 +185,16 @@ def naive_policy_run(graph, config, realization, rng_seed, epsilon=0.0,
     every node that S does not reach over observed-live edges and
     unobserved edges with p > 0.
 
-    Each round stops once every seed is placed, or else reads f(S) and O.
-    After the first seed the gate waits one slot, and observes, while
-    f(S) / (n - |O|) < alpha, unless the newest seed has been active for n
-    slots (the stall guard). Otherwise it scans every candidate, the
-    affordable ones only before the first seed; a gain is f(S + c) * f -
-    f(S) * f under the wrapper, else max(f(S + c) - f(S), 0) on the exact
-    backend and the difference of the two count totals over `samples` on
-    Monte Carlo. The largest gain per unit cost wins, smallest id on ties;
-    under non-uniform costs the run stops if it does not fit the
-    remaining budget. The enhanced policy's fair coin (stream "arm-coin")
+    The run stops once no unseeded node costs at most the remaining
+    budget; otherwise a round reads f(S) and O. After the first seed the
+    gate waits one slot, and observes, while f(S) / (n - |O|) < alpha,
+    unless the newest seed has been active for n slots (the stall guard).
+    Otherwise it scans every candidate, the affordable ones only before
+    the first seed; a gain is f(S + c) * f - f(S) * f under the wrapper,
+    else max(f(S + c) - f(S), 0) on the exact backend and the difference
+    of the two count totals over `samples` on Monte Carlo. The largest
+    gain per unit cost wins, smallest id on ties; the run stops if it
+    does not fit the remaining budget. The enhanced policy's fair coin (stream "arm-coin")
     picks between the best single node alone and the non-uniform run; an
     unaffordable best single node stops both arms."""
     n, costs, budget = graph.node_count, graph.costs, config.budget
@@ -248,15 +248,14 @@ def naive_policy_run(graph, config, realization, rng_seed, epsilon=0.0,
             return ([line(0, 0, act, None, n)], [(star, 0)],
                     bfs_cascade(graph, realization.live, [star]), "single")
         arm = "greedy"
-    uniform = config.kind == "uniform"
-    if not uniform and min(costs) > budget:
+    if min(costs) > budget:
         raise ValueError("no affordable first node")
 
     rows = coins(derive_seed(rng_seed, "estimation"))
     lines, entries, slot, remaining, partial = [], [], 0, budget, empty
     while True:
         seeds = [v for v, _ in entries]
-        if len(seeds) == n or uniform and len(seeds) == budget:
+        if all(costs[c] > remaining for c in range(n) if c not in seeds):
             break
         base_value, zero = value(seeds, partial, rows), zero_size(seeds, partial)
         cond = None
@@ -269,9 +268,7 @@ def naive_policy_run(graph, config, realization, rng_seed, epsilon=0.0,
                                         SeedSchedule(tuple(entries)), slot)
                 continue
         candidates = [c for c in range(n) if c not in seeds
-                      and (uniform or seeds or costs[c] <= remaining)]
-        if not candidates:
-            break
+                      and (seeds or costs[c] <= remaining)]
         gains = {c: gain(value(seeds + [c], partial, rows), base_value) for c in candidates}
         best = max(candidates, key=lambda c: (gains[c] / float(costs[c]), -c))
         if costs[best] > remaining:
