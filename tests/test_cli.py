@@ -509,7 +509,7 @@ def test_fixed_seed_outputs_keep_their_bytes(tmp_path, capsys, monkeypatch):
          "--budget", "4,6", "--policy", "enhanced", "--estimator", "mc",
          "--samples", "30", "--realizations", "30", "--seed", "1",
          "--out", "sweep.csv"], "sweep.csv")[1] == (
-        "9895bf4706aeb6ce84a4dc0f69f87e3b5cfcd3afd5e4117697c9a6af8a678ef8")
+        "54b579b2489616cc405a6728d06c2eb920e509a9770ca9765e346324e42d6e0d")
     assert digests(
         ["evaluate", "--graph", "g.edges", "--alpha", "0.8", "--budget", "6",
          "--policy", "nonuniform", "--estimator", "mc", "--samples", "30",
