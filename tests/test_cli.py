@@ -516,7 +516,7 @@ def test_fixed_seed_outputs_keep_their_bytes(tmp_path, capsys, monkeypatch):
          "--realizations", "2", "--seed", "3", "--out", "cheap"],
         "cheap.transcript.txt") == [
         "fcd043b4cfb9f4c5dfbb2905b418993de9082b884f5b4b9fb86f6727d8942ded",
-        "e1a34fc978f8418daac983226d6d4c301593cda31e200d66022f75da65c90317"]
+        "05df8813e9bfb17b9a64de57677a5991c19682b9e6cbc6a836f59825462292a9"]
     # alpha = 0: every cond= and |O|= is an activation on a scanned state
     assert digests(
         ["evaluate", "--graph", "g.edges", "--alpha", "0", "--budget", "10",
