@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import currently_in_test_context, event, given, settings, strategies as st
 
 import pfim.policies as policies
 from pfim.checks import alpha_zero_seeds
@@ -373,18 +373,25 @@ class TestStallGuard:
             assert len(waits) <= 2 * g.node_count
 
 
-def draw_twin_case(data):
-    """A graph of 2 to 7 nodes (p in {0, 0.3, 0.5, 1}), a policy config, a
-    world and a policy seed for the slow twins. Most draws place two or
-    more seeds: a uniform budget is mostly 2 or more, and most non-uniform
-    budgets afford any two nodes. The single arm, a uniform budget of 1,
-    early stops and refusals stay reachable."""
+def draw_small_graph(data):
+    """A graph of 2 to 7 nodes and at most 10 edges, p in {0, 0.3, 0.5, 1},
+    with unit costs."""
     n = data.draw(st.integers(2, 7))
     pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
     chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=10))
     probs = data.draw(st.lists(st.sampled_from([0.0, 0.3, 0.5, 1.0]),
                                min_size=len(chosen), max_size=len(chosen)))
-    g = DirectedGraph.build(n, [(u, v, p) for (u, v), p in zip(chosen, probs)])
+    return DirectedGraph.build(n, [(u, v, p) for (u, v), p in zip(chosen, probs)])
+
+
+def draw_twin_case(data):
+    """A `draw_small_graph` graph, a policy config, a world and a policy
+    seed for the slow twins. Most draws place two or more seeds: a uniform
+    budget is mostly 2 or more, and most non-uniform budgets afford any
+    two nodes. The single arm, a uniform budget of 1, early stops and
+    refusals stay reachable."""
+    g = draw_small_graph(data)
+    n = g.node_count
     kind = data.draw(st.sampled_from(["nonuniform", "uniform"] * 3 + ["enhanced"]))
     # one budget in eight is free; the others start at two seeds' worth
     free = data.draw(st.sampled_from([False] * 7 + [True]))
@@ -401,17 +408,24 @@ def draw_twin_case(data):
     return g, PolicyConfig(kind, alpha, budget), world, data.draw(st.integers(0, 99))
 
 
-def assert_twins_agree(run_package, run_naive):
+def assert_twins_agree(g, config, run_package, run_naive):
     """The same transcript, schedule, cascade and arm, or the same refusal
-    to start; the seeds placed are a hypothesis event."""
+    to start; the seeds placed, and a run at alpha > 0 that ends because
+    no unseeded node fits its budget, are hypothesis events in a
+    hypothesis test."""
+    record = event if currently_in_test_context() else lambda _: None
     try:
         run = run_package()
     except ValueError:
-        event("refused")
+        record("refused")
         with pytest.raises(ValueError):
             run_naive()
         return
-    event("one seed" if len(run.schedule) == 1 else "two or more seeds")
+    record("one seed" if len(run.schedule) == 1 else "two or more seeds")
+    left = config.budget - run.total_cost
+    if config.alpha > 0 and run.arm != "single" and all(
+            c > left for v, c in enumerate(g.costs) if v not in run.schedule.nodes):
+        record("alpha > 0, ends on its budget")
     lines, entries, cascade, arm = run_naive()
     assert transcript_lines(run) == lines
     assert list(run.schedule.entries) == entries
@@ -430,7 +444,7 @@ class TestSlowTwin:
         est = ExactEstimator()
         if epsilon:
             est = EpsilonEstimator(est, epsilon, "adversarial-low", 0)
-        assert_twins_agree(lambda: run_policy(g, config, world, est, rng_seed),
+        assert_twins_agree(g, config, lambda: run_policy(g, config, world, est, rng_seed),
                            lambda: naive_policy_run(g, config, world, rng_seed, epsilon))
 
     @settings(max_examples=300, deadline=None)
@@ -445,9 +459,51 @@ class TestSlowTwin:
         est = MonteCarloEstimator(samples, base)
         if epsilon:
             est = EpsilonEstimator(est, epsilon, "adversarial-low", 0)
-        assert_twins_agree(lambda: run_policy(g, config, world, est, rng_seed),
+        assert_twins_agree(g, config, lambda: run_policy(g, config, world, est, rng_seed),
                            lambda: naive_policy_run(g, config, world, rng_seed, epsilon,
                                                     samples, base))
+
+    def test_bounds_do_not_cross_an_observation(self):
+        # In the one completion edge 1->2 draws live, so 2 gains 0 with 1
+        # seeded; the wait then sees the edge blocked and 2 gains 1 again.
+        # A CELF bound kept across the observation would pick 3 instead.
+        g = DirectedGraph.build(5, [(0, 3, 0.3), (1, 2, 0.5)])
+        config = PolicyConfig("uniform", 0.8, Fraction(3))
+        world = FullRealization((False, False))
+        assert_twins_agree(
+            g, config, lambda: run_policy(g, config, world, MonteCarloEstimator(1, 16), 90),
+            lambda: naive_policy_run(g, config, world, 90, 0.0, 1, 16))
+
+
+class TestOneLoop:
+    """Every kind runs one greedy loop, which ends once no unseeded node
+    fits the remaining budget: uniform cost is its unit-cost case."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_uniform_is_nonuniform_at_unit_costs(self, data):
+        g = draw_small_graph(data)
+        budget = Fraction(data.draw(st.integers(1, g.node_count)))
+        alpha = data.draw(st.sampled_from([0.0, 0.3, 0.8, 1.0]))
+        world = sample_full_realization(g, data.draw(st.integers(0, 1 << 20)))
+        est = data.draw(st.sampled_from([ExactEstimator(), MonteCarloEstimator(1, 0),
+                                         MonteCarloEstimator(8, 3)]))
+        rng_seed = data.draw(st.integers(0, 99))
+        uniform, nonuniform = (run_policy(g, PolicyConfig(kind, alpha, budget),
+                                          world, est, rng_seed)
+                               for kind in ("uniform", "nonuniform"))
+        assert transcript_lines(uniform) == transcript_lines(nonuniform)
+        assert (uniform.schedule, uniform.slots_elapsed, uniform.realized_cascade) == (
+            nonuniform.schedule, nonuniform.slots_elapsed, nonuniform.realized_cascade)
+
+    def test_a_spent_budget_ends_the_run_without_waiting(self):
+        # after node 0 the budget left is 1, and every other node costs 2
+        g = load_graph("0 1 0.5\n1 2 0.5\n2 3 0.5\n").with_costs(
+            tuple(map(Fraction, (1, 2, 2, 2))))
+        run = run_policy(g, PolicyConfig("nonuniform", 1.0, Fraction(2)),
+                         FullRealization((True,) * 3), ExactEstimator(), 0)
+        assert transcript_lines(run) == ["r=0 slot=0 action=select:0,1.875,1 cond=na |O|=4"]
+        assert run.slots_elapsed == 0
 
 
 class TestTranscripts:
