@@ -76,13 +76,20 @@ def _read_text(path, what: str) -> str:
         raise CliError("io", f"cannot read {what} file {path}: {exc.strerror}")
 
 
-def _write_output(args, text: str):
+def _write_text(path, what: str, text: str):
+    try:
+        with open(str(path), "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise CliError("io", f"cannot write {what} file {path}: {exc.strerror}")
+
+
+def _write_output(args, what: str, text: str):
     """Write to --out if given, else to stdout."""
     if args.out is None:
         sys.stdout.write(text)
     else:
-        with open(str(args.out), "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        _write_text(args.out, what, text)
 
 
 def _read_config_file(path: str) -> dict:
@@ -268,7 +275,7 @@ def cmd_sweep_alpha(args) -> int:
             str(realizations), fmt_g(result.mean_spread),
             fmt_g(result.std_error), fmt_g(result.mean_slots),
             fmt_g(result.mean_seeds), str(seed)])
-    _write_output(args, buffer.getvalue())
+    _write_output(args, "csv", buffer.getvalue())
     return 0
 
 
@@ -289,8 +296,7 @@ def cmd_evaluate(args) -> int:
                                           estimator, _threads())
         mean, stderr, run = sampled.mean_spread, sampled.std_error, sampled.world_zero
     transcript_path = f"{'evaluate' if args.out is None else args.out}.transcript.txt"
-    with open(transcript_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(transcript_lines(run)) + "\n")
+    _write_text(transcript_path, "transcript", "\n".join(transcript_lines(run)) + "\n")
     print(f"mean={fmt_g(mean)} stderr={fmt_g(stderr)} transcript={transcript_path}")
     return 0
 
@@ -436,7 +442,7 @@ def cmd_gen_graph(args) -> int:
         graph = generate_graph(n, m, args.model, trivalency, seed)
     except ValueError as exc:
         raise _config_error("gen-graph", str(exc))
-    _write_output(args, edge_list_text(graph))
+    _write_output(args, "graph", edge_list_text(graph))
     return 0
 
 

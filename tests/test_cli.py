@@ -266,6 +266,20 @@ class TestErrors:
         assert code != 0
         assert err.startswith("error: io:")
 
+    @pytest.mark.parametrize("argv, what, name", [
+        (["gen-graph", "--nodes", "4", "--edges", "3"], "graph", "g.edges"),
+        (["sweep-alpha", "--estimator", "exact", "--realizations", "2"], "csv", "x.csv"),
+        (["evaluate", "--estimator", "exact"], "transcript", "x"),
+    ], ids=["gen-graph", "sweep-alpha", "evaluate"])
+    def test_unwritable_output(self, diamond_path, tmp_path, capsys, argv, what, name):
+        if argv[0] != "gen-graph":
+            argv = argv + ["--graph", diamond_path, "--policy", "uniform"]
+        out = tmp_path / "missing" / name
+        code, _, err = run_cli(argv + ["--out", str(out)], capsys)
+        written = f"{out}.transcript.txt" if what == "transcript" else out
+        assert (code, err) == (1, f"error: io: cannot write {what} file {written}: "
+                                  "No such file or directory\n")
+
     def test_bad_alpha(self, diamond_path, capsys):
         code, _, err = run_cli(["sweep-alpha", "--graph", diamond_path,
                                 "--alpha", "1.5"], capsys)
