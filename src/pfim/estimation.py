@@ -21,7 +21,9 @@ coin. Three backends:
   only from the seeds that set lacks. A newly scanned state derives its
   batch from the one held for the state scanned before: per completion,
   only the nodes whose closure holds the source of an edge that changed
-  there are rebuilt.
+  there are rebuilt. The batch also stacks its closures, one int per
+  node with completion j's mask in bits j*n to j*n + n - 1, so a gain
+  scan costs one OR and one bit count per candidate.
 * epsilon wrapper: multiplies each cascade value produced by an inner
   backend by a factor in [1-eps, 1+eps], either drawn uniformly per
   query or pinned to an end of the interval. Its gain scan reads the
@@ -319,11 +321,16 @@ class ExactEstimator(Estimator):
 
 class _Completions:
     """Per-node closure masks of each completion of one observation state,
-    and two answers kept for the latest seed set that asked:
+    their stacked view, and two answers kept for the latest seed set that
+    asked:
 
-    * `last`: the seed set, (closure masks, seed union) per completion and
-      the base count (`unions`). The alpha-gate and the gain scan of one
-      round, and a lazy round's second scan, ask for the same seeds.
+    * `stack()`: one int per node, with completion j's closure mask of the
+      node in window j (bits j*n to j*n + n - 1), for the gain scan. A
+      built batch stacks its closures on first use; a derived batch gets
+      its view from `MonteCarloEstimator._derived`.
+    * `last`: the seed set and (closure masks, seed union) per completion
+      (`unions`). The alpha-gate and the epsilon scan of one round ask for
+      the same seeds.
     * `last_zero`: the seed set and its zero set (`zero_set`), the
       complement of its possible-edge reach. A greedy round asks with one
       more seed than the last, so the walk starts from the new seeds only
@@ -332,18 +339,31 @@ class _Completions:
       propagated query on its state kept (`MonteCarloEstimator._zeros`).
     """
 
-    __slots__ = ("closures", "last", "last_zero")
+    __slots__ = ("closures", "stacked", "last", "last_zero")
 
-    def __init__(self, closures: list[list[int]], last_zero: tuple | None):
+    def __init__(self, closures: list[list[int]], stacked: list[int] | None,
+                 last_zero: tuple | None):
         self.closures = closures
+        self.stacked = stacked
         self.last: tuple | None = None
         self.last_zero = last_zero
 
-    def unions(self, seed_set: frozenset[int]) -> tuple:
+    def stack(self) -> list[int]:
+        if self.stacked is None:
+            n = len(self.closures[0])
+            stacked = [0] * n
+            for j, masks in enumerate(self.closures):
+                shift = j * n
+                for v, reach in enumerate(masks):
+                    stacked[v] |= reach << shift
+            self.stacked = stacked
+        return self.stacked
+
+    def unions(self, seed_set: frozenset[int]) -> list[tuple[list[int], int]]:
         if self.last is None or self.last[0] != seed_set:
-            pairs = [(masks, closure_union(masks, seed_set)) for masks in self.closures]
-            self.last = (seed_set, pairs, sum(reached.bit_count() for _, reached in pairs))
-        return self.last
+            self.last = (seed_set, [(masks, closure_union(masks, seed_set))
+                                    for masks in self.closures])
+        return self.last[1]
 
     def zero_set(self, graph: DirectedGraph, partial: PartialRealization,
                  seed_set: frozenset[int]) -> frozenset[int]:
@@ -383,6 +403,18 @@ class MonteCarloEstimator(Estimator):
     that reach such an edge's source get a new closure. Without a held
     batch (the first scan, or another graph) it is built from scratch
     (`_built`). Both routes give the same masks.
+
+    `gains` reads the batch's stacked view (`_Completions.stack`): node
+    v's closure masks over all completions in one int, completion j in
+    window j of n bits. The union R of the seeds' stacked masks holds each
+    completion's seed union in its window, so a candidate's summed
+    coverage gain is (R | stacked[c]).bit_count() - R.bit_count(): one OR
+    and one bit count instead of one per completion, and the same
+    integer. A built batch stacks its closures on its first gain scan. A
+    derived batch copies the held batch's view (stacking it first if it
+    has none), finds its roots with one AND per node against the changed
+    sources of all completions stacked the same way, and rewrites window
+    j of each root whose mask changed in completion j.
 
     A batch of completions is a function of the observation alone, never
     of the seed set, so f(S), f(S + v), and every candidate in a
@@ -446,9 +478,9 @@ class MonteCarloEstimator(Estimator):
         # the lookup emptied the cache on another graph, so a held batch
         # shares this graph's snapshot
         held = next(iter(self._batches.items()), None)
-        closures = (self._built(graph, codes) if held is None
-                    else self._derived(graph, codes, *held))
-        batch = _Completions(closures, self._zeros.lookup(graph, codes))
+        closures, stacked = ((self._built(graph, codes), None) if held is None
+                             else self._derived(graph, codes, *held))
+        batch = _Completions(closures, stacked, self._zeros.lookup(graph, codes))
         return self._batches.store(codes, batch)
 
     def _built(self, graph: DirectedGraph, codes: bytes) -> list[list[int]]:
@@ -476,16 +508,19 @@ class MonteCarloEstimator(Estimator):
         return closures
 
     def _derived(self, graph: DirectedGraph, codes: bytes, held_codes: bytes,
-                 held: _Completions) -> list[list[int]]:
-        """The closures of state `codes`, derived from the batch `held` of
-        state `held_codes` on the same graph.
+                 held: _Completions) -> tuple[list[list[int]], list[int]]:
+        """The closures of state `codes` and their stacked view, derived
+        from the batch `held` of state `held_codes` on the same graph.
 
         An edge changed in completion j when its liveness there differs
         between the two codes; it is live there when observed live, or
         unobserved with coin j set. A node's closure can change only if
         its held closure holds the source of a changed edge: only those
         nodes are rebuilt, and no other node reaches one. A completion
-        without a changed edge keeps its held mask list."""
+        without a changed edge keeps its held mask list. The roots are
+        found on the held stacked view, one AND per node against every
+        completion's changed sources at once; the view is copied and
+        each root's window j rewritten where its mask changed."""
         _, coins = self._snapshot(graph)
         every = (1 << self.samples) - 1
         live, unobserved = EdgeState.LIVE, EdgeState.UNOBSERVED
@@ -500,19 +535,28 @@ class MonteCarloEstimator(Estimator):
                 bit = 1 << edges[idx].source
                 for j in mask_nodes(live_in(was, idx) ^ live_in(now, idx)):
                     sources[j] |= bit
+        stacked = held.stack().copy()
+        changed = 0
+        for j, touched in enumerate(sources):
+            changed |= touched << j * n
+        # the nodes that reach a changed source in some completion, ascending
+        hits = [v for v, reach in enumerate(stacked) if reach & changed]
         closures = []
         for j, (masks, touched) in enumerate(zip(held.closures, sources)):
             if touched:
-                roots = [v for v, reach in enumerate(masks) if reach & touched]
+                roots = [v for v in hits if masks[v] & touched]
                 adj = [None] * n
                 coin = 1 << j
                 for u in roots:
                     adj[u] = [edges[idx].target for idx in out_edges[u]
                               if (c := codes[idx]) == live
                               or (c == unobserved and coins[idx] & coin)]
-                masks = closure_masks(n, adj, masks, roots)
+                old, masks = masks, closure_masks(n, adj, masks, roots)
+                for v in roots:
+                    if diff := old[v] ^ masks[v]:
+                        stacked[v] ^= diff << j * n
             closures.append(masks)
-        return closures
+        return closures, stacked
 
     def _propagate(self, graph: DirectedGraph, seed_set,
                    partial: PartialRealization) -> tuple[list[int], frozenset[int]]:
@@ -557,7 +601,7 @@ class MonteCarloEstimator(Estimator):
         # lies in no completion, so its count is already 0 on both routes.
         k = self.samples
         if batch is not None:
-            _, pairs, _ = batch.unions(seed_set)
+            pairs = batch.unions(seed_set)
             return ActivationEstimate(_coverage_value((reached for _, reached in pairs), k),
                                       batch.zero_set(graph, partial, seed_set))
         counts, zero = self._propagate(graph, seed_set, partial)
@@ -568,22 +612,19 @@ class MonteCarloEstimator(Estimator):
             self._zeros.store(partial.codes, (seed_set, zero))
         return ActivationEstimate(math.fsum(c / k for c in counts), zero)
 
-    def _seed_unions(self, graph, seeds, partial, candidates):
-        """Check the query, then return the state's `batch.last` set for
-        these seeds (`_Completions.unions`)."""
-        seed_set = _check_state(graph, seeds, partial, candidates)
-        return self._batch(graph, partial).unions(seed_set)
-
     def cascades_with(self, graph, seeds, partial, candidates):
-        _, pairs, _ = self._seed_unions(graph, seeds, partial, candidates)
+        seed_set = _check_state(graph, seeds, partial, candidates)
+        pairs = self._batch(graph, partial).unions(seed_set)
         k = self.samples
         return [_coverage_value((reached | masks[c] for masks, reached in pairs), k)
                 for c in candidates]
 
     def gains(self, graph, seeds, partial, candidates):
-        _, pairs, base = self._seed_unions(graph, seeds, partial, candidates)
-        return [(sum((reached | masks[c]).bit_count() for masks, reached in pairs)
-                 - base) / self.samples
+        seed_set = _check_state(graph, seeds, partial, candidates)
+        stacked = self._batch(graph, partial).stack()
+        reached = closure_union(stacked, seed_set)
+        base = reached.bit_count()
+        return [((reached | stacked[c]).bit_count() - base) / self.samples
                 for c in candidates]
 
     def single_node_values(self, graph):

@@ -15,7 +15,7 @@ from pfim.estimation import (ActivationEstimate, EpsilonEstimator, ExactEstimato
                              _coverage_value, exact_conditional_activation,
                              zero_probability_set)
 from pfim.graph import DirectedGraph, generate_graph, load_graph
-from pfim.reach import closure_masks, mask_nodes, node_mask, reachable_mask
+from pfim.reach import closure_masks, closure_union, mask_nodes, node_mask, reachable_mask
 
 from bruteforce import naive_activation_probability
 
@@ -452,6 +452,74 @@ class TestBatchedQueries:
         assert wrapped.gains(g, seeds, psi, candidates) == want
 
 
+def stacked_view(closures):
+    """Completion j's closure mask of each node in window j."""
+    n = len(closures[0])
+    return [sum(masks[v] << j * n for j, masks in enumerate(closures)) for v in range(n)]
+
+
+def per_completion_gains(batch, seeds, candidates, k):
+    """The gain scan written out over the completions one by one."""
+    pairs = [(masks, closure_union(masks, seeds)) for masks in batch.closures]
+    base = sum(reached.bit_count() for _, reached in pairs)
+    return [(sum((reached | masks[c]).bit_count() for masks, reached in pairs) - base) / k
+            for c in candidates]
+
+
+TRIANGLE = load_graph("0 1 0.5\n1 2 0.5\n2 0 0.5\n")
+
+
+class TestStackedView:
+    """`gains` reads the stacked view: one OR and one bit count per
+    candidate, equal to the per-completion sum."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(coded_state_pairs(), st.sampled_from([1, 2, 21, 22, 64, 70]), st.booleans(),
+           st.data())
+    # windows of 3 bits: window 21 straddles bits 63 and 64; k = 70 spans
+    # four 64-bit words
+    @example((TRIANGLE, PartialRealization(bytes([2, 2, 2])),
+              PartialRealization(bytes([1, 2, 0])), 1, 4), 70, True, None)
+    @example((TRIANGLE, PartialRealization(bytes([2, 2, 2])),
+              PartialRealization(bytes([2, 0, 2])), 1, 4), 1, False, None)
+    def test_gains_equal_the_per_completion_sum(self, pair, k, scan_held, data):
+        g, held, psi, _, seed = pair
+        n = g.node_count
+        if data is None:
+            seeds, candidates = frozenset({0}), [2, 1, 0, 2]
+        else:
+            seeds = data.draw(st.frozensets(st.integers(0, n - 1), max_size=3))
+            candidates = data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
+        est = MonteCarloEstimator(k, seed)
+        if scan_held:
+            est.gains(g, seeds, held, candidates)
+        got = est.gains(g, seeds, psi, candidates)
+        batch = est._batch(g, psi)
+        assert got == per_completion_gains(batch, seeds, candidates, k)
+        assert batch.stacked == stacked_view(batch.closures)
+        assert got == MonteCarloEstimator(k, seed).gains(g, seeds, psi, candidates)
+
+    @pytest.mark.parametrize("first", ["single_node_values", "cascades_with"])
+    def test_a_held_batch_without_a_view_is_stacked_before_deriving(self, first):
+        g = generate_graph(30, 90, "erdos-renyi", 40, 3)
+        psi = observe(g, sample_full_realization(g, 9), SeedSchedule(((4, 0),)), 2)
+        est = MonteCarloEstimator(70, 5)
+        if first == "single_node_values":
+            est.single_node_values(g)
+        else:
+            est.cascades_with(g, [4], empty_partial(g), [0, 1])
+        held = est._batch(g, empty_partial(g))
+        assert held.stacked is None
+        candidates = [v for v in range(g.node_count) if v != 4]
+        got = est.gains(g, [4], psi, candidates)
+        assert held.stacked == stacked_view(held.closures)
+        derived = est._batch(g, psi)
+        assert derived is not held
+        assert derived.stacked == stacked_view(derived.closures)
+        assert got == per_completion_gains(derived, {4}, candidates, 70)
+        assert got == MonteCarloEstimator(70, 5).gains(g, [4], psi, candidates)
+
+
 def _adjacency(n, edges):
     adj = [[] for _ in range(n)]
     for u, v in edges:
@@ -473,8 +541,13 @@ class TestDerivedBatches:
         g, held, psi, k, seed = pair
         est = MonteCarloEstimator(k, seed)
         est._batch(g, held)
-        assert est._batch(g, psi).closures == MonteCarloEstimator(k, seed)._batch(
-            g, psi).closures
+        derived = est._batch(g, psi)
+        fresh = MonteCarloEstimator(k, seed)._batch(g, psi)
+        assert derived.closures == fresh.closures
+        # the held batch had no view: deriving stacks it, and the derived
+        # batch starts from a copy rewritten window by window
+        assert (derived.stacked is None) == (held == psi)
+        assert derived.stack() == stacked_view(derived.closures) == fresh.stack()
 
     def test_closure_masks_rebuilds_only_the_roots(self):
         # 0 -> 1 <-> 2 and 3 -> 4; then 4 -> 3 and 4 -> 1 are added, so
