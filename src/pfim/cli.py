@@ -6,8 +6,9 @@ left off the command line comes from a flat key-value config file
 (``key = value`` lines, ``#`` comments) when one is given, else from
 its default in that table. Errors, usage errors included, come out on
 stderr as a single machine-parseable line ``error: <code>: <message>``
-with a nonzero exit status; a budget is refused by `policies.check_budget`
-before any cell runs. The PFIM_THREADS environment variable caps how
+with a nonzero exit status; a budget is refused by `policies.check_budget`,
+and an unwritable output path by `_check_writable`, before any cell
+runs. The PFIM_THREADS environment variable caps how
 many worker processes the realization loops may use (default 1); results
 are identical regardless because per-world streams are indexed, not shared.
 """
@@ -82,6 +83,20 @@ def _write_text(path, what: str, text: str):
             fh.write(text)
     except OSError as exc:
         raise CliError("io", f"cannot write {what} file {path}: {exc.strerror}")
+
+
+def _check_writable(path, what: str):
+    """Raise the io error that writing `path` would raise, before any
+    work is done. An existing file keeps its bytes; a probe file is
+    removed again."""
+    existed = os.path.exists(str(path))
+    try:
+        with open(str(path), "a", encoding="utf-8"):
+            pass
+    except OSError as exc:
+        raise CliError("io", f"cannot write {what} file {path}: {exc.strerror}")
+    if not existed:
+        os.remove(str(path))
 
 
 def _write_output(args, what: str, text: str):
@@ -263,6 +278,8 @@ def cmd_sweep_alpha(args) -> int:
     seed, graph, i_cell, configs = _cells(args)
     realizations = _realizations(args)
     threads = _threads()
+    if args.out is not None:
+        _check_writable(args.out, "csv")
 
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
@@ -283,20 +300,21 @@ def cmd_evaluate(args) -> int:
     seed, graph, _, (config,) = _cells(args, single=True)
     estimator, tag = _build_estimator(args)
 
+    enumerated = tag == "exact" and graph.edge_count <= ENUMERATION_EDGE_LIMIT
+    if enumerated and args.realizations is not None:
+        raise _config_error("realizations", "not read: the exact value of a graph "
+                            f"with at most {ENUMERATION_EDGE_LIMIT} edges is enumerated")
+    realizations, threads = (1, 1) if enumerated else (_realizations(args), _threads())
+    transcript_path = f"{'evaluate' if args.out is None else args.out}.transcript.txt"
+    _check_writable(transcript_path, "transcript")
+
     # the transcript is world 0 of the sample, drawn even when the value
     # is exact, for inspection
-    if tag == "exact" and graph.edge_count <= ENUMERATION_EDGE_LIMIT:
-        if args.realizations is not None:
-            raise _config_error("realizations", "not read: the exact value of a graph "
-                                f"with at most {ENUMERATION_EDGE_LIMIT} edges is enumerated")
-        mean, stderr = evaluate_policy_exact(graph, config).value, 0.0
-        run = evaluate_policy_sampled(graph, config, 1, seed, estimator).world_zero
-    else:
-        sampled = evaluate_policy_sampled(graph, config, _realizations(args), seed,
-                                          estimator, _threads())
-        mean, stderr, run = sampled.mean_spread, sampled.std_error, sampled.world_zero
-    transcript_path = f"{'evaluate' if args.out is None else args.out}.transcript.txt"
-    _write_text(transcript_path, "transcript", "\n".join(transcript_lines(run)) + "\n")
+    sampled = evaluate_policy_sampled(graph, config, realizations, seed, estimator, threads)
+    mean, stderr = ((evaluate_policy_exact(graph, config).value, 0.0) if enumerated
+                    else (sampled.mean_spread, sampled.std_error))
+    _write_text(transcript_path, "transcript",
+                "\n".join(transcript_lines(sampled.world_zero)) + "\n")
     print(f"mean={fmt_g(mean)} stderr={fmt_g(stderr)} transcript={transcript_path}")
     return 0
 

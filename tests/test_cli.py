@@ -28,6 +28,10 @@ def run_cli(argv, capsys):
     return code, captured.out, captured.err
 
 
+def cell_ran(*args, **kwargs):
+    raise AssertionError("a cell ran")
+
+
 class TestGenGraph:
     def test_writes_loadable_edge_list(self, tmp_path, capsys):
         out = tmp_path / "g.edges"
@@ -271,7 +275,11 @@ class TestErrors:
         (["sweep-alpha", "--estimator", "exact", "--realizations", "2"], "csv", "x.csv"),
         (["evaluate", "--estimator", "exact"], "transcript", "x"),
     ], ids=["gen-graph", "sweep-alpha", "evaluate"])
-    def test_unwritable_output(self, diamond_path, tmp_path, capsys, argv, what, name):
+    def test_unwritable_output(self, diamond_path, tmp_path, capsys, monkeypatch,
+                               argv, what, name):
+        # the path is tried before any cell runs
+        for evaluator in ("evaluate_policy_sampled", "evaluate_policy_exact"):
+            monkeypatch.setattr(cli, evaluator, cell_ran)
         if argv[0] != "gen-graph":
             argv = argv + ["--graph", diamond_path, "--policy", "uniform"]
         out = tmp_path / "missing" / name
@@ -279,6 +287,21 @@ class TestErrors:
         written = f"{out}.transcript.txt" if what == "transcript" else out
         assert (code, err) == (1, f"error: io: cannot write {what} file {written}: "
                                   "No such file or directory\n")
+
+    @pytest.mark.parametrize("exists", [True, False], ids=["existing", "new"])
+    def test_output_is_untouched_when_a_cell_raises(self, diamond_path, tmp_path,
+                                                    monkeypatch, exists):
+        out = tmp_path / "x.csv"
+        if exists:
+            out.write_bytes(b"kept\n")
+        monkeypatch.setattr(cli, "evaluate_policy_sampled", cell_ran)
+        with pytest.raises(AssertionError, match="a cell ran"):
+            main(["sweep-alpha", "--graph", diamond_path, "--policy", "uniform",
+                  "--alpha", "0", "--out", str(out)])
+        if exists:
+            assert out.read_bytes() == b"kept\n"
+        else:
+            assert not out.exists()
 
     def test_bad_alpha(self, diamond_path, capsys):
         code, _, err = run_cli(["sweep-alpha", "--graph", diamond_path,
