@@ -7,10 +7,10 @@ left off the command line comes from a flat key-value config file
 its default in that table. Errors, usage errors included, come out on
 stderr as a single machine-parseable line ``error: <code>: <message>``
 with a nonzero exit status; a budget is refused by `policies.check_budget`,
-and an unwritable output path by `_check_writable`, before any cell
-runs. The PFIM_THREADS environment variable caps how
-many worker processes the realization loops may use (default 1); results
-are identical regardless because per-world streams are indexed, not shared.
+and an unwritable output path by `_check_writable`, before any cell runs.
+The PFIM_THREADS environment variable caps how many worker processes the
+realization loops may use (default 1); results are identical regardless
+because per-world streams are indexed, not shared.
 """
 
 import argparse
@@ -89,14 +89,14 @@ def _check_writable(path, what: str):
     """Raise the io error that writing `path` would raise, before any
     work is done. An existing file keeps its bytes; a probe file is
     removed again."""
-    existed = os.path.exists(str(path))
+    existed = os.path.exists(path)
     try:
-        with open(str(path), "a", encoding="utf-8"):
+        with open(path, "a", encoding="utf-8"):
             pass
     except OSError as exc:
         raise CliError("io", f"cannot write {what} file {path}: {exc.strerror}")
     if not existed:
-        os.remove(str(path))
+        os.remove(path)
 
 
 def _write_output(args, what: str, text: str):
