@@ -45,6 +45,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import chain
+from operator import itemgetter
 
 from ._util import derive_seed
 from .diffusion import EdgeState, PartialRealization, empty_partial
@@ -206,8 +207,9 @@ class Estimator:
     """Backend interface. `activation` is the one single-state query: the
     expected cascade and the zero set of a seed set on an observation
     state. `cascades_with` batches the expected cascade of S + c over
-    candidates c, `gains` the marginal gains, and `single_node_values`
-    the unconditional value of each node alone."""
+    candidates c, `gains` the marginal gains, `single_node_values` the
+    unconditional value of each node alone, and `best_single_node` the
+    largest of those values and its node."""
 
     # True when `gains` on one observation state are exact counts over one
     # fixed batch of completions: a candidate's gain for seeds S is then
@@ -253,6 +255,13 @@ class Estimator:
         partial = empty_partial(graph)
         return [self.activation(graph, frozenset([v]), partial).expected_cascade
                 for v in range(graph.node_count)]
+
+    def best_single_node(self, graph: DirectedGraph) -> tuple[int, float]:
+        """The node with the largest `single_node_values` entry, smallest id
+        on ties, and that value. This default reads every value, so the
+        epsilon wrapper draws one factor per node, in node order."""
+        # max keeps the first of equal keys
+        return max(enumerate(self.single_node_values(graph)), key=itemgetter(1))
 
     def reseeded(self, salt: int) -> "Estimator":
         """A copy whose random draws derive from (own seed, salt)."""
@@ -389,7 +398,8 @@ class MonteCarloEstimator(Estimator):
     alpha-gate's query on a state without closures is one bit-parallel
     pass over the snapshot (`_propagate`). Closures (`_batch`) are built
     only for states scanned for gains, cascades with candidates
-    (`cascades_with`, the epsilon wrapper's scan) or single-node values.
+    (`cascades_with`, the epsilon wrapper's scan), single-node values or
+    the best single node.
     On a state with closures, `activation` sums the seed unions that the
     batch keeps for the round's scan (`_Completions.unions`), and its zero
     set grows the one kept for the last seed set when the seeds contain
@@ -415,6 +425,14 @@ class MonteCarloEstimator(Estimator):
     has none), finds its roots with one AND per node against the changed
     sources of all completions stacked the same way, and rewrites window
     j of each root whose mask changed in completion j.
+
+    `best_single_node` reads the empty state's batch. Node v's value is a
+    correctly rounded sum of n terms fl(c / k), each within 2**-53 of
+    c / k, so it lies within n * 2**-52 of T_v / k, where T_v is the summed
+    size of v's closures over the k completions. Unequal totals differ by
+    at least 1 / k, more than 2 * n * 2**-52 whenever n * k < 2**51: a node
+    below the largest total can neither win nor tie, and only the nodes at
+    that total get their value computed.
 
     A batch of completions is a function of the observation alone, never
     of the seed set, so f(S), f(S + v), and every candidate in a
@@ -632,6 +650,14 @@ class MonteCarloEstimator(Estimator):
         # p > 0, so zero-set nodes already count 0 and need no filter.
         closures = self._batch(graph, empty_partial(graph)).closures
         return [_coverage_value(column, self.samples) for column in zip(*closures)]
+
+    def best_single_node(self, graph):
+        closures = self._batch(graph, empty_partial(graph)).closures
+        totals = [sum(sizes) for sizes in zip(*(map(int.bit_count, masks)
+                                                  for masks in closures))]
+        top = max(totals)
+        return max(((v, _coverage_value((masks[v] for masks in closures), self.samples))
+                    for v, total in enumerate(totals) if total == top), key=itemgetter(1))
 
 
 @lru_cache(maxsize=32)

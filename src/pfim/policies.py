@@ -282,11 +282,7 @@ def best_single_node(graph: DirectedGraph, estimator: Estimator) -> tuple[int, f
     id on ties, together with that value."""
     if graph.node_count == 0:
         raise ValueError("empty graph has no best node")
-    best, best_value = 0, None
-    for v, value in enumerate(estimator.single_node_values(graph)):
-        if best_value is None or value > best_value:
-            best, best_value = v, value
-    return best, best_value
+    return estimator.best_single_node(graph)
 
 
 def _affordable_single_node(graph: DirectedGraph, estimator: Estimator,

@@ -21,6 +21,11 @@ from bruteforce import naive_activation_probability
 
 CHAIN = load_graph("0 1 0.5\n1 2 0.5\n")
 DIAMOND = load_graph("0 1 0.5\n0 2 0.5\n1 3 0.5\n2 3 0.5\n")
+EDGELESS = DirectedGraph.build(4, [])
+# In the 15 completions of MonteCarloEstimator(15, 60), node 0 reaches
+# node 1 in 8 and node 2 reaches nodes 3 and 4 in 8 together: both total
+# 23, and their values round to 1.5333333333333332 and 1.5333333333333334
+TOTALS_TIE = DirectedGraph.build(5, [(0, 1, 0.5), (2, 3, 0.2), (2, 4, 0.5)])
 
 
 def observed_instance(seed):
@@ -346,6 +351,16 @@ class TestBatchedQueries:
         assert MonteCarloEstimator(40, seed).single_node_values(g) == [
             reference.activation(g, {v}, empty).expected_cascade
             for v in range(g.node_count)]
+
+    @settings(max_examples=150, deadline=None)
+    @given(observed_states(), st.integers(1, 64))
+    @example((EDGELESS, [0], empty_partial(EDGELESS), 0), 7)
+    @example((TOTALS_TIE, [0], empty_partial(TOTALS_TIE), 60), 15)
+    def test_mc_best_single_node_is_the_first_largest_value(self, state, k):
+        g, _, _, seed = state
+        values = MonteCarloEstimator(k, seed).single_node_values(g)
+        best = values.index(max(values))
+        assert MonteCarloEstimator(k, seed).best_single_node(g) == (best, values[best])
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.integers(0, (1 << 70) - 1) | st.sampled_from([0, 1, 6]),
@@ -680,6 +695,43 @@ def test_mc_single_node_values_keep_their_bytes():
     values = MonteCarloEstimator(30, 0).single_node_values(g)
     assert hashlib.sha256(repr(values).encode()).hexdigest() == (
         "9fb6f293ed90cac42399d1c9f7f9083f4df15f3456e10b02d72252305dd4ff70")
+
+
+def test_mc_best_single_node_values_only_the_largest_totals(monkeypatch):
+    g = generate_graph(200, 800, "erdos-renyi", 40, 2024)
+    est = MonteCarloEstimator(30, 0)
+    closures = est._batch(g, empty_partial(g)).closures
+    totals = [sum(masks[v].bit_count() for masks in closures) for v in range(200)]
+    calls = 0
+
+    def counted(*args, fn=estimation._coverage_value):
+        nonlocal calls
+        calls += 1
+        return fn(*args)
+
+    monkeypatch.setattr(estimation, "_coverage_value", counted)
+    got = est.best_single_node(g)
+    assert calls == totals.count(max(totals)) < 200
+    values = MonteCarloEstimator(30, 0).single_node_values(g)
+    assert got == (values.index(max(values)), max(values))
+
+
+@pytest.mark.parametrize("graph", [DIAMOND, generate_graph(30, 20, "erdos-renyi", 40, 3)],
+                         ids=["diamond", "30 nodes"])
+@pytest.mark.parametrize("make", [
+    ExactEstimator,
+    lambda: EpsilonEstimator(ExactEstimator(), 0.2, "random", 1),
+    lambda: EpsilonEstimator(MonteCarloEstimator(10, 1), 0.2, "random", 1),
+], ids=["exact", "eps-exact", "eps-mc"])
+def test_best_single_node_defaults_to_the_first_largest_value(make, graph):
+    # the epsilon wrapper perturbs every node's value, so its stream moves
+    # on by one draw per node, as the loop over the values does
+    est, twin = make(), make()
+    values = twin.single_node_values(graph)
+    best = values.index(max(values))
+    assert est.best_single_node(graph) == (best, values[best])
+    if isinstance(est, EpsilonEstimator):
+        assert est._factor() == twin._factor()
 
 
 def test_shared_estimators_never_answer_for_a_dropped_graph():
