@@ -42,6 +42,7 @@ certainly-active nodes as exactly 1.
 import math
 import random
 from collections import OrderedDict
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import chain
@@ -135,29 +136,56 @@ def _split_edges(graph: DirectedGraph, partial: PartialRealization, seed_set):
     return certain_adj, certain_mask, relevant, zero
 
 
-def _assignments(probs):
-    """Yield (bits, weight) for each of the 2^len(probs) live/blocked
-    assignments of a list of independent edges; bit k set means edge k is
-    live. Weights multiply edge 0 first and are produced one at a time,
-    so a 22-edge enumeration holds no list of 2^22 weights."""
-    for bits in range(1 << len(probs)):
-        w = 1.0
-        for k, p in enumerate(probs):
-            w *= p if bits >> k & 1 else 1.0 - p
-        yield bits, w
+def _weight_table(ratios) -> list[int]:
+    """The integer weight of each live/blocked assignment of the edges
+    with exact probabilities a / b in `ratios`, indexed by its bits: a
+    live edge weighs a, a blocked one b - a."""
+    weights = [1]
+    for a, b in ratios:
+        weights = [w * (b - a) for w in weights] + [w * a for w in weights]
+    return weights
+
+
+def _assignments(probs) -> tuple[int, Iterator[tuple[int, int]]]:
+    """The exact weights of the 2^len(probs) live/blocked assignments of
+    a list of independent edges: (denominator, (bits, weight) pairs in
+    ascending bits); bit k set means edge k is live.
+
+    Every float p is a / b exactly, b a power of two
+    (`float.as_integer_ratio`), so 1 - p is (b - a) / b exactly. An
+    assignment weighs the product of its edges' numerators, an integer,
+    and the weights sum to the denominator, the product of the b. The low
+    and the high half of the edges get a weight table each and an
+    assignment multiplies one entry of each, so a 22-edge enumeration
+    holds two tables of 2^11 weights, not one of 2^22."""
+    ratios = [p.as_integer_ratio() for p in probs]
+    half = len(ratios) // 2
+    low, high = _weight_table(ratios[:half]), _weight_table(ratios[half:])
+    return (math.prod(b for _, b in ratios),
+            ((j << half | i, wj * wi) for j, wj in enumerate(high)
+             for i, wi in enumerate(low)))
 
 
 def exact_conditional_activation(graph: DirectedGraph, seeds,
                                  partial: PartialRealization) -> list[float]:
     """Exact conditional activation probability of each node, in node
-    order, by edge enumeration."""
-    return _exact_activation(graph, seeds, partial)[0]
+    order, by edge enumeration: each an integer weight over the
+    denominator, divided once."""
+    reached, denominator, _ = _exact_activation(graph, seeds, partial)
+    weights = [0] * graph.node_count
+    for mask, w in reached.items():
+        for v in mask_nodes(mask):
+            weights[v] += w
+    return [w / denominator for w in weights]
 
 
 def _exact_activation(graph: DirectedGraph, seeds,
-                      partial: PartialRealization) -> tuple[list[float], frozenset[int]]:
-    """`exact_conditional_activation` and the zero set, which the edge
-    split computes on the way."""
+                      partial: PartialRealization) -> tuple[dict[int, int], int, frozenset[int]]:
+    """The exact law of the reached set, and the zero set, which the edge
+    split computes on the way: (reached, denominator, zero set). `reached`
+    maps each node mask that the seeds reach under some assignment of the
+    relevant edges to the summed integer weight of those assignments; the
+    weights sum to the denominator (`_assignments`)."""
     seed_set = _check_state(graph, seeds, partial)
     certain_adj, certain_mask, relevant, zero = _split_edges(graph, partial, seed_set)
     if len(relevant) > EXACT_EDGE_LIMIT:
@@ -170,37 +198,26 @@ def _exact_activation(graph: DirectedGraph, seeds,
     extra: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for bit_pos, e in enumerate(relevant):
         extra[e.source].append((1 << bit_pos, e.target))
-    probs = [e.probability for e in relevant]
-
-    acc = [0.0] * n
-    start_mask = node_mask(seed_set)
-    for bits, w in _assignments(probs):
-        seen = start_mask
-        stack = list(seed_set)
+    # every assignment reaches the certain nodes, and they reach no other
+    # node over certain edges: the walk starts from those with extra edges
+    frontier = [u for u in mask_nodes(certain_mask) if extra[u]]
+    denominator, weighted = _assignments([e.probability for e in relevant])
+    reached: dict[int, int] = {}
+    for bits, w in weighted:
+        seen = certain_mask
+        stack = frontier.copy()
         while stack:
             u = stack.pop()
-            for v in certain_adj[u]:
-                bit = 1 << v
-                if not seen & bit:
-                    seen |= bit
-                    stack.append(v)
             for ebit, v in extra[u]:
-                if bits & ebit:
-                    bit = 1 << v
-                    if not seen & bit:
-                        seen |= bit
-                        stack.append(v)
-        # every reached node adds w, lowest bit first
-        while seen:
-            low = seen & -seen
-            acc[low.bit_length() - 1] += w
-            seen ^= low
-
-    # a zero-set node is reached in no assignment and keeps exactly 0; a
-    # certain node is reached in all of them and is pinned to exactly 1
-    for v in mask_nodes(certain_mask):
-        acc[v] = 1.0
-    return acc, zero
+                if bits & ebit and not seen >> v & 1:
+                    seen |= 1 << v
+                    stack.append(v)
+            for v in certain_adj[u]:
+                if not seen >> v & 1:
+                    seen |= 1 << v
+                    stack.append(v)
+        reached[seen] = reached.get(seen, 0) + w
+    return reached, denominator, zero
 
 
 class Estimator:
@@ -237,17 +254,18 @@ class Estimator:
         """Marginal gain f(S + c) - f(S) of each candidate, in the order
         given, with f(S) read once.
 
-        This default serves the exact backend, which is monotone in exact
-        arithmetic: a negative gain within float dust is clamped to 0, a
-        larger one raises. The sampled and perturbed backends override it.
+        This default serves the exact backend. Its values are the correctly
+        rounded true expectations, and rounding is monotone, so f(S + c) >=
+        f(S) holds bit for bit and a negative gain raises. The sampled and
+        perturbed backends override it.
         """
         seed_set = _check_state(graph, seeds, partial, candidates)
         base = self.activation(graph, seed_set, partial).expected_cascade
         gains = [v - base for v in self.cascades_with(graph, seed_set, partial, candidates)]
-        below = [g for g in gains if g < -1e-9]
+        below = [g for g in gains if g < 0.0]
         if below:
             raise AssertionError(f"exact gain {below[0]} below zero")
-        return [max(g, 0.0) for g in gains]
+        return gains
 
     def single_node_values(self, graph: DirectedGraph) -> list[float]:
         """Unconditional expected cascade of each node seeded alone,
@@ -320,8 +338,9 @@ class ExactEstimator(Estimator):
         hit = self._cache.lookup(graph, key)
         if hit is not None:
             return hit
-        probs, zero = _exact_activation(graph, seed_set, partial)
-        return self._cache.store(key, ActivationEstimate(math.fsum(probs), zero))
+        reached, denominator, zero = _exact_activation(graph, seed_set, partial)
+        cascade = sum(w * mask.bit_count() for mask, w in reached.items())
+        return self._cache.store(key, ActivationEstimate(cascade / denominator, zero))
 
     @property
     def tag(self):

@@ -19,10 +19,13 @@ referee for the policies, not as a scalable solver.
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import mul, or_
 
 from ._util import derive_seed
-from .diffusion import FullRealization, live_adjacency, sample_full_realization
-from .estimation import (Estimator, ExactEstimator, InstanceTooLarge, _assignments,
+from .diffusion import (EdgeState, FullRealization, empty_partial, live_adjacency,
+                        sample_full_realization)
+from .estimation import (ActivationEstimate, Estimator, InstanceTooLarge, _assignments,
                          _GraphCache)
 from .graph import DirectedGraph, _as_fraction
 from .policies import (PolicyConfig, PolicyRun, _affordable_single_node, _GreedyCore,
@@ -53,58 +56,138 @@ _WORLDS = _GraphCache(1)
 
 def _enumerate_worlds(graph: DirectedGraph) -> list:
     """The world table of both exact referees: one (realization, weight,
-    closures, live bits) entry per full realization with nonzero
-    probability, in ascending live bits (edge index k is bit k).
-    `closures[v]` is the node mask that v reaches over the world's live
-    edges. The table is built once per graph object and shared by every
-    referee call on it; the cache holds the last graph's table only."""
+    closures, live bits) entry per full realization of nonzero
+    probability, in ascending live bits (edge index k is bit k). The
+    weight is the integer of `_assignments`; the weights sum to that
+    denominator, and only a world with a live p = 0 edge or a blocked
+    p = 1 edge weighs 0. `closures[v]` is the node mask that v reaches over
+    the world's live edges. The table is built once per graph object and
+    shared by every referee call on it; the cache holds the last graph's
+    table only."""
     hit = _WORLDS.lookup(graph, None)
     if hit is not None:
         return hit
     m, n = graph.edge_count, graph.node_count
     table = []
-    for bits, w in _assignments([e.probability for e in graph.edges]):
-        if w != 0.0:
+    for bits, w in _assignments([e.probability for e in graph.edges])[1]:
+        if w:
             r = FullRealization(tuple(bool(bits >> k & 1) for k in range(m)))
             table.append((r, w, closure_masks(n, live_adjacency(graph, r)), bits))
     return _WORLDS.store(None, table)
 
 
-def _expected_cascade(worlds: list, indices, seeds) -> float:
-    """Sum of weight * cascade size over the indexed worlds, added left to
-    right (from Python 3.12 on, sum() compensates the rounding). `seeds`
-    is read once per world, so it must be a collection, not an iterator."""
-    total = 0.0
-    for i in indices:
-        _, weight, closures, _ = worlds[i]
-        total += weight * closure_union(closures, seeds).bit_count()
-    return total
+def _expected_cascade(worlds: list, indices, seeds) -> int:
+    """Sum of weight * cascade size over the indexed worlds, an exact
+    integer. `seeds` is read once per world, so it must be a collection,
+    not an iterator."""
+    return sum(worlds[i][1] * closure_union(worlds[i][2], seeds).bit_count()
+               for i in indices)
+
+
+class _TableEstimator(Estimator):
+    """`ExactEstimator`'s answers read off the world table.
+
+    The worlds consistent with an observation are the rows whose live
+    bits agree with every observed edge: its live bits joined with each
+    subset of the unobserved edges. Their weights sum to W, and f(S) is
+    the sum of weight * |R(S)| over them, divided by W once. That is the
+    rational that enumerating the unobserved edges gives, so the same
+    correctly rounded float, ties included. The zero set is the nodes
+    that no consistent world reaches. Only the latest observation's
+    worlds and activations are kept: the tree walk asks about one
+    observation until it waits."""
+
+    def __init__(self, worlds: list):
+        self._rows = {bits: (w, closures) for _, w, closures, bits in worlds}
+        self._state: tuple | None = None
+
+    def _consistent(self, codes: bytes) -> tuple:
+        """(codes, the consistent worlds' weights, their closures by node:
+        column v holds each world's closure of v, the summed weight, the
+        activations asked on these codes by seed set)."""
+        if self._state is None or self._state[0] != codes:
+            live = unobserved = 0
+            for k, c in enumerate(codes):
+                if c == EdgeState.LIVE:
+                    live |= 1 << k
+                elif c == EdgeState.UNOBSERVED:
+                    unobserved |= 1 << k
+            rows = []
+            sub = unobserved
+            while True:
+                row = self._rows.get(live | sub)
+                if row is not None:
+                    rows.append(row)
+                if not sub:
+                    break
+                sub = sub - 1 & unobserved
+            weights, closures = zip(*rows)
+            self._state = (codes, weights, list(zip(*closures)), sum(weights), {})
+        return self._state
+
+    @staticmethod
+    def _unions(columns: list, seed_set, count: int) -> list[int]:
+        """Each consistent world's seed union."""
+        reached = [0] * count
+        for s in seed_set:
+            reached = list(map(or_, reached, columns[s]))
+        return reached
+
+    def activation(self, graph, seeds, partial):
+        _, weights, columns, total, asked = self._consistent(partial.codes)
+        seed_set = frozenset(seeds)
+        hit = asked.get(seed_set)
+        if hit is None:
+            reached = self._unions(columns, seed_set, len(weights))
+            union = reduce(or_, reached, 0)
+            zero = frozenset(v for v in range(graph.node_count) if not union >> v & 1)
+            hit = asked[seed_set] = ActivationEstimate(
+                _weighted_size(weights, reached) / total, zero)
+        return hit
+
+    def cascades_with(self, graph, seeds, partial, candidates):
+        _, weights, columns, total, _ = self._consistent(partial.codes)
+        reached = self._unions(columns, frozenset(seeds), len(weights))
+        return [_weighted_size(weights, map(or_, reached, columns[c])) / total
+                for c in candidates]
+
+    def single_node_values(self, graph):
+        _, weights, columns, total, _ = self._consistent(empty_partial(graph).codes)
+        return [_weighted_size(weights, column) / total for column in columns]
+
+
+def _weighted_size(weights, masks) -> int:
+    """Sum of weight * size over paired weights and node masks."""
+    return sum(map(mul, weights, map(int.bit_count, masks)))
 
 
 def evaluate_policy_exact(graph: DirectedGraph, config: PolicyConfig,
                           selection_hook=None) -> ExactEvaluation:
-    """Exact expected spread of a policy run with the exact estimator.
+    """Exact expected spread of a policy run with the exact estimator,
+    whose answers come from the world table (`_TableEstimator`).
 
     For the enhanced policy the coin is marginalized analytically: the
     value is the average of the single-best-node arm and the greedy arm.
+    Both arms are integer sums over the table, divided once.
     """
     if graph.edge_count > ENUMERATION_EDGE_LIMIT:
         raise InstanceTooLarge(
             f"realization enumeration over {graph.edge_count} edges exceeds "
             f"the {ENUMERATION_EDGE_LIMIT}-edge guard")
-    estimator = ExactEstimator()
-    core = _GreedyCore(graph, config, estimator)
     worlds = _enumerate_worlds(graph)
+    estimator = _TableEstimator(worlds)
+    core = _GreedyCore(graph, config, estimator)
+    total = sum(w for _, w, _, _ in worlds)
     if config.kind == "enhanced":
         star, _ = _affordable_single_node(graph, estimator, config.budget)
         single = _expected_cascade(worlds, range(len(worlds)), [star])
-    value = 0.0
+    value = 0
     for indices, schedule, *_ in _greedy_runs(core, [r for r, *_ in worlds],
                                               selection_hook):
         value += _expected_cascade(worlds, indices, schedule.nodes)
     if config.kind == "enhanced":
-        value = 0.5 * (single + value)
-    return ExactEvaluation(value, len(worlds))
+        return ExactEvaluation((single + value) / (2 * total), len(worlds))
+    return ExactEvaluation(value / total, len(worlds))
 
 
 def sampled_world(graph: DirectedGraph, rng_seed: int,
@@ -186,41 +269,40 @@ def optimal_full_feedback_adaptive(graph: DirectedGraph, budget) -> float:
                     for _, _, closures, _ in worlds]
     memo: dict = {}
 
-    def value(seed_mask: int, view: tuple[int, int], indices: list[int]) -> float:
-        # unnormalized: sum over these worlds of weight * eventual cascade.
-        # A seed set's full-feedback view is (the edges leaving every node
-        # its cascade reaches, their live bits); the worlds showing it are
-        # exactly `indices`, so the view keys the memo. Final parts are
-        # summed where they are split and never memoized.
+    def value(seed_mask: int, view: tuple[int, int], indices: list[int]) -> int:
+        # unnormalized and exact: sum over these worlds of weight * eventual
+        # cascade. A seed set's full-feedback view is (the edges leaving
+        # every node its cascade reaches, their live bits); the worlds
+        # showing it are exactly `indices`, so the view keys the memo.
         key = (seed_mask, view)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        reach_edges = view[0]
-        final = seed_mask.bit_count() + 1 == picks
-        best = None
-        for v in range(n):
-            if seed_mask >> v & 1:
-                continue
-            new_mask = seed_mask | 1 << v
-            parts: dict[tuple[int, int], list[int]] = {}
-            for i in indices:
-                edges = reach_edges | out_closures[i][v]
-                parts.setdefault((edges, worlds[i][3] & edges), []).append(i)
-            candidate = 0.0
-            for sub_view, sub in parts.items():
-                if final:
-                    # every world of the part reaches the same nodes
-                    size = closure_union(worlds[sub[0]][2], mask_nodes(new_mask)).bit_count()
-                    total = 0.0
-                    for i in sub:
-                        total += worlds[i][1] * size
-                    candidate += total
-                else:
-                    candidate += value(new_mask, sub_view, sub)
-            if best is None or candidate > best:
-                best = candidate
-        memo[key] = best
+        pair = seed_mask.bit_count() == 2
+        if pair:
+            hit = memo.pop(key, None)
+            if hit is not None:
+                return hit
+        if seed_mask.bit_count() + 1 == picks:
+            # the last pick sees nothing more: sum weight * |R(S + v)|
+            seeds = list(mask_nodes(seed_mask))
+            rows = [(worlds[i][1], worlds[i][2], closure_union(worlds[i][2], seeds))
+                    for i in indices]
+            best = max(sum(w * (reached | closures[v]).bit_count()
+                           for w, closures, reached in rows)
+                       for v in range(n) if not seed_mask >> v & 1)
+        else:
+            reach_edges = view[0]
+            best = 0
+            for v in range(n):
+                if seed_mask >> v & 1:
+                    continue
+                parts: dict[tuple[int, int], list[int]] = {}
+                for i in indices:
+                    edges = reach_edges | out_closures[i][v]
+                    parts.setdefault((edges, worlds[i][3] & edges), []).append(i)
+                best = max(best, sum(value(seed_mask | 1 << v, sub_view, sub)
+                                     for sub_view, sub in parts.items()))
+        if pair:
+            memo[key] = best
         return best
 
-    return value(0, (0, 0), list(range(len(worlds))))
+    total = sum(w for _, w, _, _ in worlds)
+    return value(0, (0, 0), list(range(len(worlds)))) / total

@@ -16,16 +16,18 @@ from pfim.diffusion import EdgeState, FullRealization, PartialRealization, SeedS
 from pfim.estimation import ExactEstimator
 
 
-def enumerate_realizations(graph):
-    """Yield (FullRealization, weight) over all edge outcomes, weight > 0."""
+def enumerate_realizations(graph, exact=False):
+    """Yield (FullRealization, weight) over all edge outcomes, weight > 0.
+    Weights are floats, or Fractions when `exact`."""
     m = graph.edge_count
     for bits in itertools.product((False, True), repeat=m):
-        weight = 1.0
+        weight = Fraction(1) if exact else 1.0
         for edge, live in zip(graph.edges, bits):
-            weight *= edge.probability if live else 1.0 - edge.probability
-            if weight == 0.0:
+            p = Fraction(edge.probability) if exact else edge.probability
+            weight *= p if live else 1 - p
+            if weight == 0:
                 break
-        if weight > 0.0:
+        if weight > 0:
             yield FullRealization(bits), weight
 
 
@@ -80,11 +82,12 @@ def naive_observe(graph, realization, schedule, current_slot):
     return PartialRealization(bytes(codes))
 
 
-def naive_activation_probability(graph, seeds, partial):
-    """Per-node activation probability given observed edge outcomes."""
-    totals = {v: 0.0 for v in range(graph.node_count)}
-    norm = 0.0
-    for realization, weight in enumerate_realizations(graph):
+def naive_activation_probability(graph, seeds, partial, exact=False):
+    """Per-node activation probability given observed edge outcomes, as
+    floats, or Fractions when `exact`."""
+    totals = {v: 0 for v in range(graph.node_count)}
+    norm = 0
+    for realization, weight in enumerate_realizations(graph, exact):
         if not partial.is_consistent_with(realization):
             continue
         norm += weight
@@ -108,14 +111,15 @@ def greedy_nonadaptive_uniform(graph, budget, activation_fn):
     return chosen
 
 
-def policy_value_by_enumeration(graph, run_one):
-    """Expected spread of a policy: run it under every realization.
+def policy_value_by_enumeration(graph, run_one, exact=False):
+    """Expected spread of a policy: run it under every realization, as a
+    float, or a Fraction when `exact`.
 
     ``run_one(realization)`` must return the realized cascade size. This
     is the literal definition the grouped evaluator is supposed to match.
     """
-    total = 0.0
-    for realization, weight in enumerate_realizations(graph):
+    total = 0
+    for realization, weight in enumerate_realizations(graph, exact):
         total += weight * run_one(realization)
     return total
 
@@ -136,16 +140,17 @@ def best_seed_set_exhaustive(graph, budget: Fraction):
     return best_set, best_value
 
 
-def full_feedback_optimum(graph, picks):
+def full_feedback_optimum(graph, picks, exact=False):
     """Best expected cascade of `picks` unit-cost selections when each
     selection sees its cascade completely: a plain recursion over every
     selection order, with no memo. The observation after a selection is
     the set of (edge, live) pairs over every edge leaving an active node;
-    worlds are grouped by it before the next selection."""
+    worlds are grouped by it before the next selection. A float, or a
+    Fraction when `exact`."""
     def value(seeds, group):
         if len(seeds) == picks:
             return sum(w * bfs_cascade(graph, real.live, seeds) for real, w in group)
-        best = 0.0
+        best = 0
         for v in range(graph.node_count):
             if v in seeds:
                 continue
@@ -158,7 +163,7 @@ def full_feedback_optimum(graph, picks):
             best = max(best, sum(value(seeds + [v], sub) for sub in parts.values()))
         return best
 
-    return value([], list(enumerate_realizations(graph)))
+    return value([], list(enumerate_realizations(graph, exact)))
 
 
 def naive_policy_run(graph, config, realization, rng_seed, epsilon=0.0,

@@ -106,6 +106,15 @@ class TestExactActivation:
         assert probs[3] == pytest.approx(0.4375, abs=1e-12)
         assert math.fsum(probs) == pytest.approx(2.4375, abs=1e-12)
 
+    def test_star_values_are_the_nearest_floats(self):
+        # node 1's four float weights (0.1 * 0.9 * 0.9 and so on) sum to
+        # 0.10000000000000003; their integer sum divided once gives 0.1
+        star = load_graph("0 1 0.1\n0 2 0.1\n0 3 0.1\n")
+        assert exact_conditional_activation(star, [0], empty_partial(star)) == [
+            1.0, 0.1, 0.1, 0.1]
+        assert ExactEstimator().activation(star, [0], empty_partial(star)).expected_cascade \
+            == float(1 + 3 * Fraction(0.1))
+
     def test_conditioning_on_live_edge(self):
         psi = PartialRealization(bytes([1, 2]))  # 0->1 live, 1->2 unknown
         assert exact_conditional_activation(CHAIN, [0], psi) == [1.0, 1.0, 0.5]

@@ -7,15 +7,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pfim import oracles
-from pfim.diffusion import sample_full_realization
-from pfim.estimation import ExactEstimator, InstanceTooLarge, MonteCarloEstimator
+from pfim.diffusion import EdgeState, PartialRealization, sample_full_realization
+from pfim.estimation import (ExactEstimator, InstanceTooLarge, MonteCarloEstimator,
+                             exact_conditional_activation)
 from pfim.graph import DirectedGraph, generate_graph, load_graph
 from pfim.oracles import (evaluate_policy_exact, evaluate_policy_sampled,
                           optimal_full_feedback_adaptive)
 from pfim.policies import PolicyConfig, run_policy
 
 from bruteforce import (bfs_cascade, best_seed_set_exhaustive, full_feedback_optimum,
-                        policy_value_by_enumeration)
+                        naive_activation_probability, policy_value_by_enumeration)
 from test_acceptance import INSTANCES as ACCEPTANCE_INSTANCES
 
 DIAMOND = load_graph("0 1 0.5\n0 2 0.5\n1 3 0.5\n2 3 0.5\n")
@@ -35,24 +36,40 @@ def tiny_instances(count, base_seed, max_edges=8):
         yield g
 
 
+# probabilities whose float sums round: 0.1 is not a sum of powers of two,
+# 1e-300 underflows once squared, and 1 - 2**-53 leaves 2**-53 blocked
+AWKWARD = (0.1, 1e-300, 1.0 - 2.0 ** -53, 0.0, 1.0, 0.5, 0.7)
+
+
 @st.composite
-def tiny_graphs(draw):
-    """A graph of 2 to 5 nodes and n - 1 to 7 edges, each with probability
-    0, 0.2, 0.5, 0.7 or 1."""
+def tiny_graphs(draw, probabilities=(0.5, 0.2, 0.7, 0.0, 1.0)):
+    """A graph of 2 to 5 nodes and n - 1 to 7 edges, each with one of the
+    probabilities: by default 0, 0.2, 0.5, 0.7 or 1."""
     n = draw(st.integers(2, 5))
     pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True, min_size=n - 1, max_size=7))
-    probs = draw(st.lists(st.sampled_from([0.5, 0.2, 0.7, 0.0, 1.0]),
+    probs = draw(st.lists(st.sampled_from(probabilities),
                           min_size=len(chosen), max_size=len(chosen)))
     return DirectedGraph.build(n, [(u, v, p) for (u, v), p in zip(chosen, probs)])
 
 
 @st.composite
-def tiny_policy_cases(draw):
+def observation_states(draw, graph):
+    """An observation state of the graph: the outcomes of a drawn subset of
+    the edges in a world of positive probability."""
+    worlds = oracles._enumerate_worlds(graph)
+    live = draw(st.sampled_from(worlds))[0].live
+    shown = draw(st.lists(st.booleans(), min_size=len(live), max_size=len(live)))
+    return PartialRealization(bytes(int(b) if s else EdgeState.UNOBSERVED
+                                    for b, s in zip(live, shown)))
+
+
+@st.composite
+def tiny_policy_cases(draw, probabilities=(0.5, 0.2, 0.7, 0.0, 1.0)):
     """A tiny graph with a policy config of any kind and alpha 0, 0.5 or 1.
     Non-uniform and enhanced graphs get costs 1 to 3; an enhanced budget
     covers every cost, so its best single node is affordable."""
-    g = draw(tiny_graphs())
+    g = draw(tiny_graphs(probabilities))
     n = g.node_count
     kind = draw(st.sampled_from(["uniform", "nonuniform", "enhanced"]))
     alpha = draw(st.sampled_from([0.0, 0.5, 1.0]))
@@ -64,19 +81,20 @@ def tiny_policy_cases(draw):
     return g.with_costs(tuple(Fraction(c) for c in costs)), PolicyConfig(kind, alpha, budget)
 
 
-def literal_value(g, cfg):
-    """The policy run with the exact backend on every world, weighted. The
-    enhanced value is half the best single node's expected BFS cascade
-    plus half the greedy arm's."""
+def literal_value(g, cfg, exact=False):
+    """The policy run with the exact backend on every world, weighted: a
+    float, or a Fraction when `exact`. The enhanced value is half the best
+    single node's expected BFS cascade plus half the greedy arm's."""
     estimator = ExactEstimator()
     greedy = replace(cfg, kind="nonuniform") if cfg.kind == "enhanced" else cfg
     value = policy_value_by_enumeration(g, lambda real: run_policy(
-        g, greedy, real, estimator, 0).realized_cascade)
+        g, greedy, real, estimator, 0).realized_cascade, exact)
     if cfg.kind != "enhanced":
         return value
-    single = max(policy_value_by_enumeration(g, lambda real: bfs_cascade(g, real.live, [v]))
+    single = max(policy_value_by_enumeration(g, lambda real: bfs_cascade(g, real.live, [v]),
+                                             exact)
                  for v in range(g.node_count))
-    return 0.5 * single + 0.5 * value
+    return (single + value) / 2
 
 
 class TestExactPolicyEvaluation:
@@ -136,6 +154,33 @@ class TestExactPolicyEvaluation:
         g = load_graph("0 1 1\n1 2 0.5\n")
         result = evaluate_policy_exact(g, PolicyConfig("uniform", 0.0, Fraction(1)))
         assert result.realization_count == 2
+
+    def test_realization_count_keeps_worlds_of_underflowing_weight(self):
+        # both edges live weighs 1e-400, below the smallest float, and
+        # still counts: only an impossible world is dropped
+        g = load_graph("0 1 1e-200\n1 2 1e-200\n")
+        result = evaluate_policy_exact(g, PolicyConfig("uniform", 0.0, Fraction(1)))
+        assert result.realization_count == len(oracles._enumerate_worlds(g)) == 4
+        assert result.value == 1.0
+
+    @settings(max_examples=150, deadline=None)
+    @given(tiny_policy_cases(AWKWARD), st.data())
+    def test_exact_values_are_correctly_rounded(self, case, data):
+        """Per-node values, the activation, the policy value and the
+        optimum each equal the float nearest their Fraction value."""
+        g, cfg = case
+        partial = data.draw(observation_states(g))
+        seeds = data.draw(st.sets(st.integers(0, g.node_count - 1)))
+        want = naive_activation_probability(g, seeds, partial, exact=True)
+        assert exact_conditional_activation(g, seeds, partial) == [
+            float(want[v]) for v in range(g.node_count)]
+        assert ExactEstimator().activation(g, seeds, partial).expected_cascade == float(
+            sum(want.values()))
+        assert evaluate_policy_exact(g, cfg).value == float(literal_value(g, cfg, exact=True))
+        picks = data.draw(st.integers(1, min(3, g.node_count)))
+        unit = g.with_costs([1] * g.node_count)
+        assert optimal_full_feedback_adaptive(unit, Fraction(picks)) == float(
+            full_feedback_optimum(unit, picks, exact=True))
 
     def test_selection_hook_sees_every_branch(self):
         calls = []
@@ -284,6 +329,27 @@ class TestWorldTable:
         for gi, ci in ((0, 0), (0, 1), (1, 0), (2, 1), (2, 0), (0, 1), (1, 1),
                        (1, 0), (0, 0), (2, 0)):
             assert calls[ci](graphs[gi]) == fresh[gi, ci], (gi, ci)
+
+
+class TestTableEstimator:
+    @settings(max_examples=300, deadline=None)
+    @given(tiny_graphs(AWKWARD), st.data())
+    def test_answers_bit_for_bit_as_exact_estimator(self, g, data):
+        """The evaluator's table-backed estimator and the enumerating one
+        agree to the bit, so exact evaluation and live exact runs break
+        ties alike."""
+        partial = data.draw(observation_states(g))
+        seeds = data.draw(st.sets(st.integers(0, g.node_count - 1)))
+        candidates = [v for v in range(g.node_count) if v not in seeds]
+        table, enumerated = oracles._TableEstimator(oracles._enumerate_worlds(g)), ExactEstimator()
+        for est in (table, enumerated):
+            assert est.activation(g, seeds, partial) == enumerated.activation(g, seeds, partial)
+            assert est.cascades_with(g, seeds, partial, candidates) == [
+                enumerated.activation(g, seeds | {c}, partial).expected_cascade
+                for c in candidates]
+        assert table.gains(g, seeds, partial, candidates) == enumerated.gains(
+            g, seeds, partial, candidates)
+        assert table.best_single_node(g) == enumerated.best_single_node(g)
 
 
 class TestAdaptiveOptimum:
