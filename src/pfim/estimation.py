@@ -7,8 +7,12 @@ coin. Three backends:
 
 * exact: enumerates assignments of the unobserved edges that can still
   matter (source possibly active, target not already certainly active)
-  and accumulates exact probability weight per node
-  (`exact_conditional_activation`). Guarded to 22 relevant edges.
+  and sums the integer weight of each reached node set. A float p is
+  a / b exactly, b a power of two, so an edge weighs a when live and
+  b - a when blocked, and an assignment weighs their product
+  (`_assignments`). Each value, per node (`exact_conditional_activation`)
+  or summed, is an integer divided once by the product of the b: the
+  correctly rounded true probability. Guarded to 22 relevant edges.
 * monte carlo: one coin snapshot per estimator and graph fixes, for
   each edge, the completions in which it is live. A completion of an
   observation state keeps the observed edges and takes each unobserved
@@ -36,7 +40,7 @@ serve per-candidate values on one state.
 Nodes that cannot be activated at all (cut off once observed-blocked
 edges and zero-probability edges are removed) form the zero set; both
 backends count them as exactly 0, and the exact backend counts
-certainly-active nodes as exactly 1.
+certainly-active nodes as exactly 1, since every assignment reaches them.
 """
 
 import math
@@ -325,7 +329,9 @@ class _GraphCache(OrderedDict):
 
 
 class ExactEstimator(Estimator):
-    """Enumeration backend with a small memo over (seeds, observation)."""
+    """Enumeration backend with a small memo over (seeds, observation).
+    f(S) is the summed integer weight of the reached sets times their
+    sizes, divided once: the correctly rounded true expectation."""
 
     def __init__(self):
         # many states, not one: `reseeded` returns this same estimator, so

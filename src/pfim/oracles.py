@@ -1,16 +1,26 @@
 """Ground-truth evaluation: exact policy values and a brute-force optimum.
 
 Both exact referees walk one world table (`_enumerate_worlds`), where a
-seed set's reach in a world is a union of closure masks. The table is
-built once per graph: a cache bound to the graph object holds the last
-graph's table, so the evaluator's configs and the optimum share it, and
-another graph, even an equal one, gets its own. Exact policy
-evaluation conceptually runs the policy on every world and weights the
-realized cascade by the world's probability. Worlds that have produced
-identical observations so far are indistinguishable to the policy, so
-the run tree branches only where observations actually differ. That tree
-walk is the loop a live run uses (`policies._greedy_runs`): a live run
-is one of its branches.
+seed set's reach in a world is a union of closure masks. A world's
+weight is an integer: every float probability p is a / b exactly, b a
+power of two, so an edge weighs a when live and b - a when blocked, and
+the weights of all worlds sum to the product of the b. Every value is an
+integer sum over the table divided once, so it is the correctly rounded
+true value. The table is built once per graph: a cache bound to the
+graph object holds the last graph's table, so the evaluator's configs
+and the optimum share it, and another graph, even an equal one, gets its
+own.
+
+Exact policy evaluation conceptually runs the policy on every world and
+weights the realized cascade by the world's probability. Worlds that
+have produced identical observations so far are indistinguishable to the
+policy, so the run tree branches only where observations actually
+differ. That tree walk is the loop a live run uses
+(`policies._greedy_runs`): a live run is one of its branches. The
+policy's estimator answers from the table too (`_TableEstimator`): the
+worlds consistent with an observation are the rows that agree with it
+on every observed edge, and each answer is the rational that enumerating
+the unobserved edges gives, so the same float as `ExactEstimator`'s.
 
 The full-feedback adaptive optimum does backward induction over
 observation states on deliberately tiny instances. It is meant as a
