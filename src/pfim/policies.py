@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._util import derive_seed, fmt_g
-from .diffusion import (FullRealization, PartialRealization, SeedSchedule,
+from .diffusion import (EdgeState, FullRealization, PartialRealization, SeedSchedule,
                         cascade_size, empty_partial, observe)
 from .estimation import Estimator
 from .graph import DirectedGraph
@@ -245,10 +245,10 @@ def _greedy_runs(core: _GreedyCore, worlds: list[FullRealization], selection_hoo
     observation so far, with their schedule entries, round logs, slot,
     remaining budget and observation. Each round appends the log that
     `core.decide` returns; a select extends the schedule and takes the
-    remaining budget from its log. A wait observes each world of the
-    group at the next slot and splits the group by the codes revealed;
-    the smallest codes go on at once and the other parts wait on a stack,
-    so the parts finish depth-first in ascending codes order. Yields
+    remaining budget from its log. A wait splits the group by what the
+    next slot shows its worlds (`_observed_parts`); the smallest codes go
+    on at once and the other parts wait on a stack, so the parts finish
+    depth-first in ascending codes order. Yields
     (world indices, schedule, rounds, cost, slots) per final group; a
     live run is the one group of one world. `selection_hook(seeds,
     partial)` runs before each selection."""
@@ -265,16 +265,34 @@ def _greedy_runs(core: _GreedyCore, worlds: list[FullRealization], selection_hoo
                 remaining = log.remaining_budget
                 continue
             slot += 1
-            schedule = SeedSchedule(tuple(entries))
-            parts = {}
-            for i in indices:
-                psi = observe(graph, worlds[i], schedule, slot)
-                parts.setdefault(psi.codes, (psi, []))[1].append(i)
-            (partial, indices), *rest = (parts[codes] for codes in sorted(parts))
+            (partial, indices), *rest = _observed_parts(
+                graph, worlds, indices, SeedSchedule(tuple(entries)), slot)
             for psi, sub in reversed(rest):
                 stack.append((sub, list(entries), list(rounds), slot, remaining, psi))
         yield (indices, SeedSchedule(tuple(entries)), tuple(rounds),
                core.budget - remaining, slot)
+
+
+def _observed_parts(graph: DirectedGraph, worlds: list[FullRealization], indices: list[int],
+                    schedule: SeedSchedule, slot: int) -> list:
+    """A group's worlds split by what `slot` shows them: (observation,
+    world indices) pairs in ascending codes. The worlds agree on every
+    edge shown before, which fixes the edges the slot shows, so one world
+    is observed and the others are split by those edges' outcomes."""
+    shown = observe(graph, worlds[indices[0]], schedule, slot)
+    if len(indices) == 1:
+        return [(shown, indices)]
+    edges = [k for k, c in enumerate(shown.codes) if c != EdgeState.UNOBSERVED]
+    parts: dict[tuple, list[int]] = {}
+    for i in indices:
+        parts.setdefault(tuple(map(worlds[i].live.__getitem__, edges)), []).append(i)
+    split = []
+    for outcome, sub in parts.items():
+        codes = bytearray(shown.codes)
+        for k, live in zip(edges, outcome):
+            codes[k] = live
+        split.append((bytes(codes), sub))
+    return [(PartialRealization(codes), sub) for codes, sub in sorted(split)]
 
 
 def best_single_node(graph: DirectedGraph, estimator: Estimator) -> tuple[int, float]:
