@@ -274,9 +274,10 @@ def optimal_full_feedback_adaptive(graph: DirectedGraph, budget) -> float:
         return 0.0
     worlds = _enumerate_worlds(graph)
     out_masks = [sum(1 << k for k in graph.out_edges[v]) for v in range(n)]
-    # per world and node: the edges leaving every node that node reaches
-    out_closures = [[closure_union(out_masks, mask_nodes(c)) for c in closures]
-                    for _, _, closures, _ in worlds]
+    # per node mask, then per world and node: the edges leaving every node
+    # in the mask, or that the node reaches
+    leaving = [closure_union(out_masks, mask_nodes(mask)) for mask in range(1 << n)]
+    out_closures = [[leaving[c] for c in closures] for _, _, closures, _ in worlds]
     memo: dict = {}
 
     def value(seed_mask: int, view: tuple[int, int], indices: list[int]) -> int:
@@ -284,6 +285,9 @@ def optimal_full_feedback_adaptive(graph: DirectedGraph, budget) -> float:
         # cascade. A seed set's full-feedback view is (the edges leaving
         # every node its cascade reaches, their live bits); the worlds
         # showing it are exactly `indices`, so the view keys the memo.
+        # Both selection orders of a two-seed set reach it with the same
+        # view, and no other path does: the second order takes the value
+        # that the first memoized, and drops it.
         key = (seed_mask, view)
         pair = seed_mask.bit_count() == 2
         if pair:
