@@ -23,11 +23,12 @@ def guarantee_ratio(graph, budget) -> float:
 
 def greedy_nonadaptive(graph, budget: int) -> list[int]:
     """Greedy on exact unconditional cascade values, smallest id on ties:
-    the CLI's referee for the alpha = 0 check."""
-    empty = empty_partial(graph)
+    the CLI's referee for the alpha = 0 check. The values are the exact
+    backend's correctly rounded totals, as the policy reads them."""
+    estimator, empty = ExactEstimator(), empty_partial(graph)
 
     def value(seeds):
-        return math.fsum(exact_conditional_activation(graph, seeds, empty))
+        return estimator.activation(graph, seeds, empty).expected_cascade
 
     seeds: list[int] = []
     for _ in range(budget):
