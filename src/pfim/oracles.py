@@ -94,6 +94,11 @@ def _expected_cascade(worlds: list, indices, seeds) -> int:
                for i in indices)
 
 
+def _weighted_size(weights, masks) -> int:
+    """Sum of weight * size over paired weights and node masks."""
+    return sum(map(mul, weights, map(int.bit_count, masks)))
+
+
 class _TableEstimator(Estimator):
     """`ExactEstimator`'s answers read off the world table.
 
@@ -164,11 +169,6 @@ class _TableEstimator(Estimator):
     def single_node_values(self, graph):
         _, weights, columns, total, _ = self._consistent(empty_partial(graph).codes)
         return [_weighted_size(weights, column) / total for column in columns]
-
-
-def _weighted_size(weights, masks) -> int:
-    """Sum of weight * size over paired weights and node masks."""
-    return sum(map(mul, weights, map(int.bit_count, masks)))
 
 
 def evaluate_policy_exact(graph: DirectedGraph, config: PolicyConfig,
@@ -295,12 +295,11 @@ def optimal_full_feedback_adaptive(graph: DirectedGraph, budget) -> float:
             if hit is not None:
                 return hit
         if seed_mask.bit_count() + 1 == picks:
-            # the last pick sees nothing more: sum weight * |R(S + v)|
-            seeds = list(mask_nodes(seed_mask))
-            rows = [(worlds[i][1], worlds[i][2], closure_union(worlds[i][2], seeds))
-                    for i in indices]
-            best = max(sum(w * (reached | closures[v]).bit_count()
-                           for w, closures, reached in rows)
+            # the last pick sees nothing more: sum weight * |R(S + v)|. The
+            # view holds every edge leaving R(S), so R(S) is one set here
+            reached = closure_union(worlds[indices[0]][2], mask_nodes(seed_mask))
+            rows = [worlds[i][1:3] for i in indices]
+            best = max(sum(w * (reached | closures[v]).bit_count() for w, closures in rows)
                        for v in range(n) if not seed_mask >> v & 1)
         else:
             reach_edges = view[0]
