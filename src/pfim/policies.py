@@ -248,10 +248,10 @@ def _greedy_runs(core: _GreedyCore, worlds: list[FullRealization], selection_hoo
     remaining budget from its log. A wait splits the group by what the
     next slot shows its worlds (`_observed_parts`); the smallest codes go
     on at once and the other parts wait on a stack, so the parts finish
-    depth-first in ascending codes order. Yields
-    (world indices, schedule, rounds, cost, slots) per final group; a
-    live run is the one group of one world. `selection_hook(seeds,
-    partial)` runs before each selection."""
+    depth-first in ascending codes order. Yields (world indices,
+    schedule, rounds, cost, slots) per final group; a live run is the one
+    group of one world. `selection_hook(seeds, partial)` runs before each
+    selection."""
     graph = core.graph
     stack = [(list(range(len(worlds))), [], [], 0, core.budget, empty_partial(graph))]
     while stack:
