@@ -36,8 +36,9 @@ def tiny_instances(count, base_seed, max_edges=8):
         yield g
 
 
-# probabilities whose float sums round: 0.1 is not a sum of powers of two,
-# 1e-300 underflows once squared, and 1 - 2**-53 leaves 2**-53 blocked
+# probabilities whose float products and sums round: products of 0.1 and
+# 0.9 need more than 53 bits, 1e-300 underflows once squared, and
+# 1 - 2**-53 leaves 2**-53 blocked
 AWKWARD = (0.1, 1e-300, 1.0 - 2.0 ** -53, 0.0, 1.0, 0.5, 0.7)
 
 
