@@ -18,16 +18,18 @@ coin. Three backends:
   observation state keeps the observed edges and takes each unobserved
   edge from the snapshot, so every query against the same state reuses
   the same worlds, and different states share their coins (common
-  random numbers). Marginal gains are then differences of
-  pointwise-coupled estimates, hence non-negative. A state scanned for
-  gains holds a closure batch; `activation` there reads the seed unions
-  and the zero set that the batch kept for the last seed set, and walks
-  only from the seeds that set lacks. A newly scanned state derives its
-  batch from the one held for the state scanned before: per completion,
-  only the nodes whose closure holds the source of an edge that changed
-  there are rebuilt. The batch also stacks its closures, one int per
-  node with completion j's mask in bits j*n to j*n + n - 1, so a gain
-  scan costs one OR and one bit count per candidate.
+  random numbers). A value is the count total over the completions (the
+  summed sizes of the reached sets) divided once by the sample count:
+  the correctly rounded sample mean. Marginal gains are then differences
+  of pointwise-coupled counts, hence non-negative. A state scanned for
+  gains holds a closure batch that stacks its closures, one int per node
+  with completion j's mask in bits j*n to j*n + n - 1, so every seed-set
+  query there costs one OR and one bit count: `activation`, each
+  candidate of `cascades_with` and of `gains`. Its zero set grows the
+  one kept for the last seed set, walking only from the seeds that set
+  lacks. A newly scanned state derives its batch from the one held for
+  the state scanned before: per completion, only the nodes whose closure
+  holds the source of an edge that changed there are rebuilt.
 * epsilon wrapper: multiplies each cascade value produced by an inner
   backend by a factor in [1-eps, 1+eps], either drawn uniformly per
   query or pinned to an end of the interval. Its gain scan reads the
@@ -48,7 +50,6 @@ import random
 from collections import OrderedDict
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from itertools import chain
 from operator import itemgetter
 
@@ -280,8 +281,8 @@ class Estimator:
 
     def best_single_node(self, graph: DirectedGraph) -> tuple[int, float]:
         """The node with the largest `single_node_values` entry, smallest id
-        on ties, and that value. This default reads every value, so the
-        epsilon wrapper draws one factor per node, in node order."""
+        on ties, and that value. It reads every value, so the epsilon
+        wrapper draws one factor per node, in node order."""
         # max keeps the first of equal keys
         return max(enumerate(self.single_node_values(graph)), key=itemgetter(1))
 
@@ -355,16 +356,14 @@ class ExactEstimator(Estimator):
 
 class _Completions:
     """Per-node closure masks of each completion of one observation state,
-    their stacked view, and two answers kept for the latest seed set that
+    their stacked view, and the zero set kept for the latest seed set that
     asked:
 
     * `stack()`: one int per node, with completion j's closure mask of the
-      node in window j (bits j*n to j*n + n - 1), for the gain scan. A
-      built batch stacks its closures on first use; a derived batch gets
-      its view from `MonteCarloEstimator._derived`.
-    * `last`: the seed set and (closure masks, seed union) per completion
-      (`unions`). The alpha-gate and the epsilon scan of one round ask for
-      the same seeds.
+      node in window j (bits j*n to j*n + n - 1). Every seed-set query
+      reads it. A built batch stacks its closures on first use, so
+      `single_node_values`, which reads only the closures, never stacks;
+      a derived batch gets its view from `MonteCarloEstimator._derived`.
     * `last_zero`: the seed set and its zero set (`zero_set`), the
       complement of its possible-edge reach. A greedy round asks with one
       more seed than the last, so the walk starts from the new seeds only
@@ -373,13 +372,12 @@ class _Completions:
       propagated query on its state kept (`MonteCarloEstimator._zeros`).
     """
 
-    __slots__ = ("closures", "stacked", "last", "last_zero")
+    __slots__ = ("closures", "stacked", "last_zero")
 
     def __init__(self, closures: list[list[int]], stacked: list[int] | None,
                  last_zero: tuple | None):
         self.closures = closures
         self.stacked = stacked
-        self.last: tuple | None = None
         self.last_zero = last_zero
 
     def stack(self) -> list[int]:
@@ -392,12 +390,6 @@ class _Completions:
                     stacked[v] |= reach << shift
             self.stacked = stacked
         return self.stacked
-
-    def unions(self, seed_set: frozenset[int]) -> list[tuple[list[int], int]]:
-        if self.last is None or self.last[0] != seed_set:
-            self.last = (seed_set, [(masks, closure_union(masks, seed_set))
-                                    for masks in self.closures])
-        return self.last[1]
 
     def zero_set(self, graph: DirectedGraph, partial: PartialRealization,
                  seed_set: frozenset[int]) -> frozenset[int]:
@@ -420,16 +412,19 @@ class MonteCarloEstimator(Estimator):
     independent cascade the unobserved edges are independent of the
     observed ones, so each completion is a draw from the conditional law;
     sharing the coins across states only couples their estimates. The
-    alpha-gate's query on a state without closures is one bit-parallel
+    value of a seed set S is its count total over the k completions,
+    T(S) = sum over j of |R_j(S)| with R_j(S) the nodes S reaches in
+    completion j, divided once by k: the correctly rounded sample mean.
+
+    The alpha-gate's query on a state without closures is one bit-parallel
     pass over the snapshot (`_propagate`). Closures (`_batch`) are built
     only for states scanned for gains, cascades with candidates
-    (`cascades_with`, the epsilon wrapper's scan), single-node values or
-    the best single node.
-    On a state with closures, `activation` sums the seed unions that the
-    batch keeps for the round's scan (`_Completions.unions`), and its zero
-    set grows the one kept for the last seed set when the seeds contain
-    it (`_Completions.zero_set`). A new batch starts from the zero set
-    that the last propagated query on its state computed.
+    (`cascades_with`, the epsilon wrapper's scan) or single-node values.
+    On a state with closures, `activation` reads T(S) off the stacked
+    view, and its zero set grows the one kept for the last seed set when
+    the seeds contain it (`_Completions.zero_set`). A new batch starts
+    from the zero set that the last propagated query on its state
+    computed.
 
     The estimator holds one batch. A state without one derives its batch
     from the held one when that was built for the same graph
@@ -439,30 +434,24 @@ class MonteCarloEstimator(Estimator):
     batch (the first scan, or another graph) it is built from scratch
     (`_built`). Both routes give the same masks.
 
-    `gains` reads the batch's stacked view (`_Completions.stack`): node
-    v's closure masks over all completions in one int, completion j in
-    window j of n bits. The union R of the seeds' stacked masks holds each
-    completion's seed union in its window, so a candidate's summed
-    coverage gain is (R | stacked[c]).bit_count() - R.bit_count(): one OR
-    and one bit count instead of one per completion, and the same
-    integer. A built batch stacks its closures on its first gain scan. A
-    derived batch copies the held batch's view (stacking it first if it
-    has none), finds its roots with one AND per node against the changed
-    sources of all completions stacked the same way, and rewrites window
-    j of each root whose mask changed in completion j.
-
-    `best_single_node` reads the empty state's batch. Node v's value is a
-    correctly rounded sum of n terms fl(c / k), each within 2**-53 of
-    c / k, so it lies within n * 2**-52 of T_v / k, where T_v is the summed
-    size of v's closures over the k completions. Unequal totals differ by
-    at least 1 / k, more than 2 * n * 2**-52 whenever n * k < 2**51: a node
-    below the largest total can neither win nor tie, and only the nodes at
-    that total get their value computed.
+    Every seed-set query on a batch reads its stacked view
+    (`_Completions.stack`): node v's closure masks over all completions
+    in one int, completion j in window j of n bits. The union R of the
+    seeds' stacked masks holds each completion's seed union in its
+    window, so T(S) is R.bit_count() and T(S + c) is
+    (R | stacked[c]).bit_count(): one OR and one bit count instead of one
+    per completion, and the same integer. A built batch stacks its
+    closures on its first such query. A derived batch copies the held
+    batch's view (stacking it first if it has none), finds its roots with
+    one AND per node against the changed sources of all completions
+    stacked the same way, and rewrites window j of each root whose mask
+    changed in completion j. `single_node_values` sums each node's
+    closure sizes over the completions and leaves the view unbuilt.
 
     A batch of completions is a function of the observation alone, never
     of the seed set, so f(S), f(S + v), and every candidate in a
-    selection round are evaluated against the same worlds. A gain is a
-    coverage count over that batch divided by the sample count, so it is
+    selection round are evaluated against the same worlds. A gain is
+    T(S + c) - T(S) over that batch divided by the sample count, so it is
     exactly submodular in the seed set.
     """
 
@@ -639,13 +628,12 @@ class MonteCarloEstimator(Estimator):
         seed_set = _check_state(graph, seeds, partial)
         batch = self._batches.lookup(graph, partial.codes)
         # a state scanned for gains already holds closures (every alpha = 0
-        # round, and a round right after a selection); its seed unions and
-        # zero set are kept on the batch for the next query. A zero-set node
-        # lies in no completion, so its count is already 0 on both routes.
-        k = self.samples
+        # round, and a round right after a selection); its zero set is kept
+        # on the batch for the next query. A zero-set node lies in no
+        # completion, so its count is already 0 on both routes.
         if batch is not None:
-            pairs = batch.unions(seed_set)
-            return ActivationEstimate(_coverage_value((reached for _, reached in pairs), k),
+            reached = closure_union(batch.stack(), seed_set)
+            return ActivationEstimate(reached.bit_count() / self.samples,
                                       batch.zero_set(graph, partial, seed_set))
         counts, zero = self._propagate(graph, seed_set, partial)
         # the zero set of no seeds is every node: growing it is a walk
@@ -653,14 +641,13 @@ class MonteCarloEstimator(Estimator):
         if seed_set:
             self._zeros.lookup(graph, partial.codes)    # empties it on another graph
             self._zeros.store(partial.codes, (seed_set, zero))
-        return ActivationEstimate(math.fsum(c / k for c in counts), zero)
+        return ActivationEstimate(sum(counts) / self.samples, zero)
 
     def cascades_with(self, graph, seeds, partial, candidates):
         seed_set = _check_state(graph, seeds, partial, candidates)
-        pairs = self._batch(graph, partial).unions(seed_set)
-        k = self.samples
-        return [_coverage_value((reached | masks[c] for masks, reached in pairs), k)
-                for c in candidates]
+        stacked = self._batch(graph, partial).stack()
+        reached = closure_union(stacked, seed_set)
+        return [(reached | stacked[c]).bit_count() / self.samples for c in candidates]
 
     def gains(self, graph, seeds, partial, candidates):
         seed_set = _check_state(graph, seeds, partial, candidates)
@@ -674,62 +661,8 @@ class MonteCarloEstimator(Estimator):
         # A completion holds only live edges and unobserved edges with
         # p > 0, so zero-set nodes already count 0 and need no filter.
         closures = self._batch(graph, empty_partial(graph)).closures
-        return [_coverage_value(column, self.samples) for column in zip(*closures)]
-
-    def best_single_node(self, graph):
-        closures = self._batch(graph, empty_partial(graph)).closures
-        totals = [sum(sizes) for sizes in zip(*(map(int.bit_count, masks)
-                                                  for masks in closures))]
-        top = max(totals)
-        return max(((v, _coverage_value((masks[v] for masks in closures), self.samples))
-                    for v, total in enumerate(totals) if total == top), key=itemgetter(1))
-
-
-@lru_cache(maxsize=32)
-def _count_terms(k: int, bits: int) -> tuple[int, tuple[int, ...]]:
-    """(shift, terms): terms[c] / 2**shift equals the float c / k exactly,
-    for every count c below 2**bits. For c >= 1 the float c / k >= 1 / k
-    has no bit below 2**-(52 + k.bit_length()), so every term is an
-    integer."""
-    shift = 52 + k.bit_length()
-    return shift, tuple(int(math.ldexp(c / k, shift)) for c in range(1 << bits))
-
-
-def _coverage_value(masks, k: int) -> float:
-    """math.fsum of count / k over the nodes, where a node's count is the
-    number of masks holding it: equal to fsum(c / k for c in counts).
-
-    A carry-save sum of the masks gives bit planes: plane i holds bit i of
-    each node's count. The nodes are split plane by plane into groups of
-    equal count. Each group adds its exact scaled term (`_count_terms`)
-    times its size to an integer, which is divided once. fsum and int / int
-    both round the exact sum correctly, so the float is fsum's."""
-    planes: list[int] = []
-    for carry in masks:
-        i = 0
-        while carry:
-            if i == len(planes):
-                planes.append(carry)
-                break
-            plane = planes[i]
-            planes[i] = plane ^ carry
-            carry &= plane
-            i += 1
-    counted = 0
-    for plane in planes:
-        counted |= plane
-    groups = [(0, counted)]
-    for i in reversed(range(len(planes))):
-        split = []
-        for count, nodes in groups:
-            high = nodes & planes[i]
-            if high:
-                split.append((count | 1 << i, high))
-            if nodes ^ high:
-                split.append((count, nodes ^ high))
-        groups = split
-    shift, terms = _count_terms(k, len(planes))
-    return sum(terms[count] * nodes.bit_count() for count, nodes in groups) / (1 << shift)
+        return [sum(sizes) / self.samples
+                for sizes in zip(*(map(int.bit_count, masks) for masks in closures))]
 
 
 EPS_MODES = ("random", "adversarial-high", "adversarial-low")

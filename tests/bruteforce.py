@@ -7,7 +7,6 @@ none of that machinery, so agreement between the two is meaningful.
 """
 
 import itertools
-import math
 import random
 from fractions import Fraction
 
@@ -96,15 +95,24 @@ def naive_activation_probability(graph, seeds, partial, exact=False):
     return {v: totals[v] / norm for v in totals}
 
 
-def greedy_nonadaptive_uniform(graph, budget, activation_fn):
-    """Plain forward greedy on expected cascade, no feedback, unit costs."""
+def greedy_nonadaptive_uniform(graph, budget):
+    """Plain forward greedy on expected cascade, no feedback, unit costs,
+    smallest id on ties. A seed set's value is the float of its exact
+    expected cascade: the per-node Fractions of
+    `naive_activation_probability(..., exact=True)` on the empty state,
+    summed over every realization at once (their weights sum to 1)."""
+    worlds = list(enumerate_realizations(graph, exact=True))
+
+    def expected_cascade(seeds):
+        return float(sum(w * len(bfs_active(graph, r.live, seeds)) for r, w in worlds))
+
     chosen = []
     for _ in range(budget):
         best, best_value = None, None
         for v in range(graph.node_count):
             if v in chosen:
                 continue
-            value = activation_fn(chosen + [v])
+            value = expected_cascade(chosen + [v])
             if best_value is None or value > best_value:
                 best, best_value = v, value
         chosen.append(best)
@@ -185,7 +193,8 @@ def naive_policy_run(graph, config, realization, rng_seed, epsilon=0.0,
     Completion j of a state has its observed-live edges and the
     unobserved edges whose coin j is set, built afresh for every query;
     a node's count is the number of completions in which a BFS from S
-    reaches it, and f(S) is math.fsum of count / samples over the nodes.
+    reaches it, and f(S) is the count total over the nodes divided once
+    by `samples`.
     The wrapper scales f(S) by f = 1 - epsilon. The zero set O of S is
     every node that S does not reach over observed-live edges and
     unobserved edges with p > 0.
@@ -223,7 +232,8 @@ def naive_policy_run(graph, config, realization, rng_seed, epsilon=0.0,
                     for c, coin in zip(partial.codes, row)]
             for v in bfs_active(graph, live, seeds):
                 counts[v] += 1
-        return math.fsum(c / samples for c in counts), sum(counts)
+        total = sum(counts)
+        return total / samples, total
 
     def zero_size(seeds, partial):
         possible = [c == EdgeState.LIVE or (c == EdgeState.UNOBSERVED and e.probability > 0)

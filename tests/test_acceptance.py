@@ -70,9 +70,7 @@ def test_zero_threshold_matches_nonadaptive_greedy(report):
     t0 = time.monotonic()
     mismatches = 0
     for g, budget in INSTANCES:
-        empty = empty_partial(g)
-        want = greedy_nonadaptive_uniform(
-            g, budget, lambda s: math.fsum(exact_conditional_activation(g, s, empty)))
+        want = greedy_nonadaptive_uniform(g, budget)
         _, ok = alpha_zero_seeds(g, budget, sample_full_realization(g, 7), want)
         mismatches += not ok
     elapsed = time.monotonic() - t0

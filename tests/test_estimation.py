@@ -11,9 +11,8 @@ from pfim.checks import estimator_agreement
 from pfim.diffusion import (EdgeState, PartialRealization, SeedSchedule,
                             empty_partial, observe, sample_full_realization)
 from pfim.estimation import (ActivationEstimate, EpsilonEstimator, ExactEstimator,
-                             InstanceTooLarge, MonteCarloEstimator, _count_terms,
-                             _coverage_value, exact_conditional_activation,
-                             zero_probability_set)
+                             InstanceTooLarge, MonteCarloEstimator,
+                             exact_conditional_activation, zero_probability_set)
 from pfim.graph import DirectedGraph, generate_graph, load_graph
 from pfim.reach import closure_masks, closure_union, mask_nodes, node_mask, reachable_mask
 
@@ -24,7 +23,7 @@ DIAMOND = load_graph("0 1 0.5\n0 2 0.5\n1 3 0.5\n2 3 0.5\n")
 EDGELESS = DirectedGraph.build(4, [])
 # In the 15 completions of MonteCarloEstimator(15, 60), node 0 reaches
 # node 1 in 8 and node 2 reaches nodes 3 and 4 in 8 together: both total
-# 23, and their values round to 1.5333333333333332 and 1.5333333333333334
+# 23, so their values tie and node 0 wins
 TOTALS_TIE = DirectedGraph.build(5, [(0, 1, 0.5), (2, 3, 0.2), (2, 4, 0.5)])
 
 
@@ -334,22 +333,36 @@ class TestBatchedQueries:
     def test_mc_propagation_equals_per_completion_bfs(self, state):
         g, seeds, psi, seed = state
         est = MonteCarloEstimator(40, seed)
-        counts = [0] * g.node_count
-        for row in est._snapshot(g)[0]:
-            # completion: observed-live edges, and unobserved edges in the row
-            sampled = set(row)
-            adj = [[] for _ in range(g.node_count)]
-            for idx, (c, e) in enumerate(zip(psi.codes, g.edges)):
-                if c == EdgeState.LIVE or (c == EdgeState.UNOBSERVED and idx in sampled):
-                    adj[e.source].append(e.target)
-            for v in mask_nodes(reachable_mask(adj, sum(1 << u for u in seeds))):
-                counts[v] += 1
+        rows = est._snapshot(g)[0]
+        nodes = range(g.node_count)
+
+        def counts(seed_list, partial):
+            hits = [0] * g.node_count
+            for row in rows:
+                # completion: observed-live edges, and unobserved edges in the row
+                sampled = set(row)
+                adj = [[] for _ in nodes]
+                for idx, (c, e) in enumerate(zip(partial.codes, g.edges)):
+                    if c == EdgeState.LIVE or (c == EdgeState.UNOBSERVED and idx in sampled):
+                        adj[e.source].append(e.target)
+                for v in mask_nodes(reachable_mask(adj, node_mask(seed_list))):
+                    hits[v] += 1
+            return hits
+
+        def mean(seed_list, partial):
+            # the count total divided once: the correctly rounded sample mean
+            return float(Fraction(sum(counts(seed_list, partial)), 40))
+
         zero = zero_probability_set(g, seeds, psi)
-        assert est._propagate(g, frozenset(seeds), psi) == (counts, zero)
+        assert est._propagate(g, frozenset(seeds), psi) == (counts(seeds, psi), zero)
         propagated = est.activation(g, seeds, psi)
-        assert propagated == ActivationEstimate(math.fsum(c / 40 for c in counts), zero)
-        est._batch(g, psi)
+        assert propagated == ActivationEstimate(mean(seeds, psi), zero)
+        assert est.cascades_with(g, seeds, psi, nodes) == [mean(seeds + [c], psi)
+                                                           for c in nodes]
+        # the same seeds on the batch that query built
         assert est.activation(g, seeds, psi) == propagated
+        empty = empty_partial(g)
+        assert est.single_node_values(g) == [mean([v], empty) for v in nodes]
 
     @settings(max_examples=80, deadline=None)
     @given(observed_states())
@@ -370,26 +383,6 @@ class TestBatchedQueries:
         values = MonteCarloEstimator(k, seed).single_node_values(g)
         best = values.index(max(values))
         assert MonteCarloEstimator(k, seed).best_single_node(g) == (best, values[best])
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.integers(0, (1 << 70) - 1) | st.sampled_from([0, 1, 6]),
-                    max_size=70), st.integers(1, 64))
-    @example([], 3)
-    @example([0, 0, 0], 7)
-    @example([(1 << 70) - 1] * 40 + [5] * 23, 63)   # counts 63 and 40: 6 planes
-    @example([(1 << 70) - 1] * 3 + [(1 << 35) - 1] * 2 + [12345], 1000)
-    # node u is in the first u masks: every count from 0 to 30
-    @example([((1 << 31) - 1) ^ ((1 << j + 1) - 1) for j in range(30)], 30)
-    def test_bit_sliced_coverage_equals_per_node_fsum(self, masks, k):
-        counts = [sum(m >> u & 1 for m in masks) for u in range(70)]
-        assert _coverage_value(masks, k) == math.fsum(c / k for c in counts)
-
-    @pytest.mark.parametrize("k", [1, 2, 3, 7, 10, 20, 30, 64, 100, 1000, 4097])
-    def test_count_terms_are_the_scaled_quotients(self, k):
-        # counts above k too: a column of masks may hold more than k
-        shift, terms = _count_terms(k, (2 * k).bit_length())
-        assert [Fraction(t, 1 << shift) for t in terms] == [
-            Fraction(c / k) for c in range(len(terms))]
 
     @settings(max_examples=150, deadline=None)
     @given(coded_states(),
@@ -449,7 +442,7 @@ class TestBatchedQueries:
         assert fresh.cascades_with(g, seeds, psi, candidates) == want
         assert fresh._batches.lookup(g, psi.codes) is not None
         assert fresh.cascades_with(g, seeds, psi, candidates) == want
-        # a cached batch whose `last` holds another seed set
+        # a cached batch scanned for another seed set
         est = MonteCarloEstimator(k, seed)
         est.gains(g, seeds ^ {0}, psi, [])
         assert est.cascades_with(g, seeds, psi, candidates) == want
@@ -525,6 +518,8 @@ class TestStackedView:
 
     @pytest.mark.parametrize("first", ["single_node_values", "cascades_with"])
     def test_a_held_batch_without_a_view_is_stacked_before_deriving(self, first):
+        # only `single_node_values` leaves a batch without a view; a batch
+        # that `cascades_with` built holds one already
         g = generate_graph(30, 90, "erdos-renyi", 40, 3)
         psi = observe(g, sample_full_realization(g, 9), SeedSchedule(((4, 0),)), 2)
         est = MonteCarloEstimator(70, 5)
@@ -533,7 +528,7 @@ class TestStackedView:
         else:
             est.cascades_with(g, [4], empty_partial(g), [0, 1])
         held = est._batch(g, empty_partial(g))
-        assert held.stacked is None
+        assert (held.stacked is None) == (first == "single_node_values")
         candidates = [v for v in range(g.node_count) if v != 4]
         got = est.gains(g, [4], psi, candidates)
         assert held.stacked == stacked_view(held.closures)
@@ -612,9 +607,10 @@ class TestDerivedBatches:
 
 def test_epsilon_gain_scan_reads_one_closure_batch(monkeypatch):
     # one batch of closures for the scanned state, and no propagation for
-    # f(S) or for any candidate. In the next round the alpha-gate's query
-    # on one more seed walks from that seed alone, and the scan's f(S)
-    # then reads the gate's unions and zero set: no union, no walk
+    # f(S) or for any candidate: each query takes one seed union of the
+    # stacked view. In the next round the alpha-gate's query on one more
+    # seed walks from that seed alone, and the scan's f(S) then reads the
+    # gate's zero set: no walk
     g = generate_graph(60, 240, "erdos-renyi", 40, 7)
     realization = sample_full_realization(g, 5)
     psi = observe(g, realization, SeedSchedule(((3, 0), (17, 0))), 2)
@@ -637,16 +633,15 @@ def test_epsilon_gain_scan_reads_one_closure_batch(monkeypatch):
     wrapped = EpsilonEstimator(MonteCarloEstimator(10, 1), 0.2, "random", 1)
     candidates = [v for v in range(g.node_count) if v not in (3, 17)]
     assert len(wrapped.gains(g, [3, 17], psi, candidates)) == len(candidates)
-    assert calls == {"propagate": 0, "closures": 10, "unions": 10, "zero sets": 1,
+    assert calls == {"propagate": 0, "closures": 10, "unions": 2, "zero sets": 1,
                      "walks": 1}
     assert len(wrapped.inner._batches) == 1
 
     seeds = [3, 17, candidates[0]]
     wrapped.activation(g, seeds, psi)
-    after_gate = {"propagate": 0, "closures": 10, "unions": 20, "zero sets": 1, "walks": 2}
-    assert calls == after_gate
+    assert calls == {"propagate": 0, "closures": 10, "unions": 3, "zero sets": 1, "walks": 2}
     assert len(wrapped.gains(g, seeds, psi, candidates[1:])) == len(candidates) - 1
-    assert calls == after_gate
+    assert calls == {"propagate": 0, "closures": 10, "unions": 5, "zero sets": 1, "walks": 2}
 
 
 def test_gate_zero_set_seeds_the_next_batch(monkeypatch):
@@ -706,23 +701,18 @@ def test_mc_single_node_values_keep_their_bytes():
         "9fb6f293ed90cac42399d1c9f7f9083f4df15f3456e10b02d72252305dd4ff70")
 
 
-def test_mc_best_single_node_values_only_the_largest_totals(monkeypatch):
-    g = generate_graph(200, 800, "erdos-renyi", 40, 2024)
+def test_mc_value_is_the_count_total_divided_once():
+    # node 17's closures hold 161 nodes over the 30 completions: its value
+    # is the float nearest 161 / 30, where the sum of per-node quotients
+    # fl(c / 30) rounded to 5.366666666666667
+    g = generate_graph(60, 240, "erdos-renyi", 40, 7)
+    empty = empty_partial(g)
     est = MonteCarloEstimator(30, 0)
-    closures = est._batch(g, empty_partial(g)).closures
-    totals = [sum(masks[v].bit_count() for masks in closures) for v in range(200)]
-    calls = 0
-
-    def counted(*args, fn=estimation._coverage_value):
-        nonlocal calls
-        calls += 1
-        return fn(*args)
-
-    monkeypatch.setattr(estimation, "_coverage_value", counted)
-    got = est.best_single_node(g)
-    assert calls == totals.count(max(totals)) < 200
-    values = MonteCarloEstimator(30, 0).single_node_values(g)
-    assert got == (values.index(max(values)), max(values))
+    assert est.activation(g, [17], empty).expected_cascade == 5.366666666666666
+    closures = est._batch(g, empty).closures
+    assert sum(masks[17].bit_count() for masks in closures) == 161
+    assert est.single_node_values(g)[17] == float(Fraction(161, 30)) == 5.366666666666666
+    assert est.activation(g, [17], empty).expected_cascade == 5.366666666666666
 
 
 @pytest.mark.parametrize("graph", [DIAMOND, generate_graph(30, 20, "erdos-renyi", 40, 3)],
