@@ -698,7 +698,7 @@ def test_mc_single_node_values_keep_their_bytes():
     g = generate_graph(60, 240, "erdos-renyi", 40, 7)
     values = MonteCarloEstimator(30, 0).single_node_values(g)
     assert hashlib.sha256(repr(values).encode()).hexdigest() == (
-        "9fb6f293ed90cac42399d1c9f7f9083f4df15f3456e10b02d72252305dd4ff70")
+        "3dff01d60b419c4c9019b9742efc3057556f0b5725b1c87d7afc6079f021b467")
 
 
 def test_mc_value_is_the_count_total_divided_once():
