@@ -694,24 +694,20 @@ def test_out_of_range_candidates_raise_on_every_backend(make, query, bad):
 
 def test_mc_single_node_values_keep_their_bytes():
     # the empty state's completions, and with them every alpha = 0 run,
-    # come from the snapshot's stream alone; this pins them
-    g = generate_graph(60, 240, "erdos-renyi", 40, 7)
-    values = MonteCarloEstimator(30, 0).single_node_values(g)
-    assert hashlib.sha256(repr(values).encode()).hexdigest() == (
-        "3dff01d60b419c4c9019b9742efc3057556f0b5725b1c87d7afc6079f021b467")
-
-
-def test_mc_value_is_the_count_total_divided_once():
-    # node 17's closures hold 161 nodes over the 30 completions: its value
-    # is the float nearest 161 / 30, where the sum of per-node quotients
-    # fl(c / 30) rounded to 5.366666666666667
+    # come from the snapshot's stream alone; this pins them. Node 17's
+    # closures hold 161 nodes over the 30 completions: on both routes its
+    # value is the float nearest 161 / 30, where a sum of per-node
+    # quotients fl(c / 30) rounds to 5.366666666666667
     g = generate_graph(60, 240, "erdos-renyi", 40, 7)
     empty = empty_partial(g)
     est = MonteCarloEstimator(30, 0)
     assert est.activation(g, [17], empty).expected_cascade == 5.366666666666666
+    values = est.single_node_values(g)
+    assert hashlib.sha256(repr(values).encode()).hexdigest() == (
+        "3dff01d60b419c4c9019b9742efc3057556f0b5725b1c87d7afc6079f021b467")
     closures = est._batch(g, empty).closures
     assert sum(masks[17].bit_count() for masks in closures) == 161
-    assert est.single_node_values(g)[17] == float(Fraction(161, 30)) == 5.366666666666666
+    assert values[17] == float(Fraction(161, 30)) == 5.366666666666666
     assert est.activation(g, [17], empty).expected_cascade == 5.366666666666666
 
 
