@@ -85,16 +85,20 @@ def tiny_policy_cases(draw, probabilities=(0.5, 0.2, 0.7, 0.0, 1.0)):
 def literal_value(g, cfg, exact=False):
     """The policy run with the exact backend on every world, weighted: a
     float, or a Fraction when `exact`. The enhanced value is half the best
-    single node's expected BFS cascade plus half the greedy arm's."""
+    single node's expected BFS cascade plus half the greedy arm's. The
+    best single node is the policy's: the largest value as a float,
+    smallest id on ties, so two nodes whose Fractions differ below an ulp
+    tie as they do for the exact backend."""
     estimator = ExactEstimator()
     greedy = replace(cfg, kind="nonuniform") if cfg.kind == "enhanced" else cfg
     value = policy_value_by_enumeration(g, lambda real: run_policy(
         g, greedy, real, estimator, 0).realized_cascade, exact)
     if cfg.kind != "enhanced":
         return value
-    single = max(policy_value_by_enumeration(g, lambda real: bfs_cascade(g, real.live, [v]),
-                                             exact)
-                 for v in range(g.node_count))
+    # max keeps the first of equal keys
+    single = max((policy_value_by_enumeration(g, lambda real: bfs_cascade(g, real.live, [v]),
+                                              exact)
+                  for v in range(g.node_count)), key=float)
     return (single + value) / 2
 
 
@@ -182,6 +186,16 @@ class TestExactPolicyEvaluation:
         unit = g.with_costs([1] * g.node_count)
         assert optimal_full_feedback_adaptive(unit, Fraction(picks)) == float(
             full_feedback_optimum(unit, picks, exact=True))
+
+    def test_enhanced_star_ties_as_floats(self):
+        # nodes 0 and 1 both read 2.461 but differ as Fractions; the policy
+        # seeds node 0, so the value is 3.2304999999999997, not 3.2305
+        nearly = 0.9999999999999999
+        g = load_graph(f"0 2 0.1\n1 2 0.1\n1 3 0.1\n2 3 {nearly!r}\n0 1 {nearly!r}\n"
+                       "2 0 0.1\n1 0 1.0\n")
+        cfg = PolicyConfig("enhanced", 0.0, Fraction(3))
+        assert evaluate_policy_exact(g, cfg).value == float(
+            literal_value(g, cfg, exact=True)) == 3.2304999999999997
 
     def test_selection_hook_sees_every_branch(self):
         calls = []
