@@ -22,19 +22,22 @@ coin. Three backends:
   summed sizes of the reached sets) divided once by the sample count:
   the correctly rounded sample mean. Marginal gains are then differences
   of pointwise-coupled counts, hence non-negative. A state scanned for
-  gains holds a closure batch that stacks its closures, one int per node
-  with completion j's mask in bits j*n to j*n + n - 1, so every seed-set
-  query there costs one OR and one bit count: `activation`, each
-  candidate of `cascades_with` and of `gains`. Its zero set grows the
-  one kept for the last seed set, walking only from the seeds that set
-  lacks. A newly scanned state derives its batch from the one held for
-  the state scanned before: per completion, only the nodes whose closure
-  holds the source of an edge that changed there are rebuilt.
+  gains holds a stacked view, one int per node with its reach in
+  completion j in bits j*n to j*n + n - 1, so every seed-set query there
+  costs one OR and one bit count: `activation`, each candidate of
+  `cascades_with` and of `gains`, and a single node's value. The view
+  is solved for all completions at once, as the least fixpoint of a
+  node's own bits joined with each possible out-edge's target view,
+  masked to the completions where the edge is live. Its zero set grows
+  the one kept for the last seed set, walking only from the seeds that
+  set lacks. A newly scanned state derives its view from the one held
+  for the state scanned before: only the nodes whose held view holds
+  the source of an edge changed in that completion are solved again.
 * epsilon wrapper: multiplies each cascade value produced by an inner
   backend by a factor in [1-eps, 1+eps], either drawn uniformly per
   query or pinned to an end of the interval. Its gain scan reads the
   inner f(S + c) of every candidate from one `cascades_with` query, so
-  over Monte Carlo the values come from the state's closure batch.
+  over Monte Carlo the values come from the state's stacked view.
 
 `activation` is the one single-state query; `cascades_with` and `gains`
 serve per-candidate values on one state.
@@ -51,12 +54,11 @@ from collections import OrderedDict
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from itertools import chain
-from operator import itemgetter
 
 from ._util import derive_seed
 from .diffusion import EdgeState, PartialRealization, empty_partial
 from .graph import DirectedGraph
-from .reach import closure_masks, closure_union, mask_nodes, node_mask, reachable_mask
+from .reach import closure_union, mask_nodes, node_mask, reachable_mask
 
 EXACT_EDGE_LIMIT = 22
 
@@ -229,9 +231,8 @@ class Estimator:
     """Backend interface. `activation` is the one single-state query: the
     expected cascade and the zero set of a seed set on an observation
     state. `cascades_with` batches the expected cascade of S + c over
-    candidates c, `gains` the marginal gains, `single_node_values` the
-    unconditional value of each node alone, and `best_single_node` the
-    largest of those values and its node."""
+    candidates c, `gains` the marginal gains, and `single_node_values` the
+    unconditional value of each node alone."""
 
     # True when `gains` on one observation state are exact counts over one
     # fixed batch of completions: a candidate's gain for seeds S is then
@@ -249,7 +250,7 @@ class Estimator:
         `expected_cascade` of `activation` on S + c. This default asks
         `activation` once per candidate (so the epsilon wrapper perturbs
         each value); the Monte Carlo backend reads every value off the
-        state's closure batch."""
+        state's stacked view."""
         seed_set = _check_state(graph, seeds, partial, candidates)
         return [self.activation(graph, seed_set | {c}, partial).expected_cascade
                 for c in candidates]
@@ -278,13 +279,6 @@ class Estimator:
         partial = empty_partial(graph)
         return [self.activation(graph, frozenset([v]), partial).expected_cascade
                 for v in range(graph.node_count)]
-
-    def best_single_node(self, graph: DirectedGraph) -> tuple[int, float]:
-        """The node with the largest `single_node_values` entry, smallest id
-        on ties, and that value. It reads every value, so the epsilon
-        wrapper draws one factor per node, in node order."""
-        # max keeps the first of equal keys
-        return max(enumerate(self.single_node_values(graph)), key=itemgetter(1))
 
     def reseeded(self, salt: int) -> "Estimator":
         """A copy whose random draws derive from (own seed, salt)."""
@@ -355,15 +349,13 @@ class ExactEstimator(Estimator):
 
 
 class _Completions:
-    """Per-node closure masks of each completion of one observation state,
-    their stacked view, and the zero set kept for the latest seed set that
-    asked:
+    """The completions of one observation state as one stacked view, and
+    the zero set kept for the latest seed set that asked:
 
-    * `stack()`: one int per node, with completion j's closure mask of the
-      node in window j (bits j*n to j*n + n - 1). Every seed-set query
-      reads it. A built batch stacks its closures on first use, so
-      `single_node_values`, which reads only the closures, never stacks;
-      a derived batch gets its view from `MonteCarloEstimator._derived`.
+    * `stacked`: one int per node, with the node's reach in completion j
+      in window j (bits j*n to j*n + n - 1). Every seed-set query reads
+      it: the seeds' union holds each completion's reached set in its
+      window.
     * `last_zero`: the seed set and its zero set (`zero_set`), the
       complement of its possible-edge reach. A greedy round asks with one
       more seed than the last, so the walk starts from the new seeds only
@@ -372,24 +364,11 @@ class _Completions:
       propagated query on its state kept (`MonteCarloEstimator._zeros`).
     """
 
-    __slots__ = ("closures", "stacked", "last_zero")
+    __slots__ = ("stacked", "last_zero")
 
-    def __init__(self, closures: list[list[int]], stacked: list[int] | None,
-                 last_zero: tuple | None):
-        self.closures = closures
+    def __init__(self, stacked: list[int], last_zero: tuple | None):
         self.stacked = stacked
         self.last_zero = last_zero
-
-    def stack(self) -> list[int]:
-        if self.stacked is None:
-            n = len(self.closures[0])
-            stacked = [0] * n
-            for j, masks in enumerate(self.closures):
-                shift = j * n
-                for v, reach in enumerate(masks):
-                    stacked[v] |= reach << shift
-            self.stacked = stacked
-        return self.stacked
 
     def zero_set(self, graph: DirectedGraph, partial: PartialRealization,
                  seed_set: frozenset[int]) -> frozenset[int]:
@@ -404,6 +383,21 @@ class _Completions:
         return zero
 
 
+def _window_masks(masks, n: int, k: int) -> list[int]:
+    """Each k-bit mask in the stacked layout: window j (bits j*n to
+    j*n + n - 1) all ones where bit j is set. Eight windows fill n whole
+    bytes, so a mask is the join of one n-byte pattern per byte of it,
+    in time linear in its n*k bits."""
+    patterns = [0] * 256
+    for b in range(1, 256):
+        low = b & -b
+        patterns[b] = patterns[b ^ low] | ((1 << n) - 1) << (low.bit_length() - 1) * n
+    chunks = [m.to_bytes(n, "little") for m in patterns]
+    size = (k + 7) // 8
+    return [int.from_bytes(b"".join(map(chunks.__getitem__, m.to_bytes(size, "little"))),
+                           "little") for m in masks]
+
+
 class MonteCarloEstimator(Estimator):
     """Sampling backend over one coin snapshot per graph (`_snapshot`).
 
@@ -416,43 +410,39 @@ class MonteCarloEstimator(Estimator):
     T(S) = sum over j of |R_j(S)| with R_j(S) the nodes S reaches in
     completion j, divided once by k: the correctly rounded sample mean.
 
-    The alpha-gate's query on a state without closures is one bit-parallel
-    pass over the snapshot (`_propagate`). Closures (`_batch`) are built
-    only for states scanned for gains, cascades with candidates
+    The alpha-gate's query on a state without a batch is one bit-parallel
+    pass over the snapshot (`_propagate`). A batch (`_batch`) is made only
+    for states scanned for gains, cascades with candidates
     (`cascades_with`, the epsilon wrapper's scan) or single-node values.
-    On a state with closures, `activation` reads T(S) off the stacked
-    view, and its zero set grows the one kept for the last seed set when
-    the seeds contain it (`_Completions.zero_set`). A new batch starts
-    from the zero set that the last propagated query on its state
-    computed.
-
-    The estimator holds one batch. A state without one derives its batch
-    from the held one when that was built for the same graph
-    (`_derived`): the two states share their coins, so a completion
-    differs only where an edge's liveness changed, and only the nodes
-    that reach such an edge's source get a new closure. Without a held
-    batch (the first scan, or another graph) it is built from scratch
-    (`_built`). Both routes give the same masks.
-
-    Every seed-set query on a batch reads its stacked view
-    (`_Completions.stack`): node v's closure masks over all completions
+    It is the state's stacked view: node v's reach over all completions
     in one int, completion j in window j of n bits. The union R of the
-    seeds' stacked masks holds each completion's seed union in its
-    window, so T(S) is R.bit_count() and T(S + c) is
-    (R | stacked[c]).bit_count(): one OR and one bit count instead of one
-    per completion, and the same integer. A built batch stacks its
-    closures on its first such query. A derived batch copies the held
-    batch's view (stacking it first if it has none), finds its roots with
-    one AND per node against the changed sources of all completions
-    stacked the same way, and rewrites window j of each root whose mask
-    changed in completion j. `single_node_values` sums each node's
-    closure sizes over the completions and leaves the view unbuilt.
+    seeds' views holds each completion's R_j(S) in its window, so T(S) is
+    R.bit_count() and T(S + c) is (R | stacked[c]).bit_count(): one OR
+    and one bit count per query or candidate. `single_node_values` reads
+    stacked[v].bit_count(). On a state with a batch, `activation` reads
+    T(S) off the view, and its zero set grows the one kept for the last
+    seed set when the seeds contain it (`_Completions.zero_set`). A new
+    batch starts from the zero set that the last propagated query on its
+    state computed.
 
-    A batch of completions is a function of the observation alone, never
-    of the seed set, so f(S), f(S + v), and every candidate in a
-    selection round are evaluated against the same worlds. A gain is
-    T(S + c) - T(S) over that batch divided by the sample count, so it is
-    exactly submodular in the seed set.
+    The view is computed for all completions at once, as the least
+    fixpoint of view[v] = (bit v of every window) | OR over the possible
+    out-edges e = (v, w) of view[w] & W_e, where W_e is every window for
+    an observed-live edge and the windows of e's live coins for an
+    unobserved one (`_solve`). The estimator holds one batch. A state
+    without one derives its view from the held one when that was made for
+    the same graph (`_derived`): the two states share their coins, so
+    completion j differs only where an edge's liveness there changed, and
+    only the nodes whose held view holds such an edge's source in window
+    j can change. Those are reset and solved again; every other node
+    keeps its int. Without a held batch (the first scan, or another
+    graph) every node is solved. Both routes give the same view.
+
+    A batch is a function of the observation alone, never of the seed
+    set, so f(S), f(S + v), and every candidate in a selection round are
+    evaluated against the same worlds. A gain is T(S + c) - T(S) over
+    that batch divided by the sample count, so it is exactly submodular
+    in the seed set.
     """
 
     submodular_gains = True
@@ -476,11 +466,13 @@ class MonteCarloEstimator(Estimator):
     def tag(self):
         return f"mc({self.samples})"
 
-    def _snapshot(self, graph: DirectedGraph) -> tuple[list[list[int]], list[int]]:
-        """The coin snapshot as (rows, coins). rows[j] lists, ascending, the
-        edges whose coin in completion j fell below their probability.
-        coins[idx] is edge idx's (samples + 1)-bit mask: bit j as in the
-        rows, and bit `samples` set when the probability is positive.
+    def _snapshot(self, graph: DirectedGraph) -> tuple[list[int], list[int]]:
+        """The coin snapshot as (coins, windows). coins[idx] is edge idx's
+        (samples + 1)-bit mask: bit j set when its coin in completion j
+        fell below its probability, and bit `samples` set when the
+        probability is positive. windows[idx] is the same k coins in the
+        stacked layout (`_window_masks`): window j all ones when coin j is
+        live.
 
         The draws come completion by completion, one per edge, from the
         stream seeded by (rng_seed, "completions", the empty state's
@@ -494,101 +486,107 @@ class MonteCarloEstimator(Estimator):
                                         empty_partial(graph).codes))
         draw = rng.random
         probs = [e.probability for e in graph.edges]
-        rows = [[idx for idx, p in enumerate(probs) if draw() < p] for _ in range(k)]
         coins = [1 << k if p > 0.0 else 0 for p in probs]
-        for j, row in enumerate(rows):
+        for j in range(k):
             bit = 1 << j
-            for idx in row:
+            for idx in [idx for idx, p in enumerate(probs) if draw() < p]:
                 coins[idx] |= bit
-        return self._snapshots.store(None, (rows, coins))
+        windows = _window_masks([c & ~(1 << k) for c in coins], graph.node_count, k)
+        return self._snapshots.store(None, (coins, windows))
 
     def _batch(self, graph: DirectedGraph, partial: PartialRealization) -> _Completions:
         codes = partial.codes
         hit = self._batches.lookup(graph, codes)
         if hit is not None:
             return hit
+        n = graph.node_count
+        # bit v of every window is units << v
+        units = ((1 << n * self.samples) - 1) // ((1 << n) - 1 or 1)
         # the lookup emptied the cache on another graph, so a held batch
         # shares this graph's snapshot
         held = next(iter(self._batches.items()), None)
-        closures, stacked = ((self._built(graph, codes), None) if held is None
-                             else self._derived(graph, codes, *held))
-        batch = _Completions(closures, stacked, self._zeros.lookup(graph, codes))
+        if held is None:
+            stacked, nodes = [units << v for v in range(n)], range(n)
+        else:
+            stacked, nodes = self._derived(graph, codes, units, *held)
+        self._solve(graph, codes, stacked, nodes)
+        batch = _Completions(stacked, self._zeros.lookup(graph, codes))
         return self._batches.store(codes, batch)
 
-    def _built(self, graph: DirectedGraph, codes: bytes) -> list[list[int]]:
-        """The closures of each completion of state `codes`, from scratch."""
-        rows, _ = self._snapshot(graph)
-        edges = graph.edges
-        live, unobserved = EdgeState.LIVE, EdgeState.UNOBSERVED
-        base_adj: list[list[int]] = [[] for _ in range(graph.node_count)]
-        for c, e in zip(codes, edges):
-            if c == live:
-                base_adj[e.source].append(e.target)
-        closures = []
-        for row in rows:
-            # share the observed lists; a node's list is copied on its
-            # first sampled edge
-            adj = base_adj.copy()
-            for idx in row:
-                if codes[idx] == unobserved:
-                    u, v, _ = edges[idx]
-                    if adj[u] is base_adj[u]:
-                        adj[u] = base_adj[u] + [v]
-                    else:
-                        adj[u].append(v)
-            closures.append(closure_masks(graph.node_count, adj))
-        return closures
-
-    def _derived(self, graph: DirectedGraph, codes: bytes, held_codes: bytes,
-                 held: _Completions) -> tuple[list[list[int]], list[int]]:
-        """The closures of state `codes` and their stacked view, derived
-        from the batch `held` of state `held_codes` on the same graph.
+    def _derived(self, graph: DirectedGraph, codes: bytes, units: int, held_codes: bytes,
+                 held: _Completions) -> tuple[list[int], list[int]]:
+        """The held view of state `held_codes` with the nodes that state
+        `codes` can change reset to their own bits, and those nodes.
 
         An edge changed in completion j when its liveness there differs
         between the two codes; it is live there when observed live, or
-        unobserved with coin j set. A node's closure can change only if
-        its held closure holds the source of a changed edge: only those
-        nodes are rebuilt, and no other node reaches one. A completion
-        without a changed edge keeps its held mask list. The roots are
-        found on the held stacked view, one AND per node against every
-        completion's changed sources at once; the view is copied and
-        each root's window j rewritten where its mask changed."""
-        _, coins = self._snapshot(graph)
-        every = (1 << self.samples) - 1
+        unobserved with coin j set. A node's reach in completion j can
+        change only if its held reach there holds the source of an edge
+        changed in j. The changed sources of all completions are stacked
+        like the view, so each node is tested with one AND."""
+        _, windows = self._snapshot(graph)
+        every = (1 << graph.node_count * self.samples) - 1
         live, unobserved = EdgeState.LIVE, EdgeState.UNOBSERVED
-        n, edges, out_edges = graph.node_count, graph.edges, graph.out_edges
+        edges = graph.edges
 
         def live_in(c: int, idx: int) -> int:
-            return every if c == live else coins[idx] & every if c == unobserved else 0
+            return every if c == live else windows[idx] if c == unobserved else 0
 
-        sources = [0] * self.samples     # per completion: the changed edges' sources
+        changed = 0
         for idx, (was, now) in enumerate(zip(held_codes, codes)):
             if was != now:
-                bit = 1 << edges[idx].source
-                for j in mask_nodes(live_in(was, idx) ^ live_in(now, idx)):
-                    sources[j] |= bit
-        stacked = held.stack().copy()
-        changed = 0
-        for j, touched in enumerate(sources):
-            changed |= touched << j * n
-        # the nodes that reach a changed source in some completion, ascending
+                changed |= (live_in(was, idx) ^ live_in(now, idx)) & units << edges[idx].source
+        stacked = held.stacked.copy()
         hits = [v for v, reach in enumerate(stacked) if reach & changed]
-        closures = []
-        for j, (masks, touched) in enumerate(zip(held.closures, sources)):
-            if touched:
-                roots = [v for v in hits if masks[v] & touched]
-                adj = [None] * n
-                coin = 1 << j
-                for u in roots:
-                    adj[u] = [edges[idx].target for idx in out_edges[u]
-                              if (c := codes[idx]) == live
-                              or (c == unobserved and coins[idx] & coin)]
-                old, masks = masks, closure_masks(n, adj, masks, roots)
-                for v in roots:
-                    if diff := old[v] ^ masks[v]:
-                        stacked[v] ^= diff << j * n
-            closures.append(masks)
-        return closures, stacked
+        for v in hits:
+            stacked[v] = units << v
+        return stacked, hits
+
+    def _solve(self, graph: DirectedGraph, codes: bytes, stacked: list[int], nodes) -> None:
+        """Solve the view over `nodes` in place, every other node held: the
+        least fixpoint above the given values of stacked[v] |= stacked[w]
+        & W_e over the possible out-edges e = (v, w) of each v in `nodes`.
+        Blocked edges and edges with no live coin are skipped. The nodes
+        are visited in DFS postorder, targets first, so one pass settles
+        every node that reaches no cycle; passes repeat until no value
+        moves."""
+        _, windows = self._snapshot(graph)
+        every = (1 << graph.node_count * self.samples) - 1
+        live, unobserved = EdgeState.LIVE, EdgeState.UNOBSERVED
+        edges, out_edges = graph.edges, graph.out_edges
+        out = {v: [(edges[idx].target, every if c == live else windows[idx])
+                   for idx in out_edges[v]
+                   if (c := codes[idx]) == live or (c == unobserved and windows[idx])]
+               for v in nodes}
+        unseen = bytearray(graph.node_count)
+        for v in out:
+            unseen[v] = 1
+        order = []
+        for root in out:
+            if not unseen[root]:
+                continue
+            unseen[root] = 0
+            work = [(root, iter(out[root]))]
+            while work:
+                v, targets = work[-1]
+                for w, _ in targets:
+                    if unseen[w]:
+                        unseen[w] = 0
+                        work.append((w, iter(out[w])))
+                        break
+                else:
+                    work.pop()
+                    order.append((v, out[v]))
+        moved = True
+        while moved:
+            moved = False
+            for v, targets in order:
+                reach = old = stacked[v]
+                for w, mask in targets:
+                    reach |= stacked[w] & mask
+                if reach != old:
+                    stacked[v] = reach
+                    moved = True
 
     def _propagate(self, graph: DirectedGraph, seed_set,
                    partial: PartialRealization) -> tuple[list[int], frozenset[int]]:
@@ -596,7 +594,7 @@ class MonteCarloEstimator(Estimator):
         pass: a node's mask holds bit j when completion j reaches it, and
         bit `samples` when some edge path from the seeds avoids blocked
         and zero-probability edges."""
-        _, coins = self._snapshot(graph)
+        coins, _ = self._snapshot(graph)
         k = self.samples
         full = (1 << k + 1) - 1
         live, unobserved = EdgeState.LIVE, EdgeState.UNOBSERVED
@@ -627,12 +625,12 @@ class MonteCarloEstimator(Estimator):
     def activation(self, graph, seeds, partial):
         seed_set = _check_state(graph, seeds, partial)
         batch = self._batches.lookup(graph, partial.codes)
-        # a state scanned for gains already holds closures (every alpha = 0
+        # a state scanned for gains already holds a view (every alpha = 0
         # round, and a round right after a selection); its zero set is kept
         # on the batch for the next query. A zero-set node lies in no
         # completion, so its count is already 0 on both routes.
         if batch is not None:
-            reached = closure_union(batch.stack(), seed_set)
+            reached = closure_union(batch.stacked, seed_set)
             return ActivationEstimate(reached.bit_count() / self.samples,
                                       batch.zero_set(graph, partial, seed_set))
         counts, zero = self._propagate(graph, seed_set, partial)
@@ -645,13 +643,13 @@ class MonteCarloEstimator(Estimator):
 
     def cascades_with(self, graph, seeds, partial, candidates):
         seed_set = _check_state(graph, seeds, partial, candidates)
-        stacked = self._batch(graph, partial).stack()
+        stacked = self._batch(graph, partial).stacked
         reached = closure_union(stacked, seed_set)
         return [(reached | stacked[c]).bit_count() / self.samples for c in candidates]
 
     def gains(self, graph, seeds, partial, candidates):
         seed_set = _check_state(graph, seeds, partial, candidates)
-        stacked = self._batch(graph, partial).stack()
+        stacked = self._batch(graph, partial).stacked
         reached = closure_union(stacked, seed_set)
         base = reached.bit_count()
         return [((reached | stacked[c]).bit_count() - base) / self.samples
@@ -660,9 +658,8 @@ class MonteCarloEstimator(Estimator):
     def single_node_values(self, graph):
         # A completion holds only live edges and unobserved edges with
         # p > 0, so zero-set nodes already count 0 and need no filter.
-        closures = self._batch(graph, empty_partial(graph)).closures
-        return [sum(sizes) / self.samples
-                for sizes in zip(*(map(int.bit_count, masks) for masks in closures))]
+        return [reach.bit_count() / self.samples
+                for reach in self._batch(graph, empty_partial(graph)).stacked]
 
 
 EPS_MODES = ("random", "adversarial-high", "adversarial-low")
@@ -709,8 +706,8 @@ class EpsilonEstimator(Estimator):
 
     def gains(self, graph, seeds, partial, candidates):
         # the inner f(S) is read once, after the batched query (which checks
-        # the arguments), so a Monte Carlo inner answers it from the closure
-        # batch that query built; per candidate the with-candidate factor is
+        # the arguments), so a Monte Carlo inner answers it from the view
+        # that query built; per candidate the with-candidate factor is
         # drawn before the base factor
         seed_set = frozenset(seeds)
         with_c = self.inner.cascades_with(graph, seed_set, partial, candidates)

@@ -40,6 +40,7 @@ at that point and the guard never fires.
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from ._util import derive_seed, fmt_g
 from .diffusion import (EdgeState, FullRealization, PartialRealization, SeedSchedule,
@@ -297,10 +298,12 @@ def _observed_parts(graph: DirectedGraph, worlds: list[FullRealization], indices
 
 def best_single_node(graph: DirectedGraph, estimator: Estimator) -> tuple[int, float]:
     """The node with the largest unconditional expected cascade, smallest
-    id on ties, together with that value."""
+    id on ties, together with that value. Every node's value is read, so
+    the epsilon wrapper draws one factor per node, in node order."""
     if graph.node_count == 0:
         raise ValueError("empty graph has no best node")
-    return estimator.best_single_node(graph)
+    # max keeps the first of equal keys
+    return max(enumerate(estimator.single_node_values(graph)), key=itemgetter(1))
 
 
 def _affordable_single_node(graph: DirectedGraph, estimator: Estimator,

@@ -44,8 +44,7 @@ def reachable_mask(adjacency: list, start_mask: int) -> int:
     return seen
 
 
-def closure_masks(n: int, adjacency: list, kept: list[int] | None = None,
-                  roots=None) -> list[int]:
+def closure_masks(n: int, adjacency: list) -> list[int]:
     """Per-node reachability masks (self included) for the whole graph.
 
     One iterative Tarjan pass: when a strongly connected component is
@@ -53,26 +52,13 @@ def closure_masks(n: int, adjacency: list, kept: list[int] | None = None,
     so the component's mask is its members plus their targets' final
     masks. Cost is one pass over nodes plus edges instead of a BFS per
     node. Nodes without out-edges are finished without a stack frame.
-
-    Given `kept` masks and `roots`, only the roots are rebuilt: every
-    other node keeps its mask from `kept` and counts as already emitted.
-    That is exact when those masks are right for `adjacency` and no kept
-    node reaches a root. Only the roots' adjacency lists are read.
     """
+    index = [0] * n      # visit order from 1; 0 = unvisited
     low = [0] * n
-    if kept is None:
-        index = [0] * n      # visit order from 1; 0 = unvisited
-        masks = [0] * n      # nonzero once the node's component is emitted
-        roots = range(n)
-    else:
-        # a kept node is visited and emitted, so its index is never compared
-        index = [1] * n
-        masks = kept.copy()
-        for root in roots:
-            index[root] = masks[root] = 0
+    masks = [0] * n      # nonzero once the node's component is emitted
     tarjan_stack: list[int] = []
     counter = 0
-    for root in roots:
+    for root in range(n):
         if index[root]:
             continue
         counter += 1

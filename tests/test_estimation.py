@@ -14,7 +14,8 @@ from pfim.estimation import (ActivationEstimate, EpsilonEstimator, ExactEstimato
                              InstanceTooLarge, MonteCarloEstimator,
                              exact_conditional_activation, zero_probability_set)
 from pfim.graph import DirectedGraph, generate_graph, load_graph
-from pfim.reach import closure_masks, closure_union, mask_nodes, node_mask, reachable_mask
+from pfim.policies import best_single_node
+from pfim.reach import closure_masks, closure_union, mask_nodes, reachable_mask
 
 from bruteforce import naive_activation_probability
 
@@ -333,19 +334,12 @@ class TestBatchedQueries:
     def test_mc_propagation_equals_per_completion_bfs(self, state):
         g, seeds, psi, seed = state
         est = MonteCarloEstimator(40, seed)
-        rows = est._snapshot(g)[0]
         nodes = range(g.node_count)
 
         def counts(seed_list, partial):
             hits = [0] * g.node_count
-            for row in rows:
-                # completion: observed-live edges, and unobserved edges in the row
-                sampled = set(row)
-                adj = [[] for _ in nodes]
-                for idx, (c, e) in enumerate(zip(partial.codes, g.edges)):
-                    if c == EdgeState.LIVE or (c == EdgeState.UNOBSERVED and idx in sampled):
-                        adj[e.source].append(e.target)
-                for v in mask_nodes(reachable_mask(adj, node_mask(seed_list))):
+            for masks in completion_closures(est, g, partial):
+                for v in mask_nodes(closure_union(masks, seed_list)):
                     hits[v] += 1
             return hits
 
@@ -382,7 +376,7 @@ class TestBatchedQueries:
         g, _, _, seed = state
         values = MonteCarloEstimator(k, seed).single_node_values(g)
         best = values.index(max(values))
-        assert MonteCarloEstimator(k, seed).best_single_node(g) == (best, values[best])
+        assert best_single_node(g, MonteCarloEstimator(k, seed)) == (best, values[best])
 
     @settings(max_examples=150, deadline=None)
     @given(coded_states(),
@@ -469,15 +463,30 @@ class TestBatchedQueries:
         assert wrapped.gains(g, seeds, psi, candidates) == want
 
 
+def completion_closures(est, g, partial):
+    """Each completion's closure mask of each node, by one BFS per node:
+    completion j keeps the observed-live edges and the unobserved edges
+    whose coin j in the estimator's snapshot is set."""
+    coins = est._snapshot(g)[0]
+    closures = []
+    for j in range(est.samples):
+        adj = [[] for _ in range(g.node_count)]
+        for idx, (c, e) in enumerate(zip(partial.codes, g.edges)):
+            if c == EdgeState.LIVE or (c == EdgeState.UNOBSERVED and coins[idx] >> j & 1):
+                adj[e.source].append(e.target)
+        closures.append([reachable_mask(adj, 1 << v) for v in range(g.node_count)])
+    return closures
+
+
 def stacked_view(closures):
     """Completion j's closure mask of each node in window j."""
     n = len(closures[0])
     return [sum(masks[v] << j * n for j, masks in enumerate(closures)) for v in range(n)]
 
 
-def per_completion_gains(batch, seeds, candidates, k):
+def per_completion_gains(closures, seeds, candidates, k):
     """The gain scan written out over the completions one by one."""
-    pairs = [(masks, closure_union(masks, seeds)) for masks in batch.closures]
+    pairs = [(masks, closure_union(masks, seeds)) for masks in closures]
     base = sum(reached.bit_count() for _, reached in pairs)
     return [(sum((reached | masks[c]).bit_count() for masks, reached in pairs) - base) / k
             for c in candidates]
@@ -511,110 +520,72 @@ class TestStackedView:
         if scan_held:
             est.gains(g, seeds, held, candidates)
         got = est.gains(g, seeds, psi, candidates)
-        batch = est._batch(g, psi)
-        assert got == per_completion_gains(batch, seeds, candidates, k)
-        assert batch.stacked == stacked_view(batch.closures)
+        closures = completion_closures(est, g, psi)
+        assert got == per_completion_gains(closures, seeds, candidates, k)
+        assert est._batch(g, psi).stacked == stacked_view(closures)
         assert got == MonteCarloEstimator(k, seed).gains(g, seeds, psi, candidates)
 
-    @pytest.mark.parametrize("first", ["single_node_values", "cascades_with"])
-    def test_a_held_batch_without_a_view_is_stacked_before_deriving(self, first):
-        # only `single_node_values` leaves a batch without a view; a batch
-        # that `cascades_with` built holds one already
-        g = generate_graph(30, 90, "erdos-renyi", 40, 3)
-        psi = observe(g, sample_full_realization(g, 9), SeedSchedule(((4, 0),)), 2)
-        est = MonteCarloEstimator(70, 5)
-        if first == "single_node_values":
-            est.single_node_values(g)
-        else:
-            est.cascades_with(g, [4], empty_partial(g), [0, 1])
-        held = est._batch(g, empty_partial(g))
-        assert (held.stacked is None) == (first == "single_node_values")
-        candidates = [v for v in range(g.node_count) if v != 4]
-        got = est.gains(g, [4], psi, candidates)
-        assert held.stacked == stacked_view(held.closures)
-        derived = est._batch(g, psi)
-        assert derived is not held
-        assert derived.stacked == stacked_view(derived.closures)
-        assert got == per_completion_gains(derived, {4}, candidates, 70)
-        assert got == MonteCarloEstimator(70, 5).gains(g, [4], psi, candidates)
 
-
-def _adjacency(n, edges):
-    adj = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-    return adj
+LARGER = generate_graph(30, 90, "erdos-renyi", 40, 3)
 
 
 class TestDerivedBatches:
-    """A state scanned after another derives its closure batch from the
-    one the estimator holds; the masks are a fresh build's."""
+    """A state scanned after another derives its view from the one the
+    estimator holds; the view is a fresh build's, and each completion's
+    windows are its closure masks."""
 
     @settings(max_examples=300, deadline=None)
-    @given(coded_state_pairs())
+    @given(coded_state_pairs(), st.sampled_from([1, 21, 22, 64, 70]))
     # edge 0 -> 1 goes from unobserved to blocked: every completion whose
     # coin made it live loses node 1
     @example((CHAIN, PartialRealization(bytes([2, 2])), PartialRealization(bytes([0, 2])),
-              8, 0))
-    def test_derived_batch_equals_a_fresh_build(self, pair):
-        g, held, psi, k, seed = pair
+              8, 0), 8)
+    # a seed's observed edges on a 30-node graph with cycles
+    @example((LARGER, empty_partial(LARGER),
+              observe(LARGER, sample_full_realization(LARGER, 9), SeedSchedule(((4, 0),)), 2),
+              8, 5), 70)
+    def test_derived_batch_equals_a_fresh_build(self, pair, k):
+        g, held, psi, _, seed = pair
         est = MonteCarloEstimator(k, seed)
-        est._batch(g, held)
-        derived = est._batch(g, psi)
-        fresh = MonteCarloEstimator(k, seed)._batch(g, psi)
-        assert derived.closures == fresh.closures
-        # the held batch had no view: deriving stacks it, and the derived
-        # batch starts from a copy rewritten window by window
-        assert (derived.stacked is None) == (held == psi)
-        assert derived.stack() == stacked_view(derived.closures) == fresh.stack()
+        assert est._batch(g, held).stacked == stacked_view(completion_closures(est, g, held))
+        derived = est._batch(g, psi).stacked
+        fresh = MonteCarloEstimator(k, seed)._batch(g, psi).stacked
+        assert derived == fresh == stacked_view(completion_closures(est, g, psi))
 
-    def test_closure_masks_rebuilds_only_the_roots(self):
-        # 0 -> 1 <-> 2 and 3 -> 4; then 4 -> 3 and 4 -> 1 are added, so
-        # the new component {3, 4} reaches the kept component {1, 2}
-        old = closure_masks(6, _adjacency(6, [(0, 1), (1, 2), (2, 1), (3, 4)]))
-        adj = _adjacency(6, [(0, 1), (1, 2), (2, 1), (3, 4), (4, 3), (4, 1)])
-        roots = [3, 4]
-        only_roots = [adj[v] if v in roots else None for v in range(6)]
-        assert closure_masks(6, only_roots, old, roots) == closure_masks(6, adj) == [
-            0b111, 0b110, 0b110, 0b11110, 0b11110, 0b100000]
-
-    def test_closure_masks_with_kept_masks_equal_a_full_build(self):
-        rng = random.Random(5)
-        for _ in range(300):
-            n = rng.randrange(1, 9)
-            pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
-            before = set(rng.sample(pairs, rng.randrange(len(pairs) + 1)))
-            after = set(rng.sample(pairs, rng.randrange(len(pairs) + 1)))
-            old = closure_masks(n, _adjacency(n, sorted(before)))
-            adj = _adjacency(n, sorted(after))
-            changed = node_mask(u for u, _ in before ^ after)
-            roots = [v for v in range(n) if old[v] & changed]
-            assert closure_masks(n, adj, old, roots) == closure_masks(n, adj)
-
-    def test_a_completion_without_a_changed_edge_keeps_its_mask_list(self):
+    def test_a_node_that_meets_no_changed_edge_keeps_its_view(self):
         est = MonteCarloEstimator(20, 3)
-        held = est._batch(CHAIN, empty_partial(CHAIN)).closures
+        held = est._batch(CHAIN, empty_partial(CHAIN)).stacked
         # edge 0 -> 1 is blocked: it changes exactly the completions whose
-        # coin made it live
+        # coin made it live, and only node 0 holds its source
         psi = PartialRealization(bytes([EdgeState.BLOCKED, EdgeState.UNOBSERVED]))
-        derived = est._batch(CHAIN, psi).closures
-        coins = est._snapshot(CHAIN)[1][0]
-        kept = [j for j in range(20) if not coins >> j & 1]
-        assert 0 < len(kept) < 20
-        assert [j for j in range(20) if derived[j] is held[j]] == kept
-        assert derived == MonteCarloEstimator(20, 3)._batch(CHAIN, psi).closures
+        derived = est._batch(CHAIN, psi).stacked
+        coins = est._snapshot(CHAIN)[0][0]
+        assert 0 < (coins & (1 << 20) - 1).bit_count() < 20
+        assert [derived[v] is held[v] for v in range(3)] == [False, True, True]
+        assert derived == MonteCarloEstimator(20, 3)._batch(CHAIN, psi).stacked
+
+
+def test_closure_masks_equal_a_bfs_per_node():
+    rng = random.Random(5)
+    for _ in range(300):
+        n = rng.randrange(1, 9)
+        pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+        adj = [[] for _ in range(n)]
+        for u, v in sorted(rng.sample(pairs, rng.randrange(len(pairs) + 1))):
+            adj[u].append(v)
+        assert closure_masks(n, adj) == [reachable_mask(adj, 1 << v) for v in range(n)]
 
 
 def test_epsilon_gain_scan_reads_one_closure_batch(monkeypatch):
-    # one batch of closures for the scanned state, and no propagation for
-    # f(S) or for any candidate: each query takes one seed union of the
-    # stacked view. In the next round the alpha-gate's query on one more
-    # seed walks from that seed alone, and the scan's f(S) then reads the
-    # gate's zero set: no walk
+    # one view solved for the scanned state, and no propagation for f(S)
+    # or for any candidate: each query takes one seed union of the view.
+    # In the next round the alpha-gate's query on one more seed walks from
+    # that seed alone, and the scan's f(S) then reads the gate's zero set:
+    # no walk
     g = generate_graph(60, 240, "erdos-renyi", 40, 7)
     realization = sample_full_realization(g, 5)
     psi = observe(g, realization, SeedSchedule(((3, 0), (17, 0))), 2)
-    calls = {"propagate": 0, "closures": 0, "unions": 0, "zero sets": 0, "walks": 0}
+    calls = {"propagate": 0, "views": 0, "unions": 0, "zero sets": 0, "walks": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -624,24 +595,24 @@ def test_epsilon_gain_scan_reads_one_closure_batch(monkeypatch):
 
     # a zero set from scratch is a `zero_probability_set` call; every walk,
     # from scratch or from new seeds, is a `_still_unreached` call
-    monkeypatch.setattr(MonteCarloEstimator, "_propagate",
-                        counted("propagate", MonteCarloEstimator._propagate))
-    for counter, name in [("closures", "closure_masks"), ("unions", "closure_union"),
+    for counter, name in [("propagate", "_propagate"), ("views", "_solve")]:
+        monkeypatch.setattr(MonteCarloEstimator, name,
+                            counted(counter, getattr(MonteCarloEstimator, name)))
+    for counter, name in [("unions", "closure_union"),
                           ("zero sets", "zero_probability_set"),
                           ("walks", "_still_unreached")]:
         monkeypatch.setattr(estimation, name, counted(counter, getattr(estimation, name)))
     wrapped = EpsilonEstimator(MonteCarloEstimator(10, 1), 0.2, "random", 1)
     candidates = [v for v in range(g.node_count) if v not in (3, 17)]
     assert len(wrapped.gains(g, [3, 17], psi, candidates)) == len(candidates)
-    assert calls == {"propagate": 0, "closures": 10, "unions": 2, "zero sets": 1,
-                     "walks": 1}
+    assert calls == {"propagate": 0, "views": 1, "unions": 2, "zero sets": 1, "walks": 1}
     assert len(wrapped.inner._batches) == 1
 
     seeds = [3, 17, candidates[0]]
     wrapped.activation(g, seeds, psi)
-    assert calls == {"propagate": 0, "closures": 10, "unions": 3, "zero sets": 1, "walks": 2}
+    assert calls == {"propagate": 0, "views": 1, "unions": 3, "zero sets": 1, "walks": 2}
     assert len(wrapped.gains(g, seeds, psi, candidates[1:])) == len(candidates) - 1
-    assert calls == {"propagate": 0, "closures": 10, "unions": 5, "zero sets": 1, "walks": 2}
+    assert calls == {"propagate": 0, "views": 1, "unions": 5, "zero sets": 1, "walks": 2}
 
 
 def test_gate_zero_set_seeds_the_next_batch(monkeypatch):
@@ -695,7 +666,7 @@ def test_out_of_range_candidates_raise_on_every_backend(make, query, bad):
 def test_mc_single_node_values_keep_their_bytes():
     # the empty state's completions, and with them every alpha = 0 run,
     # come from the snapshot's stream alone; this pins them. Node 17's
-    # closures hold 161 nodes over the 30 completions: on both routes its
+    # view holds 161 nodes over the 30 completions: on both routes its
     # value is the float nearest 161 / 30, where a sum of per-node
     # quotients fl(c / 30) rounds to 5.366666666666667
     g = generate_graph(60, 240, "erdos-renyi", 40, 7)
@@ -705,8 +676,7 @@ def test_mc_single_node_values_keep_their_bytes():
     values = est.single_node_values(g)
     assert hashlib.sha256(repr(values).encode()).hexdigest() == (
         "3dff01d60b419c4c9019b9742efc3057556f0b5725b1c87d7afc6079f021b467")
-    closures = est._batch(g, empty).closures
-    assert sum(masks[17].bit_count() for masks in closures) == 161
+    assert est._batch(g, empty).stacked[17].bit_count() == 161
     assert values[17] == float(Fraction(161, 30)) == 5.366666666666666
     assert est.activation(g, [17], empty).expected_cascade == 5.366666666666666
 
@@ -724,7 +694,7 @@ def test_best_single_node_defaults_to_the_first_largest_value(make, graph):
     est, twin = make(), make()
     values = twin.single_node_values(graph)
     best = values.index(max(values))
-    assert est.best_single_node(graph) == (best, values[best])
+    assert best_single_node(graph, est) == (best, values[best])
     if isinstance(est, EpsilonEstimator):
         assert est._factor() == twin._factor()
 

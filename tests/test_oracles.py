@@ -13,7 +13,7 @@ from pfim.estimation import (ExactEstimator, InstanceTooLarge, MonteCarloEstimat
 from pfim.graph import DirectedGraph, generate_graph, load_graph
 from pfim.oracles import (evaluate_policy_exact, evaluate_policy_sampled,
                           optimal_full_feedback_adaptive)
-from pfim.policies import PolicyConfig, run_policy
+from pfim.policies import PolicyConfig, best_single_node, run_policy
 
 from bruteforce import (bfs_cascade, best_seed_set_exhaustive, full_feedback_optimum,
                         naive_activation_probability, policy_value_by_enumeration)
@@ -364,7 +364,7 @@ class TestTableEstimator:
                 for c in candidates]
         assert table.gains(g, seeds, partial, candidates) == enumerated.gains(
             g, seeds, partial, candidates)
-        assert table.best_single_node(g) == enumerated.best_single_node(g)
+        assert best_single_node(g, table) == best_single_node(g, enumerated)
 
 
 class TestAdaptiveOptimum:

@@ -445,9 +445,9 @@ class TestSlowTwin:
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_monte_carlo_run_matches_the_naive_loop(self, data):
-        # the coin snapshot, cached and derived closure batches and their
-        # stacked views, the kept zero sets, CELF bounds and the values as
-        # count totals divided once all compose in one run here
+        # the coin snapshot, fresh and derived stacked views, the kept zero
+        # sets, CELF bounds and the values as count totals divided once all
+        # compose in one run here
         g, config, world, rng_seed = draw_twin_case(data)
         samples, base = data.draw(st.integers(1, 12)), data.draw(st.integers(0, 99))
         epsilon = data.draw(st.sampled_from([0.0, 0.0, 0.5, 0.9]))
