@@ -58,7 +58,7 @@ from itertools import chain
 from ._util import derive_seed
 from .diffusion import EdgeState, PartialRealization, empty_partial
 from .graph import DirectedGraph
-from .reach import closure_union, mask_nodes, node_mask, reachable_mask
+from .reach import closure_masks, closure_union, mask_nodes, node_mask, reachable_mask
 
 EXACT_EDGE_LIMIT = 22
 
@@ -543,50 +543,20 @@ class MonteCarloEstimator(Estimator):
         return stacked, hits
 
     def _solve(self, graph: DirectedGraph, codes: bytes, stacked: list[int], nodes) -> None:
-        """Solve the view over `nodes` in place, every other node held: the
-        least fixpoint above the given values of stacked[v] |= stacked[w]
-        & W_e over the possible out-edges e = (v, w) of each v in `nodes`.
-        Blocked edges and edges with no live coin are skipped. The nodes
-        are visited in DFS postorder, targets first, so one pass settles
-        every node that reaches no cycle; passes repeat until no value
-        moves."""
+        """Solve the view over `nodes` in place (`closure_masks`), every
+        other node held. An edge e = (v, w) passes stacked[w] & W_e to v,
+        where W_e holds the windows of the completions in which e is live:
+        every window when observed live, its coin windows when unobserved.
+        Blocked edges and edges with no live coin are skipped."""
         _, windows = self._snapshot(graph)
         every = (1 << graph.node_count * self.samples) - 1
         live, unobserved = EdgeState.LIVE, EdgeState.UNOBSERVED
         edges, out_edges = graph.edges, graph.out_edges
-        out = {v: [(edges[idx].target, every if c == live else windows[idx])
-                   for idx in out_edges[v]
-                   if (c := codes[idx]) == live or (c == unobserved and windows[idx])]
-               for v in nodes}
-        unseen = bytearray(graph.node_count)
-        for v in out:
-            unseen[v] = 1
-        order = []
-        for root in out:
-            if not unseen[root]:
-                continue
-            unseen[root] = 0
-            work = [(root, iter(out[root]))]
-            while work:
-                v, targets = work[-1]
-                for w, _ in targets:
-                    if unseen[w]:
-                        unseen[w] = 0
-                        work.append((w, iter(out[w])))
-                        break
-                else:
-                    work.pop()
-                    order.append((v, out[v]))
-        moved = True
-        while moved:
-            moved = False
-            for v, targets in order:
-                reach = old = stacked[v]
-                for w, mask in targets:
-                    reach |= stacked[w] & mask
-                if reach != old:
-                    stacked[v] = reach
-                    moved = True
+        closure_masks(stacked, {
+            v: [(edges[idx].target, every if c == live else windows[idx])
+                for idx in out_edges[v]
+                if (c := codes[idx]) == live or (c == unobserved and windows[idx])]
+            for v in nodes})
 
     def _propagate(self, graph: DirectedGraph, seed_set,
                    partial: PartialRealization) -> tuple[list[int], frozenset[int]]:

@@ -33,8 +33,7 @@ from functools import reduce
 from operator import mul, or_
 
 from ._util import derive_seed
-from .diffusion import (EdgeState, FullRealization, empty_partial, live_adjacency,
-                        sample_full_realization)
+from .diffusion import EdgeState, FullRealization, empty_partial, sample_full_realization
 from .estimation import (ActivationEstimate, Estimator, InstanceTooLarge, _assignments,
                          _GraphCache)
 from .graph import DirectedGraph, _as_fraction
@@ -71,18 +70,25 @@ def _enumerate_worlds(graph: DirectedGraph) -> list:
     weight is the integer of `_assignments`; the weights sum to that
     denominator, and only a world with a live p = 0 edge or a blocked
     p = 1 edge weighs 0. `closures[v]` is the node mask that v reaches over
-    the world's live edges. The table is built once per graph object and
-    shared by every referee call on it; the cache holds the last graph's
-    table only."""
+    the world's live edges, solved by `closure_masks` as the Monte Carlo
+    view is: a world is the one-window case, each live edge with mask -1.
+    The table is built once per graph object and shared by every referee
+    call on it; the cache holds the last graph's table only."""
     hit = _WORLDS.lookup(graph, None)
     if hit is not None:
         return hit
     m, n = graph.edge_count, graph.node_count
+    passes = [(e.source, (e.target, -1)) for e in graph.edges]
     table = []
     for bits, w in _assignments([e.probability for e in graph.edges])[1]:
         if w:
+            closures, out = [1 << v for v in range(n)], {}
+            for k in mask_nodes(bits):
+                v, target = passes[k]
+                out.setdefault(v, []).append(target)
+            closure_masks(closures, out)
             r = FullRealization(tuple(bool(bits >> k & 1) for k in range(m)))
-            table.append((r, w, closure_masks(n, live_adjacency(graph, r)), bits))
+            table.append((r, w, closures, bits))
     return _WORLDS.store(None, table)
 
 

@@ -2,7 +2,9 @@
 
 Node sets are Python ints used as bitmasks (bit v = node v), which keeps
 set algebra to single machine ops for n <= 64 and stays correct for
-larger graphs via big ints. Adjacency is a plain list of target lists.
+larger graphs via big ints. `reachable_mask` takes adjacency as a plain
+list of target lists; `closure_masks` takes a dict of (target, mask)
+pairs per node and solves every node's mask at once.
 """
 
 
@@ -44,62 +46,43 @@ def reachable_mask(adjacency: list, start_mask: int) -> int:
     return seen
 
 
-def closure_masks(n: int, adjacency: list) -> list[int]:
-    """Per-node reachability masks (self included) for the whole graph.
+def closure_masks(view: list[int], out: dict) -> None:
+    """Solve reachability masks in place over the nodes of `out`, every
+    other node held: the least fixpoint above the given values of
+    view[v] |= view[w] & mask for each (w, mask) in out[v].
 
-    One iterative Tarjan pass: when a strongly connected component is
-    emitted, every edge leaving it leads to a component emitted earlier,
-    so the component's mask is its members plus their targets' final
-    masks. Cost is one pass over nodes plus edges instead of a BFS per
-    node. Nodes without out-edges are finished without a stack frame.
+    With view[v] = 1 << v and mask -1 on every edge, view[v] becomes the
+    mask of nodes v reaches. A mask may restrict an edge to some bits,
+    such as the windows of the completions where it is live. The nodes
+    are visited in DFS postorder, targets first, so one pass settles
+    every node that reaches no cycle; passes repeat until no int moves.
     """
-    index = [0] * n      # visit order from 1; 0 = unvisited
-    low = [0] * n
-    masks = [0] * n      # nonzero once the node's component is emitted
-    tarjan_stack: list[int] = []
-    counter = 0
-    for root in range(n):
-        if index[root]:
+    unseen = bytearray(len(view))
+    for v in out:
+        unseen[v] = 1
+    order = []
+    for root in out:
+        if not unseen[root]:
             continue
-        counter += 1
-        index[root] = low[root] = counter
-        if not adjacency[root]:
-            masks[root] = 1 << root
-            continue
-        tarjan_stack.append(root)
-        work = [(root, iter(adjacency[root]))]
+        unseen[root] = 0
+        work = [(root, iter(out[root]))]
         while work:
-            node, edge_iter = work[-1]
-            for t in edge_iter:
-                if not index[t]:
-                    counter += 1
-                    index[t] = low[t] = counter
-                    if adjacency[t]:
-                        tarjan_stack.append(t)
-                        work.append((t, iter(adjacency[t])))
-                        break
-                    masks[t] = 1 << t
-                elif not masks[t] and index[t] < low[node]:
-                    # t is visited but not emitted, so it is on the stack
-                    low[node] = index[t]
+            v, targets = work[-1]
+            for w, _ in targets:
+                if unseen[w]:
+                    unseen[w] = 0
+                    work.append((w, iter(out[w])))
+                    break
             else:
                 work.pop()
-                if work:
-                    parent = work[-1][0]
-                    if low[node] < low[parent]:
-                        low[parent] = low[node]
-                if low[node] == index[node]:
-                    members = []
-                    m = 0
-                    while True:
-                        w = tarjan_stack.pop()
-                        members.append(w)
-                        m |= 1 << w
-                        if w == node:
-                            break
-                    for w in members:
-                        for t in adjacency[w]:
-                            m |= masks[t]
-                    for w in members:
-                        masks[w] = m
-    return masks
+                order.append((v, out[v]))
+    moved = True
+    while moved:
+        moved = False
+        for v, targets in order:
+            reach = old = view[v]
+            for w, mask in targets:
+                reach |= view[w] & mask
+            if reach != old:
+                view[v] = reach
+                moved = True

@@ -566,14 +566,44 @@ class TestDerivedBatches:
 
 
 def test_closure_masks_equal_a_bfs_per_node():
-    rng = random.Random(5)
+    # one window, as a world of the exact table: only edge sources are
+    # solved, with mask -1. Then k windows of n bits, each edge live in a
+    # random subset of them, as a Monte Carlo view: every window must be
+    # the BFS over its own edges, and re-solving a random subset of nodes
+    # from their own bits, the rest held, must give the same view
+    rng, draws = random.Random(5), random.Random(6)
     for _ in range(300):
         n = rng.randrange(1, 9)
         pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+        edges = sorted(rng.sample(pairs, rng.randrange(len(pairs) + 1)))
         adj = [[] for _ in range(n)]
-        for u, v in sorted(rng.sample(pairs, rng.randrange(len(pairs) + 1))):
+        for u, v in edges:
             adj[u].append(v)
-        assert closure_masks(n, adj) == [reachable_mask(adj, 1 << v) for v in range(n)]
+        view = [1 << v for v in range(n)]
+        closure_masks(view, {u: [(v, -1) for v in adj[u]] for u in range(n) if adj[u]})
+        assert view == [reachable_mask(adj, 1 << v) for v in range(n)]
+        for k in (1, 3, 9):
+            full = (1 << n) - 1
+            units = ((1 << n * k) - 1) // full
+            live = [draws.getrandbits(k) for _ in edges]
+            out = {u: [] for u in range(n)}
+            for (u, v), bits in zip(edges, live):
+                out[u].append((v, sum(full << j * n for j in mask_nodes(bits))))
+            view = [units << v for v in range(n)]
+            closure_masks(view, out)
+            for j in range(k):
+                adj_j = [[] for _ in range(n)]
+                for (u, v), bits in zip(edges, live):
+                    if bits >> j & 1:
+                        adj_j[u].append(v)
+                assert [reach >> j * n & full for reach in view] == \
+                    [reachable_mask(adj_j, 1 << v) for v in range(n)]
+            reset = draws.sample(range(n), draws.randrange(n + 1))
+            derived = view.copy()
+            for v in reset:
+                derived[v] = units << v
+            closure_masks(derived, {v: out[v] for v in reset})
+            assert derived == view
 
 
 def test_epsilon_gain_scan_reads_one_closure_batch(monkeypatch):
