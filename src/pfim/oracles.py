@@ -78,13 +78,13 @@ def _enumerate_worlds(graph: DirectedGraph) -> list:
     if hit is not None:
         return hit
     m, n = graph.edge_count, graph.node_count
-    passes = [(e.source, (e.target, -1)) for e in graph.edges]
+    by_edge = [(e.source, (e.target, -1)) for e in graph.edges]
     table = []
     for bits, w in _assignments([e.probability for e in graph.edges])[1]:
         if w:
             closures, out = [1 << v for v in range(n)], {}
             for k in mask_nodes(bits):
-                v, target = passes[k]
+                v, target = by_edge[k]
                 out.setdefault(v, []).append(target)
             closure_masks(closures, out)
             r = FullRealization(tuple(bool(bits >> k & 1) for k in range(m)))

@@ -4,7 +4,7 @@ Node sets are Python ints used as bitmasks (bit v = node v), which keeps
 set algebra to single machine ops for n <= 64 and stays correct for
 larger graphs via big ints. `reachable_mask` takes adjacency as a plain
 list of target lists; `closure_masks` takes a dict of (target, mask)
-pairs per node and solves every node's mask at once.
+pairs per node and solves the masks of all its nodes at once.
 """
 
 
