@@ -22,8 +22,9 @@ coin. Three backends:
   summed sizes of the reached sets) divided once by the sample count:
   the correctly rounded sample mean. Marginal gains are then differences
   of pointwise-coupled counts, hence non-negative. A state scanned for
-  gains holds a stacked view, one int per node with its reach in
-  completion j in bits j*n to j*n + n - 1, so every seed-set query there
+  gains holds a stacked view, one int per node in slots node by node:
+  bit u*w + j is set when the node reaches u in completion j, w being
+  the sample count rounded up to whole bytes. Every seed-set query there
   costs one OR and one bit count: `activation`, each candidate of
   `cascades_with` and of `gains`, and a single node's value. The view
   is solved for all completions at once, as the least fixpoint of a
@@ -352,10 +353,11 @@ class _Completions:
     """The completions of one observation state as one stacked view, and
     the zero set kept for the latest seed set that asked:
 
-    * `stacked`: one int per node, with the node's reach in completion j
-      in window j (bits j*n to j*n + n - 1). Every seed-set query reads
-      it: the seeds' union holds each completion's reached set in its
-      window.
+    * `stacked`: one int per node, with bit u*w + j set when the node
+      reaches u in completion j, w the sample count rounded up to whole
+      bytes; the padding bits of each slot stay clear. Every seed-set
+      query reads it: bit u*w + j of the seeds' union is set when
+      completion j's reached set holds u.
     * `last_zero`: the seed set and its zero set (`zero_set`), the
       complement of its possible-edge reach. A greedy round asks with one
       more seed than the last, so the walk starts from the new seeds only
@@ -383,21 +385,6 @@ class _Completions:
         return zero
 
 
-def _window_masks(masks, n: int, k: int) -> list[int]:
-    """Each k-bit mask in the stacked layout: window j (bits j*n to
-    j*n + n - 1) all ones where bit j is set. Eight windows fill n whole
-    bytes, so a mask is the join of one n-byte pattern per byte of it,
-    in time linear in its n*k bits."""
-    patterns = [0] * 256
-    for b in range(1, 256):
-        low = b & -b
-        patterns[b] = patterns[b ^ low] | ((1 << n) - 1) << (low.bit_length() - 1) * n
-    chunks = [m.to_bytes(n, "little") for m in patterns]
-    size = (k + 7) // 8
-    return [int.from_bytes(b"".join(map(chunks.__getitem__, m.to_bytes(size, "little"))),
-                           "little") for m in masks]
-
-
 class MonteCarloEstimator(Estimator):
     """Sampling backend over one coin snapshot per graph (`_snapshot`).
 
@@ -415,10 +402,12 @@ class MonteCarloEstimator(Estimator):
     for states scanned for gains, cascades with candidates
     (`cascades_with`, the epsilon wrapper's scan) or single-node values.
     It is the state's stacked view: node v's reach over all completions
-    in one int, completion j in window j of n bits. The union R of the
-    seeds' views holds each completion's R_j(S) in its window, so T(S) is
-    R.bit_count() and T(S + c) is (R | stacked[c]).bit_count(): one OR
-    and one bit count per query or candidate. `single_node_values` reads
+    in one int, in slots of w bits node by node (w is k rounded up to
+    whole bytes), bit u*w + j set when v reaches u in completion j. The
+    union R of the seeds' views holds u in completion j exactly when
+    R_j(S) does, so T(S) is R.bit_count() and T(S + c) is
+    (R | stacked[c]).bit_count(): one OR and one bit count per query or
+    candidate. `single_node_values` reads
     stacked[v].bit_count(). On a state with a batch, `activation` reads
     T(S) off the view, and its zero set grows the one kept for the last
     seed set when the seeds contain it (`_Completions.zero_set`). A new
@@ -426,17 +415,17 @@ class MonteCarloEstimator(Estimator):
     state computed.
 
     The view is computed for all completions at once, as the least
-    fixpoint of view[v] = (bit v of every window) | OR over the possible
-    out-edges e = (v, w) of view[w] & W_e, where W_e is every window for
-    an observed-live edge and the windows of e's live coins for an
-    unobserved one (`_solve`). The estimator holds one batch. A state
+    fixpoint of view[v] = (the k low bits of slot v) | OR over the
+    possible out-edges e = (v, x) of view[x] & W_e, where W_e is -1 for
+    an observed-live edge and e's k coin bits repeated in every slot for
+    an unobserved one (`_solve`). The estimator holds one batch. A state
     without one derives its view from the held one when that was made for
     the same graph (`_derived`): the two states share their coins, so
     completion j differs only where an edge's liveness there changed, and
-    only the nodes whose held view holds such an edge's source in window
-    j can change. Those are reset and solved again; every other node
-    keeps its int. Without a held batch (the first scan, or another
-    graph) every node is solved. Both routes give the same view.
+    only the nodes whose held view holds such an edge's source in
+    completion j can change. Those are reset and solved again; every
+    other node keeps its int. Without a held batch (the first scan, or
+    another graph) every node is solved. Both routes give the same view.
 
     A batch is a function of the observation alone, never of the seed
     set, so f(S), f(S + v), and every candidate in a selection round are
@@ -470,9 +459,9 @@ class MonteCarloEstimator(Estimator):
         """The coin snapshot as (coins, windows). coins[idx] is edge idx's
         (samples + 1)-bit mask: bit j set when its coin in completion j
         fell below its probability, and bit `samples` set when the
-        probability is positive. windows[idx] is the same k coins in the
-        stacked layout (`_window_masks`): window j all ones when coin j is
-        live.
+        probability is positive. windows[idx] is its k coin bits, padded
+        to whole bytes, repeated in each node's slot of the stacked view:
+        bit u*w + j set when coin j is live.
 
         The draws come completion by completion, one per edge, from the
         stream seeded by (rng_seed, "completions", the empty state's
@@ -491,7 +480,9 @@ class MonteCarloEstimator(Estimator):
             bit = 1 << j
             for idx in [idx for idx, p in enumerate(probs) if draw() < p]:
                 coins[idx] |= bit
-        windows = _window_masks([c & ~(1 << k) for c in coins], graph.node_count, k)
+        size = (k + 7) // 8
+        windows = [int.from_bytes((c & ~(1 << k)).to_bytes(size, "little") * graph.node_count,
+                                  "little") for c in coins]
         return self._snapshots.store(None, (coins, windows))
 
     def _batch(self, graph: DirectedGraph, partial: PartialRealization) -> _Completions:
@@ -499,21 +490,20 @@ class MonteCarloEstimator(Estimator):
         hit = self._batches.lookup(graph, codes)
         if hit is not None:
             return hit
-        n = graph.node_count
-        # bit v of every window is units << v
-        units = ((1 << n * self.samples) - 1) // ((1 << n) - 1 or 1)
         # the lookup emptied the cache on another graph, so a held batch
         # shares this graph's snapshot
         held = next(iter(self._batches.items()), None)
         if held is None:
-            stacked, nodes = [units << v for v in range(n)], range(n)
+            own, w = (1 << self.samples) - 1, (self.samples + 7) // 8 * 8
+            nodes = range(graph.node_count)
+            stacked = [own << v * w for v in nodes]
         else:
-            stacked, nodes = self._derived(graph, codes, units, *held)
+            stacked, nodes = self._derived(graph, codes, *held)
         self._solve(graph, codes, stacked, nodes)
         batch = _Completions(stacked, self._zeros.lookup(graph, codes))
         return self._batches.store(codes, batch)
 
-    def _derived(self, graph: DirectedGraph, codes: bytes, units: int, held_codes: bytes,
+    def _derived(self, graph: DirectedGraph, codes: bytes, held_codes: bytes,
                  held: _Completions) -> tuple[list[int], list[int]]:
         """The held view of state `held_codes` with the nodes that state
         `codes` can change reset to their own bits, and those nodes.
@@ -522,38 +512,40 @@ class MonteCarloEstimator(Estimator):
         between the two codes; it is live there when observed live, or
         unobserved with coin j set. A node's reach in completion j can
         change only if its held reach there holds the source of an edge
-        changed in j. The changed sources of all completions are stacked
-        like the view, so each node is tested with one AND."""
-        _, windows = self._snapshot(graph)
-        every = (1 << graph.node_count * self.samples) - 1
+        changed in j. The k-bit changed masks of the edges, each shifted
+        into its source's slot, stack the changed sources like the view,
+        so each node is tested with one AND."""
+        coins, _ = self._snapshot(graph)
+        own, w = (1 << self.samples) - 1, (self.samples + 7) // 8 * 8
         live, unobserved = EdgeState.LIVE, EdgeState.UNOBSERVED
         edges = graph.edges
 
         def live_in(c: int, idx: int) -> int:
-            return every if c == live else windows[idx] if c == unobserved else 0
+            return own if c == live else coins[idx] & own if c == unobserved else 0
 
         changed = 0
         for idx, (was, now) in enumerate(zip(held_codes, codes)):
             if was != now:
-                changed |= (live_in(was, idx) ^ live_in(now, idx)) & units << edges[idx].source
+                changed |= (live_in(was, idx) ^ live_in(now, idx)) << edges[idx].source * w
         stacked = held.stacked.copy()
         hits = [v for v, reach in enumerate(stacked) if reach & changed]
         for v in hits:
-            stacked[v] = units << v
+            stacked[v] = own << v * w
         return stacked, hits
 
     def _solve(self, graph: DirectedGraph, codes: bytes, stacked: list[int], nodes) -> None:
         """Solve the view over `nodes` in place (`closure_masks`), every
-        other node held. An edge e = (v, w) passes stacked[w] & W_e to v,
-        where W_e holds the windows of the completions in which e is live:
-        every window when observed live, its coin windows when unobserved.
-        Blocked edges and edges with no live coin are skipped."""
+        other node held. An edge e = (v, x) passes stacked[x] & W_e to v,
+        where W_e holds bit j of every slot when e is live in completion
+        j: mask -1 when observed live, as the world table's edges pass,
+        and its coin bits repeated in every slot (`windows`) when
+        unobserved. Blocked edges and edges with no live coin are
+        skipped."""
         _, windows = self._snapshot(graph)
-        every = (1 << graph.node_count * self.samples) - 1
         live, unobserved = EdgeState.LIVE, EdgeState.UNOBSERVED
         edges, out_edges = graph.edges, graph.out_edges
         closure_masks(stacked, {
-            v: [(edges[idx].target, every if c == live else windows[idx])
+            v: [(edges[idx].target, -1 if c == live else windows[idx])
                 for idx in out_edges[v]
                 if (c := codes[idx]) == live or (c == unobserved and windows[idx])]
             for v in nodes})

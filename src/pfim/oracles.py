@@ -71,7 +71,7 @@ def _enumerate_worlds(graph: DirectedGraph) -> list:
     denominator, and only a world with a live p = 0 edge or a blocked
     p = 1 edge weighs 0. `closures[v]` is the node mask that v reaches over
     the world's live edges, solved by `closure_masks` as the Monte Carlo
-    view is: a world is the one-window case, each live edge with mask -1.
+    view is: one bit per node, each live edge with mask -1.
     The table is built once per graph object and shared by every referee
     call on it; the cache holds the last graph's table only."""
     hit = _WORLDS.lookup(graph, None)

@@ -53,7 +53,7 @@ def closure_masks(view: list[int], out: dict) -> None:
 
     With view[v] = 1 << v and mask -1 on every edge, view[v] becomes the
     mask of nodes v reaches. A mask may restrict an edge to some bits,
-    such as the windows of the completions where it is live. The nodes
+    such as the bits of the completions where it is live. The nodes
     are visited in DFS postorder, targets first, so one pass settles
     every node that reaches no cycle; passes repeat until no int moves.
     """

@@ -15,7 +15,7 @@ from pfim.estimation import (ActivationEstimate, EpsilonEstimator, ExactEstimato
                              exact_conditional_activation, zero_probability_set)
 from pfim.graph import DirectedGraph, generate_graph, load_graph
 from pfim.policies import best_single_node
-from pfim.reach import closure_masks, closure_union, mask_nodes, reachable_mask
+from pfim.reach import closure_masks, closure_union, mask_nodes, node_mask, reachable_mask
 
 from bruteforce import naive_activation_probability
 
@@ -479,9 +479,11 @@ def completion_closures(est, g, partial):
 
 
 def stacked_view(closures):
-    """Completion j's closure mask of each node in window j."""
-    n = len(closures[0])
-    return [sum(masks[v] << j * n for j, masks in enumerate(closures)) for v in range(n)]
+    """Bit u*w + j of node v's int set when completion j's closure of v
+    holds u, w the completion count rounded up to whole bytes."""
+    n, w = len(closures[0]), (len(closures) + 7) // 8 * 8
+    return [sum(1 << u * w + j for j, masks in enumerate(closures) for u in mask_nodes(masks[v]))
+            for v in range(n)]
 
 
 def per_completion_gains(closures, seeds, candidates, k):
@@ -502,8 +504,9 @@ class TestStackedView:
     @settings(max_examples=200, deadline=None)
     @given(coded_state_pairs(), st.sampled_from([1, 2, 21, 22, 64, 70]), st.booleans(),
            st.data())
-    # windows of 3 bits: window 21 straddles bits 63 and 64; k = 70 spans
-    # four 64-bit words
+    # a slot is k rounded up to whole bytes: k = 64 fills its slots, and
+    # k = 21, 22 and 70 leave padding bits, which stay clear. Three slots
+    # of 72 bits span four 64-bit words
     @example((TRIANGLE, PartialRealization(bytes([2, 2, 2])),
               PartialRealization(bytes([1, 2, 0])), 1, 4), 70, True, None)
     @example((TRIANGLE, PartialRealization(bytes([2, 2, 2])),
@@ -532,7 +535,7 @@ LARGER = generate_graph(30, 90, "erdos-renyi", 40, 3)
 class TestDerivedBatches:
     """A state scanned after another derives its view from the one the
     estimator holds; the view is a fresh build's, and each completion's
-    windows are its closure masks."""
+    bits are its closure masks."""
 
     @settings(max_examples=300, deadline=None)
     @given(coded_state_pairs(), st.sampled_from([1, 21, 22, 64, 70]))
@@ -566,11 +569,13 @@ class TestDerivedBatches:
 
 
 def test_closure_masks_equal_a_bfs_per_node():
-    # one window, as a world of the exact table: only edge sources are
-    # solved, with mask -1. Then k windows of n bits, each edge live in a
-    # random subset of them, as a Monte Carlo view: every window must be
-    # the BFS over its own edges, and re-solving a random subset of nodes
-    # from their own bits, the rest held, must give the same view
+    # one bit per node, as a world of the exact table: only edge sources
+    # are solved, with mask -1. Then k completions as a Monte Carlo view,
+    # node u's reach in completion j at bit u*w + j (w is k rounded up to
+    # whole bytes), each edge live in a random subset of them, its coin
+    # bytes repeated in every slot: every completion must be the BFS over
+    # its own edges, and re-solving a random subset of nodes from their
+    # own bits, the rest held, must give the same view
     rng, draws = random.Random(5), random.Random(6)
     for _ in range(300):
         n = rng.randrange(1, 9)
@@ -583,25 +588,24 @@ def test_closure_masks_equal_a_bfs_per_node():
         closure_masks(view, {u: [(v, -1) for v in adj[u]] for u in range(n) if adj[u]})
         assert view == [reachable_mask(adj, 1 << v) for v in range(n)]
         for k in (1, 3, 9):
-            full = (1 << n) - 1
-            units = ((1 << n * k) - 1) // full
+            own, w = (1 << k) - 1, (k + 7) // 8 * 8
             live = [draws.getrandbits(k) for _ in edges]
             out = {u: [] for u in range(n)}
             for (u, v), bits in zip(edges, live):
-                out[u].append((v, sum(full << j * n for j in mask_nodes(bits))))
-            view = [units << v for v in range(n)]
+                out[u].append((v, int.from_bytes(bits.to_bytes(w // 8, "little") * n, "little")))
+            view = [own << v * w for v in range(n)]
             closure_masks(view, out)
             for j in range(k):
                 adj_j = [[] for _ in range(n)]
                 for (u, v), bits in zip(edges, live):
                     if bits >> j & 1:
                         adj_j[u].append(v)
-                assert [reach >> j * n & full for reach in view] == \
-                    [reachable_mask(adj_j, 1 << v) for v in range(n)]
+                assert [node_mask(u for u in range(n) if reach >> u * w + j & 1)
+                        for reach in view] == [reachable_mask(adj_j, 1 << v) for v in range(n)]
             reset = draws.sample(range(n), draws.randrange(n + 1))
             derived = view.copy()
             for v in reset:
-                derived[v] = units << v
+                derived[v] = own << v * w
             closure_masks(derived, {v: out[v] for v in reset})
             assert derived == view
 
