@@ -14,7 +14,11 @@ coin. Three backends:
   or summed, is an integer divided once by the product of the b: the
   correctly rounded true probability. Guarded to 22 relevant edges.
 * monte carlo: one coin snapshot per estimator and graph fixes, for
-  each edge, the completions in which it is live. A completion of an
+  each edge, the completions in which it is live. Each coin is bit for
+  bit `random() < p`, one draw per edge, completion by completion; the
+  snapshot reads a whole completion's draws with one `getrandbits` and
+  compares every edge's at once by integer arithmetic, comparing the
+  whole draw only in a tie on its first word. A completion of an
   observation state keeps the observed edges and takes each unobserved
   edge from the snapshot, so every query against the same state reuses
   the same worlds, and different states share their coins (common
@@ -51,6 +55,8 @@ certainly-active nodes as exactly 1, since every assignment reaches them.
 
 import math
 import random
+import sys
+from array import array
 from collections import OrderedDict
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
@@ -385,6 +391,46 @@ class _Completions:
         return zero
 
 
+# every sampled world reseeds a new Monte Carlo estimator on the same
+# graph, so the constants of its coin draws are kept here, not on it
+_LANES = _GraphCache(1)
+
+
+def _lanes(graph: DirectedGraph) -> tuple[list[int], int, int, int, int]:
+    """The per-graph constants of a snapshot draw (`MonteCarloEstimator.
+    _snapshot`), with edge e in the 64-bit lane at bit 64e: (thresholds,
+    low, guard, lo, hi).
+
+    An edge's coin is `random() < p`, that is X / 2^53 < p for the draw's
+    53-bit integer X, which holds exactly when X < T = ceil(p * 2^53):
+    p is num / den with den a power of two, so T is exact. With Q = T >>
+    26, the lane of `lo` holds 2^32 + 32Q - 1 and that of `hi` 2^32 + 32Q
+    + 31. For a 32-bit a, bit 32 of lo's lane minus a is then set exactly
+    when a < 32Q, and of hi's lane minus a exactly when a < 32Q + 32
+    (except at p = 1, where a < 32 carries into bit 33 and reads as a
+    tie, which the comparison resolves live). `low` masks each lane's
+    low word a and `guard` its bit 32.
+    Built once per graph object; the cache holds the last graph's only."""
+    hit = _LANES.lookup(graph, None)
+    if hit is not None:
+        return hit
+    thresholds = []
+    for e in graph.edges:
+        num, den = e.probability.as_integer_ratio()
+        thresholds.append(-(-num << 53) // den)
+
+    def packed(values) -> int:
+        return int.from_bytes(b"".join(v.to_bytes(8, "little") for v in values), "little")
+
+    m = graph.edge_count
+    return _LANES.store(None, (
+        thresholds,
+        int.from_bytes(b"\xff\xff\xff\xff\0\0\0\0" * m, "little"),
+        int.from_bytes(b"\0\0\0\0\x01\0\0\0" * m, "little"),
+        packed((1 << 32) + 32 * (t >> 26) - 1 for t in thresholds),
+        packed((1 << 32) + 32 * (t >> 26) + 31 for t in thresholds)))
+
+
 class MonteCarloEstimator(Estimator):
     """Sampling backend over one coin snapshot per graph (`_snapshot`).
 
@@ -463,26 +509,59 @@ class MonteCarloEstimator(Estimator):
         to whole bytes, repeated in each node's slot of the stacked view:
         bit u*w + j set when coin j is live.
 
-        The draws come completion by completion, one per edge, from the
-        stream seeded by (rng_seed, "completions", the empty state's
-        codes), so the empty state's completions are those of a draw for
-        that state alone."""
+        The coins are those of one `random()` per edge, completion by
+        completion, from the stream seeded by (rng_seed, "completions",
+        the empty state's codes), so the empty state's completions are
+        those of a draw for that state alone. They are drawn a whole
+        completion at a time: `getrandbits(64 * m)` reads the same 32-bit
+        words that m `random()` calls read, the first word least
+        significant, so lane e (bits 64e to 64e + 63) holds edge e's two
+        words a and b, and its `random()` is X / 2^53 with X = (a >> 5)
+        << 26 | b >> 6. The coin is X < T_e (`_lanes`): live when a < 32Q
+        for Q = T_e >> 26, blocked when a >= 32Q + 32, and in between, a
+        tie of probability 2^-27, X itself is compared. One subtraction
+        per bound tests every lane's a at once, and up to 64 completions
+        gather in each lane before the lanes are split into edges.
+
+        A window is the k-bit coin times one bit per slot while a slot
+        fits in 8 bytes (k <= 64); wider slots repeat the coin's bytes,
+        since that product costs time quadratic in the coin's length."""
         hit = self._snapshots.lookup(graph, None)
         if hit is not None:
             return hit
-        k = self.samples
+        k, m = self.samples, graph.edge_count
+        thresholds, low, guard, lo, hi = _lanes(graph)
         rng = random.Random(derive_seed(self.rng_seed, "completions",
                                         empty_partial(graph).codes))
-        draw = rng.random
-        probs = [e.probability for e in graph.edges]
-        coins = [1 << k if p > 0.0 else 0 for p in probs]
-        for j in range(k):
-            bit = 1 << j
-            for idx in [idx for idx, p in enumerate(probs) if draw() < p]:
-                coins[idx] |= bit
-        size = (k + 7) // 8
-        windows = [int.from_bytes((c & ~(1 << k)).to_bytes(size, "little") * graph.node_count,
-                                  "little") for c in coins]
+        draw = rng.getrandbits
+        coins = [1 << k if e.probability > 0.0 else 0 for e in graph.edges]
+        for c0 in range(0, k, 64):
+            gathered = 0
+            for j in range(min(64, k - c0)):
+                r = draw(64 * m)
+                a = r & low
+                live = lo - a & guard
+                ties = (hi - a & guard) ^ live
+                while ties:
+                    e = (ties & -ties).bit_length() >> 6
+                    ties &= ties - 1
+                    words = r >> 64 * e
+                    x = (words & 0xFFFFFFFF) >> 5 << 26 | (words >> 32 & 0xFFFFFFFF) >> 6
+                    if x < thresholds[e]:
+                        live |= 1 << 64 * e + 32
+                # lane e's bit 32 moves to bit 32 + j: lanes stay apart
+                gathered |= live << j
+            lanes = array("Q", (gathered >> 32).to_bytes(8 * m, "little"))
+            if sys.byteorder == "big":
+                lanes.byteswap()
+            coins = [c | lane << c0 for c, lane in zip(coins, lanes)]
+        size, own = (k + 7) // 8, (1 << k) - 1
+        if k <= 64:
+            rep = int.from_bytes((b"\x01" + bytes(size - 1)) * graph.node_count, "little")
+            windows = [(c & own) * rep for c in coins]
+        else:
+            windows = [int.from_bytes((c & own).to_bytes(size, "little") * graph.node_count,
+                                      "little") for c in coins]
         return self._snapshots.store(None, (coins, windows))
 
     def _batch(self, graph: DirectedGraph, partial: PartialRealization) -> _Completions:

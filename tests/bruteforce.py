@@ -174,6 +174,21 @@ def full_feedback_optimum(graph, picks, exact=False):
     return value([], list(enumerate_realizations(graph, exact)))
 
 
+def coin_stream(graph, seed):
+    """The random stream of the coins of a Monte Carlo estimator seeded
+    `seed`: derive_seed(seed, "completions", the empty state's codes)."""
+    codes = bytes([EdgeState.UNOBSERVED] * graph.edge_count)
+    return random.Random(derive_seed(seed, "completions", codes))
+
+
+def mc_coins(graph, samples, seed):
+    """The coins of a Monte Carlo estimator seeded `seed`, completion by
+    completion, one random() per edge from `coin_stream`: row j holds
+    edge idx's coin in completion j, live when the draw is below p."""
+    rng = coin_stream(graph, seed)
+    return [[rng.random() < e.probability for e in graph.edges] for _ in range(samples)]
+
+
 def naive_policy_run(graph, config, realization, rng_seed, epsilon=0.0,
                      samples=None, base=0):
     """One run of the alpha-greedy policy, step by step from the
@@ -184,10 +199,8 @@ def naive_policy_run(graph, config, realization, rng_seed, epsilon=0.0,
     where a non-uniform or enhanced run cannot start.
 
     On the exact backend f(S) is a fresh `ExactEstimator().activation`.
-    A Monte Carlo estimator seeded s draws its coins from the stream
-    derive_seed(s, "completions", the empty state's codes), completion by
-    completion, one random() per edge; an edge's coin in completion j is
-    draw < p. The greedy arm's seed is derive_seed(base,
+    A Monte Carlo estimator seeded s draws its coins as `mc_coins` does.
+    The greedy arm's seed is derive_seed(base,
     derive_seed(rng_seed, "estimation")), the single arm's
     derive_seed(base, derive_seed(rng_seed, "estimation", "single")).
     Completion j of a state has its observed-live edges and the
@@ -216,10 +229,7 @@ def naive_policy_run(graph, config, realization, rng_seed, epsilon=0.0,
     empty = naive_observe(graph, realization, SeedSchedule(()), 0)
 
     def coins(salt):
-        if samples is None:
-            return None
-        rng = random.Random(derive_seed(derive_seed(base, salt), "completions", empty.codes))
-        return [[rng.random() < e.probability for e in graph.edges] for _ in range(samples)]
+        return None if samples is None else mc_coins(graph, samples, derive_seed(base, salt))
 
     def value(seeds, partial, rows):
         """(f(S), the count total over the completions; None when exact)."""

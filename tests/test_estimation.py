@@ -17,7 +17,7 @@ from pfim.graph import DirectedGraph, generate_graph, load_graph
 from pfim.policies import best_single_node
 from pfim.reach import closure_masks, closure_union, mask_nodes, node_mask, reachable_mask
 
-from bruteforce import naive_activation_probability
+from bruteforce import coin_stream, mc_coins, naive_activation_probability
 
 CHAIN = load_graph("0 1 0.5\n1 2 0.5\n")
 DIAMOND = load_graph("0 1 0.5\n0 2 0.5\n1 3 0.5\n2 3 0.5\n")
@@ -566,6 +566,63 @@ class TestDerivedBatches:
         assert 0 < (coins & (1 << 20) - 1).bit_count() < 20
         assert [derived[v] is held[v] for v in range(3)] == [False, True, True]
         assert derived == MonteCarloEstimator(20, 3)._batch(CHAIN, psi).stacked
+
+
+def reference_coins(graph, k, seed):
+    """The (k + 1)-bit coin masks of `MonteCarloEstimator(k, seed)` from
+    one random() per coin (`mc_coins`): bit j for completion j, bit k for
+    p > 0."""
+    rows = mc_coins(graph, k, seed)
+    return [sum(row[idx] << j for j, row in enumerate(rows)) | (e.probability > 0.0) << k
+            for idx, e in enumerate(graph.edges)]
+
+
+# each edge of the 24-edge graph gets one of these in turn, or a uniform float
+EDGE_PROBABILITIES = [0.0, 1.0, 2.0 ** -60, 2.0 ** -27, 3 * 2.0 ** -27, 1 - 2.0 ** -53,
+                      0.04, 0.4]
+SNAPSHOT_GRAPH = generate_graph(8, 24, "erdos-renyi", 40, 5)
+
+
+class TestSnapshot:
+    """`_snapshot` draws a whole completion per `getrandbits` and compares
+    by lanes; its coins are bit for bit those of one random() < p each."""
+
+    @pytest.mark.parametrize("k", [1, 7, 8, 31, 32, 33, 63, 64, 65, 130])
+    def test_coins_equal_one_random_draw_per_coin(self, k):
+        uniform = random.Random(k)
+        for seed in range(3):
+            g = SNAPSHOT_GRAPH.with_probabilities(
+                uniform.random() if idx % 2 else EDGE_PROBABILITIES[idx // 2 % 8]
+                for idx in range(SNAPSHOT_GRAPH.edge_count))
+            coins, windows = MonteCarloEstimator(k, seed)._snapshot(g)
+            assert coins == reference_coins(g, k, seed)
+            if k in (64, 65):
+                # either side of the window built by multiplication
+                w, own = (k + 7) // 8 * 8, (1 << k) - 1
+                assert windows == [sum((c & own) << u * w for u in range(g.node_count))
+                                   for c in coins]
+        assert MonteCarloEstimator(k, 0)._snapshot(EDGELESS) == ([], [])
+
+    @pytest.mark.parametrize("k", [1, 130])
+    def test_a_tie_on_the_first_word_compares_the_whole_draw(self, k):
+        # edge 0's first coin is the stream's first random(), X / 2^53: at
+        # p = X / 2^53 it is blocked and at (X + 1) / 2^53 live, and both
+        # share its high 27 bits, so both take the tie path
+        x = int(coin_stream(CHAIN, 7).random() * 2 ** 53)
+        assert (x + 1) >> 26 == x >> 26
+        for t, live in ((x, 0), (x + 1, 1)):
+            g = CHAIN.with_probabilities([t / 2 ** 53, 0.5])
+            coins = MonteCarloEstimator(k, 7)._snapshot(g)[0]
+            assert coins == reference_coins(g, k, 7)
+            assert coins[0] & 1 == live
+
+    def test_lane_constants_follow_the_graph(self):
+        # same edge count, other probabilities: the constants of the
+        # graph asked last must never serve the other
+        other = LARGER.with_probabilities(1 - e.probability for e in LARGER.edges)
+        est = MonteCarloEstimator(20, 4)
+        for g in (LARGER, other, LARGER, other):
+            assert est._snapshot(g)[0] == reference_coins(g, 20, 4)
 
 
 def test_closure_masks_equal_a_bfs_per_node():
