@@ -55,8 +55,7 @@ certainly-active nodes as exactly 1, since every assignment reaches them.
 
 import math
 import random
-import sys
-from array import array
+import struct
 from collections import OrderedDict
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
@@ -402,33 +401,26 @@ def _lanes(graph: DirectedGraph) -> tuple[list[int], int, int, int, int]:
     low, guard, lo, hi).
 
     An edge's coin is `random() < p`, that is X / 2^53 < p for the draw's
-    53-bit integer X, which holds exactly when X < T = ceil(p * 2^53):
-    p is num / den with den a power of two, so T is exact. With Q = T >>
-    26, the lane of `lo` holds 2^32 + 32Q - 1 and that of `hi` 2^32 + 32Q
-    + 31. For a 32-bit a, bit 32 of lo's lane minus a is then set exactly
-    when a < 32Q, and of hi's lane minus a exactly when a < 32Q + 32
-    (except at p = 1, where a < 32 carries into bit 33 and reads as a
+    53-bit integer X, which holds exactly when X < T = ceil(p * 2^53);
+    p * 2^53 scales a float by a power of two, so T is exact. With Q = T
+    >> 26, the lane of `lo` holds 2^32 + 32Q - 1 and that of `hi` 2^32 +
+    32Q + 31. For a 32-bit a, bit 32 of lo's lane minus a is then set
+    exactly when a < 32Q, and of hi's lane minus a exactly when a < 32Q +
+    32 (except at p = 1, where a < 32 carries into bit 33 and reads as a
     tie, which the comparison resolves live). `low` masks each lane's
     low word a and `guard` its bit 32.
     Built once per graph object; the cache holds the last graph's only."""
     hit = _LANES.lookup(graph, None)
     if hit is not None:
         return hit
-    thresholds = []
-    for e in graph.edges:
-        num, den = e.probability.as_integer_ratio()
-        thresholds.append(-(-num << 53) // den)
-
-    def packed(values) -> int:
-        return int.from_bytes(b"".join(v.to_bytes(8, "little") for v in values), "little")
-
     m = graph.edge_count
-    return _LANES.store(None, (
-        thresholds,
-        int.from_bytes(b"\xff\xff\xff\xff\0\0\0\0" * m, "little"),
-        int.from_bytes(b"\0\0\0\0\x01\0\0\0" * m, "little"),
-        packed((1 << 32) + 32 * (t >> 26) - 1 for t in thresholds),
-        packed((1 << 32) + 32 * (t >> 26) + 31 for t in thresholds)))
+    thresholds = [math.ceil(e.probability * 2 ** 53) for e in graph.edges]
+    low = int.from_bytes(b"\xff\xff\xff\xff\0\0\0\0" * m, "little")
+    guard = int.from_bytes(b"\0\0\0\0\x01\0\0\0" * m, "little")
+    lo = int.from_bytes(struct.pack(f"<{m}Q", *[(1 << 32) + 32 * (t >> 26) - 1
+                                                for t in thresholds]), "little")
+    # guard >> 27 is 32 in every lane
+    return _LANES.store(None, (thresholds, low, guard, lo, lo + (guard >> 27)))
 
 
 class MonteCarloEstimator(Estimator):
@@ -551,9 +543,7 @@ class MonteCarloEstimator(Estimator):
                         live |= 1 << 64 * e + 32
                 # lane e's bit 32 moves to bit 32 + j: lanes stay apart
                 gathered |= live << j
-            lanes = array("Q", (gathered >> 32).to_bytes(8 * m, "little"))
-            if sys.byteorder == "big":
-                lanes.byteswap()
+            lanes = struct.unpack(f"<{m}Q", (gathered >> 32).to_bytes(8 * m, "little"))
             coins = [c | lane << c0 for c, lane in zip(coins, lanes)]
         size, own = (k + 7) // 8, (1 << k) - 1
         if k <= 64:

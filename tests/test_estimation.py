@@ -606,14 +606,16 @@ class TestSnapshot:
     @pytest.mark.parametrize("k", [1, 130])
     def test_a_tie_on_the_first_word_compares_the_whole_draw(self, k):
         # edge 0's first coin is the stream's first random(), X / 2^53: at
-        # p = X / 2^53 it is blocked and at (X + 1) / 2^53 live, and both
-        # share its high 27 bits, so both take the tie path
-        x = int(coin_stream(CHAIN, 7).random() * 2 ** 53)
-        assert (x + 1) >> 26 == x >> 26
-        for t, live in ((x, 0), (x + 1, 1)):
-            g = CHAIN.with_probabilities([t / 2 ** 53, 0.5])
-            coins = MonteCarloEstimator(k, 7)._snapshot(g)[0]
-            assert coins == reference_coins(g, k, 7)
+        # p = X / 2^53 it is blocked, and at (X + 1) / 2^53 and at X / 2^53
+        # + 2^-54 (p * 2^53 not an integer, so T rounds up) live. All share
+        # its high 27 bits, so all take the tie path. X < 2^52 keeps 2X + 1
+        # within a float's 53 bits
+        x = int(coin_stream(CHAIN, 5).random() * 2 ** 53)
+        assert x < 2 ** 52 and (x + 1) >> 26 == x >> 26
+        for p, live in ((x / 2 ** 53, 0), ((x + 1) / 2 ** 53, 1), ((2 * x + 1) / 2 ** 54, 1)):
+            g = CHAIN.with_probabilities([p, 0.5])
+            coins = MonteCarloEstimator(k, 5)._snapshot(g)[0]
+            assert coins == reference_coins(g, k, 5)
             assert coins[0] & 1 == live
 
     def test_lane_constants_follow_the_graph(self):
