@@ -10,7 +10,9 @@ with a nonzero exit status; a budget is refused by `policies.check_budget`,
 and an unwritable output path by `_check_writable`, before any cell runs.
 The PFIM_THREADS environment variable caps how many worker processes the
 realization loops may use (default 1); results are identical regardless
-because per-world streams are indexed, not shared.
+because per-world streams are indexed, not shared. A sweep runs every
+cell on each world in one job (`oracles._sampled_sweep`), one pool per
+sweep.
 """
 
 import argparse
@@ -29,7 +31,8 @@ from .estimation import (EPS_MODES, EpsilonEstimator, Estimator, ExactEstimator,
                          InstanceTooLarge, MonteCarloEstimator)
 from .graph import (DirectedGraph, GraphFormatError, assign_trivalency_probabilities,
                     edge_list_text, generate_graph, load_graph, trivalency_levels)
-from .oracles import ENUMERATION_EDGE_LIMIT, evaluate_policy_exact, evaluate_policy_sampled
+from .oracles import (ENUMERATION_EDGE_LIMIT, _sampled_sweep, evaluate_policy_exact,
+                      evaluate_policy_sampled)
 from .policies import POLICY_KINDS, BudgetError, PolicyConfig, check_budget, transcript_lines
 
 CSV_HEADER = ("alpha,budget,i,policy,estimator,realizations,"
@@ -284,9 +287,8 @@ def cmd_sweep_alpha(args) -> int:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(CSV_HEADER.split(","))
-    for config in configs:
-        result = evaluate_policy_sampled(graph, config, realizations,
-                                         seed, estimator, threads)
+    results = _sampled_sweep(graph, configs, realizations, seed, estimator, threads)
+    for config, result in zip(configs, results):
         writer.writerow([
             fmt_g(config.alpha), str(config.budget), i_cell, config.kind, tag,
             str(realizations), fmt_g(result.mean_spread),

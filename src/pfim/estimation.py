@@ -290,6 +290,12 @@ class Estimator:
         """A copy whose random draws derive from (own seed, salt)."""
         return self
 
+    def rewound(self) -> "Estimator":
+        """A copy that answers as this estimator did when it was made,
+        sharing its caches. Only the epsilon wrapper's answers depend on
+        the order of its queries; every other backend is its own copy."""
+        return self
+
     @property
     def tag(self) -> str:
         raise NotImplementedError
@@ -719,6 +725,9 @@ class EpsilonEstimator(Estimator):
     def reseeded(self, salt):
         return EpsilonEstimator(self.inner.reseeded(salt), self.epsilon, self.mode,
                                 derive_seed(self.rng_seed, salt))
+
+    def rewound(self):
+        return EpsilonEstimator(self.inner.rewound(), self.epsilon, self.mode, self.rng_seed)
 
     @property
     def tag(self):

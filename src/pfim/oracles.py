@@ -25,6 +25,15 @@ the unobserved edges gives, so the same float as `ExactEstimator`'s.
 The full-feedback adaptive optimum does backward induction over
 observation states on deliberately tiny instances. It is meant as a
 referee for the policies, not as a scalable solver.
+
+Sampled evaluation runs world-major (`_sampled_sweep`): world w of a
+base seed has the same realization and policy seed in every config, so
+each world is drawn once and every config runs on it, one job per world.
+The configs share one reseeded estimator: a Monte Carlo answer is a
+function of the estimator seed, the graph, the codes and the seeds, and
+its held views and zero sets are caches. Each config keeps its own
+greedy core (its CELF bounds) and its own epsilon factor stream. A
+single config is `evaluate_policy_sampled`.
 """
 
 import math
@@ -37,8 +46,8 @@ from .diffusion import EdgeState, FullRealization, empty_partial, sample_full_re
 from .estimation import (ActivationEstimate, Estimator, InstanceTooLarge, _assignments,
                          _GraphCache)
 from .graph import DirectedGraph, _as_fraction
-from .policies import (PolicyConfig, PolicyRun, _affordable_single_node, _GreedyCore,
-                       _greedy_runs, run_policy)
+from .policies import (BudgetError, PolicyConfig, PolicyRun, _GreedyCore, _greedy_runs,
+                       _policy_runs, _star_error, best_single_node)
 from .reach import closure_masks, closure_union, mask_nodes
 
 ENUMERATION_EDGE_LIMIT = 22          # 2^|E| realizations
@@ -195,7 +204,9 @@ def evaluate_policy_exact(graph: DirectedGraph, config: PolicyConfig,
     core = _GreedyCore(graph, config, estimator)
     total = sum(w for _, w, _, _ in worlds)
     if config.kind == "enhanced":
-        star, _ = _affordable_single_node(graph, estimator, config.budget)
+        star, _ = best_single_node(graph, estimator)
+        if refusal := _star_error(graph, star, config.budget):
+            raise refusal
         single = _expected_cascade(worlds, range(len(worlds)), [star])
     value = 0
     for indices, schedule, *_ in _greedy_runs(core, [r for r, *_ in worlds],
@@ -215,42 +226,25 @@ def sampled_world(graph: DirectedGraph, rng_seed: int,
             derive_seed(world_seed, "policy"))
 
 
-def _world_outcome(args):
-    graph, config, estimator, rng_seed, index = args
+def _world_outcomes(args) -> list:
+    """World `index` under base seed `rng_seed`, drawn once and run for
+    every config (`_policy_runs`): per config its (cascade, slots, seed
+    count, the run itself on world 0), or its BudgetError."""
+    graph, configs, estimator, rng_seed, index = args
     realization, policy_seed = sampled_world(graph, rng_seed, index)
-    run = run_policy(graph, config, realization, estimator, policy_seed)
-    return (run.realized_cascade, run.slots_elapsed, len(run.schedule),
-            run if index == 0 else None)
+    return [run if isinstance(run, BudgetError) else
+            (run.realized_cascade, run.slots_elapsed, len(run.schedule),
+             run if index == 0 else None)
+            for run in _policy_runs(graph, configs, realization, estimator, policy_seed)]
 
 
-def evaluate_policy_sampled(graph: DirectedGraph, config: PolicyConfig,
-                            realizations: int, rng_seed: int,
-                            estimator: Estimator, threads: int = 1) -> SampledEvaluation:
-    """Mean and standard error of the realized cascade over sampled
-    worlds. World index w uses the stream derived from (rng_seed, "world",
-    w), so results do not depend on scheduling and different base seeds
-    share no worlds; integer totals are summed before any division. The
-    run on world 0 comes back whole, from a pool worker too. At most one
-    worker per world is started."""
-    if realizations < 1:
-        raise ValueError("need at least one realization")
-    jobs = [(graph, config, estimator, rng_seed, w) for w in range(realizations)]
-    # a fork-started pool starts all its workers at once, busy or not
-    workers = min(threads, realizations)
-    if workers > 1:
-        # imported here: it loads multiprocessing, about 30 ms of start-up
-        # that single-process runs do not need
-        from concurrent.futures import ProcessPoolExecutor
-        # one chunk per worker, so each runs an even share of the worlds
-        chunk = -(-realizations // workers)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_world_outcome, jobs, chunksize=chunk))
-    else:
-        outcomes = [_world_outcome(j) for j in jobs]
+def _summary(outcomes: list) -> SampledEvaluation:
+    """One config's evaluation from its world outcomes, in world order:
+    integer totals are summed before any division."""
     spreads, slots, seeds, runs = zip(*outcomes)
     spread_sum, slot_sum, seed_sum = sum(spreads), sum(slots), sum(seeds)
     spread_sq = sum(s * s for s in spreads)
-    k = realizations
+    k = len(outcomes)
     mean = spread_sum / k
     if k > 1:
         variance = max(0.0, (spread_sq - spread_sum * spread_sum / k) / (k - 1))
@@ -258,6 +252,62 @@ def evaluate_policy_sampled(graph: DirectedGraph, config: PolicyConfig,
     else:
         stderr = 0.0
     return SampledEvaluation(mean, stderr, slot_sum / k, seed_sum / k, k, runs[0])
+
+
+def _sampled_sweep(graph: DirectedGraph, configs: list[PolicyConfig], realizations: int,
+                   rng_seed: int, estimator: Estimator,
+                   threads: int = 1) -> list[SampledEvaluation]:
+    """`evaluate_policy_sampled` of every config, world-major: each world
+    is drawn and run once for all configs (`_world_outcomes`), one job per
+    world, in one pool of at most one worker per world. The values are
+    those of config-by-config calls, and so is a BudgetError: the first
+    config that fails, at its first failing world."""
+    if realizations < 1:
+        raise ValueError("need at least one realization")
+    # a fork-started pool starts all its workers at once, busy or not
+    workers = min(threads, realizations)
+    if workers > 1:
+        # imported here: it loads multiprocessing, about 30 ms of start-up
+        # that single-process runs do not need
+        from concurrent.futures import ProcessPoolExecutor
+        jobs = [(graph, configs, estimator, rng_seed, w) for w in range(realizations)]
+        # one chunk per worker, so each runs an even share of the worlds
+        chunk = -(-realizations // workers)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            outcomes = list(pool.map(_world_outcomes, jobs, chunksize=chunk))
+    else:
+        outcomes, live = [], len(configs)
+        for w in range(realizations):
+            outcomes.append(_world_outcomes((graph, configs[:live], estimator, rng_seed, w)))
+            # a failed config's error outranks those of every later config,
+            # so later worlds run only the configs before it
+            live = next((i for i, o in enumerate(outcomes[-1])
+                         if isinstance(o, BudgetError)), live)
+            if not live:
+                break
+    results = []
+    for i in range(len(configs)):
+        column = []
+        # config i ran on every world up to its first failure
+        for world in outcomes:
+            if isinstance(world[i], BudgetError):
+                raise world[i]
+            column.append(world[i])
+        results.append(_summary(column))
+    return results
+
+
+def evaluate_policy_sampled(graph: DirectedGraph, config: PolicyConfig,
+                            realizations: int, rng_seed: int,
+                            estimator: Estimator, threads: int = 1) -> SampledEvaluation:
+    """Mean and standard error of the realized cascade over sampled
+    worlds: the one-config case of the sweep (`_sampled_sweep`). World
+    index w uses the stream derived from (rng_seed, "world", w), so
+    results do not depend on scheduling and different base seeds share no
+    worlds; integer totals are summed before any division. The run on
+    world 0 comes back whole, from a pool worker too. At most one worker
+    per world is started."""
+    return _sampled_sweep(graph, [config], realizations, rng_seed, estimator, threads)[0]
 
 
 def optimal_full_feedback_adaptive(graph: DirectedGraph, budget) -> float:

@@ -306,14 +306,57 @@ def best_single_node(graph: DirectedGraph, estimator: Estimator) -> tuple[int, f
     return max(enumerate(estimator.single_node_values(graph)), key=itemgetter(1))
 
 
-def _affordable_single_node(graph: DirectedGraph, estimator: Estimator,
-                            budget: Fraction) -> tuple[int, float]:
-    """`best_single_node`, rejected when it costs more than the budget."""
-    star, value = best_single_node(graph, estimator)
-    if graph.costs[star] > budget:
-        raise BudgetError("budget", f"best single node {star} is unaffordable "
-                                    f"(cost {graph.costs[star]} exceeds budget {budget})")
-    return star, value
+def _star_error(graph: DirectedGraph, star: int, budget: Fraction) -> BudgetError | None:
+    """The refusal of best single node `star` when it costs more than the
+    budget, else None."""
+    if graph.costs[star] <= budget:
+        return None
+    return BudgetError("budget", f"best single node {star} is unaffordable "
+                                 f"(cost {graph.costs[star]} exceeds budget {budget})")
+
+
+def _policy_runs(graph: DirectedGraph, configs: list[PolicyConfig],
+                 realization: FullRealization, estimator: Estimator,
+                 rng_seed: int) -> list:
+    """`run_policy` of each config on one realization and policy seed: per
+    config, in order, its PolicyRun, or the BudgetError that refuses its
+    best single node (returned, so that a caller can tell which config
+    failed). The configs share what reads neither alpha nor the budget:
+    one reseeded estimator, which each config's core gets `rewound`, the
+    enhanced coin, and the best single node, found once."""
+    shared = estimator.reseeded(derive_seed(rng_seed, "estimation"))
+    cores = [_GreedyCore(graph, config, shared.rewound()) for config in configs]
+    star = None
+    enhanced_budgets = [c.budget for c in configs if c.kind == "enhanced"]
+    if enhanced_budgets:
+        coin = random.Random(derive_seed(rng_seed, "arm-coin")).random() < 0.5
+        # The greedy arm needs the best single node only to reject it when
+        # it is unaffordable, which cannot happen if every node fits every budget.
+        if coin or max(graph.costs) > min(enhanced_budgets):
+            est_single = estimator.reseeded(derive_seed(rng_seed, "estimation", "single"))
+            star, star_value = best_single_node(graph, est_single)
+        if coin:
+            star_cascade = cascade_size(graph, realization, [star])
+    runs = []
+    for config, core in zip(configs, cores):
+        arm = None
+        if config.kind == "enhanced":
+            if star is not None and (refusal := _star_error(graph, star, config.budget)):
+                runs.append(refusal)
+                continue
+            if coin:
+                star_cost = graph.costs[star]
+                rounds = (RoundLog(0, 0, "select", star, star_value,
+                                   config.budget - star_cost, None, graph.node_count),)
+                runs.append(PolicyRun(SeedSchedule(((star, 0),)), rounds, star_cascade,
+                                      star_cost, 0, arm="single"))
+                continue
+            arm = "greedy"
+        (_, schedule, rounds, cost, slots), = _greedy_runs(core, [realization])
+        runs.append(PolicyRun(schedule, rounds,
+                              cascade_size(graph, realization, schedule.nodes),
+                              cost, slots, arm))
+    return runs
 
 
 def run_policy(graph: DirectedGraph, config: PolicyConfig,
@@ -326,24 +369,7 @@ def run_policy(graph: DirectedGraph, config: PolicyConfig,
     enhanced: a fair coin between seeding only the best single node and
     the nonuniform run with the same seeds.
     """
-    core = _GreedyCore(graph, config,
-                       estimator.reseeded(derive_seed(rng_seed, "estimation")))
-    arm = None
-    if config.kind == "enhanced":
-        coin = random.Random(derive_seed(rng_seed, "arm-coin")).random() < 0.5
-        # The greedy arm needs the best single node only to reject it when
-        # it is unaffordable, which cannot happen if every node fits the budget.
-        if coin or max(graph.costs) > config.budget:
-            est_single = estimator.reseeded(derive_seed(rng_seed, "estimation", "single"))
-            star, star_value = _affordable_single_node(graph, est_single, config.budget)
-        if coin:
-            star_cost = graph.costs[star]
-            rounds = (RoundLog(0, 0, "select", star, star_value,
-                               config.budget - star_cost, None, graph.node_count),)
-            return PolicyRun(SeedSchedule(((star, 0),)), rounds,
-                             cascade_size(graph, realization, [star]),
-                             star_cost, 0, arm="single")
-        arm = "greedy"
-    (_, schedule, rounds, cost, slots), = _greedy_runs(core, [realization])
-    return PolicyRun(schedule, rounds, cascade_size(graph, realization, schedule.nodes),
-                     cost, slots, arm)
+    run, = _policy_runs(graph, [config], realization, estimator, rng_seed)
+    if isinstance(run, BudgetError):
+        raise run
+    return run

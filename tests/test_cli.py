@@ -154,13 +154,14 @@ class TestEvaluate:
     def test_transcript_is_world_zero_of_the_sample(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         runs = []
-        real = oracles.run_policy
+        real = oracles._policy_runs
 
         def recorded(*args):
-            runs.append(real(*args))
-            return runs[-1]
+            cells = real(*args)
+            runs.extend(cells)
+            return cells
 
-        monkeypatch.setattr(oracles, "run_policy", recorded)
+        monkeypatch.setattr(oracles, "_policy_runs", recorded)
         code, _, _ = run_cli(
             ["evaluate", "--graph", "gen:erdos-renyi:60:240", "--alpha", "0.8",
              "--budget", "4", "--policy", "uniform", "--estimator", "mc",
@@ -278,7 +279,7 @@ class TestErrors:
     def test_unwritable_output(self, diamond_path, tmp_path, capsys, monkeypatch,
                                argv, what, name):
         # the path is tried before any cell runs
-        for evaluator in ("evaluate_policy_sampled", "evaluate_policy_exact"):
+        for evaluator in ("_sampled_sweep", "evaluate_policy_sampled", "evaluate_policy_exact"):
             monkeypatch.setattr(cli, evaluator, cell_ran)
         if argv[0] != "gen-graph":
             argv = argv + ["--graph", diamond_path, "--policy", "uniform"]
@@ -294,7 +295,7 @@ class TestErrors:
         out = tmp_path / "x.csv"
         if exists:
             out.write_bytes(b"kept\n")
-        monkeypatch.setattr(cli, "evaluate_policy_sampled", cell_ran)
+        monkeypatch.setattr(cli, "_sampled_sweep", cell_ran)
         with pytest.raises(AssertionError, match="a cell ran"):
             main(["sweep-alpha", "--graph", diamond_path, "--policy", "uniform",
                   "--alpha", "0", "--out", str(out)])
@@ -411,6 +412,28 @@ class TestErrors:
                        "(cost 9 exceeds budget 2)\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["diamond.costs",
                                                               "diamond.edges"]
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("budgets, star, cost, budget", [
+        ("4", 0, 5, 4), ("6,4", 1, 7, 6), ("4,6", 0, 5, 4), ("7,4", 0, 5, 4)])
+    def test_sweep_refuses_the_first_failing_cell(self, tmp_path, capsys, monkeypatch,
+                                                  threads, budgets, star, cost, budget):
+        # hubs 0 (cost 5) and 1 (cost 7) tie in expectation, so the best single
+        # node varies by world: 0 on worlds 0 to 2 and 4, 1 on worlds 3 and 5.
+        # The budget-4 cell fails at world 0 and the budget-6 cell at world 3.
+        # Cell by cell, the first cell in CSV order fails at its first
+        # failing world; world 0 of another cell must not come first.
+        monkeypatch.setenv("PFIM_THREADS", threads)
+        edges, costs = tmp_path / "hubs.edges", tmp_path / "hubs.costs"
+        edges.write_text("".join(f"{v // 4} {v + 2} 0.5\n" for v in range(8)))
+        costs.write_text("0 5\n1 7\n")
+        code, out, err = run_cli([
+            "sweep-alpha", "--graph", str(edges), "--costs", str(costs), "--policy",
+            "enhanced", "--alpha", "0,0.5", "--budget", budgets, "--samples", "4",
+            "--realizations", "6", "--seed", "8"], capsys)
+        assert (code, out) == (1, "")
+        assert err == (f"error: config: budget: best single node {star} is unaffordable "
+                       f"(cost {cost} exceeds budget {budget})\n")
 
     def test_bad_thread_env(self, diamond_path, capsys, monkeypatch):
         monkeypatch.setenv("PFIM_THREADS", "zero")

@@ -8,12 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from pfim import oracles
 from pfim.diffusion import EdgeState, PartialRealization, sample_full_realization
-from pfim.estimation import (ExactEstimator, InstanceTooLarge, MonteCarloEstimator,
-                             exact_conditional_activation)
+from pfim.estimation import (EpsilonEstimator, ExactEstimator, InstanceTooLarge,
+                             MonteCarloEstimator, exact_conditional_activation)
 from pfim.graph import DirectedGraph, generate_graph, load_graph
 from pfim.oracles import (evaluate_policy_exact, evaluate_policy_sampled,
                           optimal_full_feedback_adaptive)
-from pfim.policies import PolicyConfig, best_single_node, run_policy
+from pfim.policies import (POLICY_KINDS, BudgetError, PolicyConfig, best_single_node,
+                           run_policy)
 
 from bruteforce import (bfs_cascade, best_seed_set_exhaustive, full_feedback_optimum,
                         naive_activation_probability, policy_value_by_enumeration)
@@ -320,6 +321,46 @@ class TestSampledEvaluation:
                 else:
                     worst = max(worst, gap / sampled.std_error)
         assert worst <= 4.0
+
+
+# a 7-node graph for sweeps, with costs for the nonuniform and enhanced kinds.
+# Its best single node under 10 samples varies by world among nodes 0, 3, 4
+# and 6, so a budget of 1 or 2 refuses it on some worlds and not others.
+SWEEP_GRAPH = generate_graph(7, 12, "erdos-renyi", 45, 5)
+SWEEP_COSTS = tuple(Fraction(c) for c in (1, 1, 1, 2, 3, 1, 2))
+SWEEP_ESTIMATORS = {
+    "mc": lambda: MonteCarloEstimator(10, 4),
+    "exact": ExactEstimator,
+    "eps-random": lambda: EpsilonEstimator(MonteCarloEstimator(10, 4), 0.3, "random", 2),
+    "eps-low": lambda: EpsilonEstimator(MonteCarloEstimator(10, 4), 0.5,
+                                        "adversarial-low", 2),
+}
+
+
+class TestSampledSweep:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(POLICY_KINDS),
+           st.lists(st.sampled_from([0.0, 0.3, 0.6, 1.0]), min_size=1, max_size=4),
+           st.lists(st.integers(1, 3), min_size=1, max_size=2, unique=True),
+           st.sampled_from(sorted(SWEEP_ESTIMATORS)), st.sampled_from([1, 2]),
+           st.integers(0, 40))
+    def test_world_major_equals_cell_by_cell(self, kind, alphas, budgets, name, threads,
+                                             seed):
+        # each cell's evaluation, or the refusal of the first cell that fails
+        graph = SWEEP_GRAPH if kind == "uniform" else SWEEP_GRAPH.with_costs(SWEEP_COSTS)
+        configs = [PolicyConfig(kind, a, Fraction(b)) for a in alphas for b in budgets]
+
+        def outcome(call):
+            try:
+                return call()
+            except BudgetError as exc:
+                return str(exc)
+
+        cells = [outcome(lambda c=c: evaluate_policy_sampled(
+            graph, c, 4, seed, SWEEP_ESTIMATORS[name]())) for c in configs]
+        want = next((c for c in cells if isinstance(c, str)), cells)
+        assert outcome(lambda: oracles._sampled_sweep(
+            graph, configs, 4, seed, SWEEP_ESTIMATORS[name](), threads)) == want
 
 
 class TestWorldTable:
