@@ -4,7 +4,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pfim import oracles
 from pfim.diffusion import EdgeState, PartialRealization, sample_full_realization
@@ -262,6 +262,12 @@ class TestSampledEvaluation:
                                          threads=64)
         assert sizes == [3]
         assert pooled == serial
+        # a sweep of three cells opens one pool
+        cells = [cfg, replace(cfg, alpha=1.0), replace(cfg, budget=Fraction(1))]
+        swept = oracles._sampled_sweep(DIAMOND, cells, 3, 5, MonteCarloEstimator(20, 1),
+                                       threads=64)
+        assert sizes == [3, 3]
+        assert swept[0] == serial
 
     def test_single_sample_has_zero_stderr(self):
         cfg = PolicyConfig("uniform", 0.0, Fraction(1))
@@ -344,6 +350,14 @@ class TestSampledSweep:
            st.lists(st.integers(1, 3), min_size=1, max_size=2, unique=True),
            st.sampled_from(sorted(SWEEP_ESTIMATORS)), st.sampled_from([1, 2]),
            st.integers(0, 40))
+    # seed 1: the budget-1 cell is refused at world 0, the budget-2 cell at
+    # world 1, so the refusal is the budget-2 cell's
+    @example("enhanced", [0.0], [2, 1], "mc", 2, 1)
+    # seed 11: the budget-1 cell is refused at world 0 (node 4), on the
+    # greedy arm, and later worlds run only the budget-3 cell
+    @example("enhanced", [0.0], [3, 1], "mc", 1, 11)
+    # each cell's epsilon factors start afresh
+    @example("uniform", [0.0, 1.0], [2], "eps-random", 1, 0)
     def test_world_major_equals_cell_by_cell(self, kind, alphas, budgets, name, threads,
                                              seed):
         # each cell's evaluation, or the refusal of the first cell that fails
