@@ -103,6 +103,15 @@ class DirectedGraph:
             buckets[e.source].append(idx)
         return tuple(tuple(b) for b in buckets)
 
+    @cached_property
+    def _float_costs(self) -> tuple[float, ...]:
+        """Each node's cost as a float, for gain-per-cost scores."""
+        return tuple(float(c) for c in self.costs)
+
+    @cached_property
+    def _max_cost(self) -> Fraction:
+        return max(self.costs)
+
     def with_probabilities(self, probabilities: Iterable[float]) -> "DirectedGraph":
         ps = tuple(float(p) for p in probabilities)
         if len(ps) != self.edge_count:

@@ -22,9 +22,12 @@ worlds consistent with an observation are the rows that agree with it
 on every observed edge, and each answer is the rational that enumerating
 the unobserved edges gives, so the same float as `ExactEstimator`'s.
 
-The full-feedback adaptive optimum does backward induction over
-observation states on deliberately tiny instances. It is meant as a
-referee for the policies, not as a scalable solver.
+The full-feedback adaptive optimum does backward induction over reached
+sets on deliberately tiny instances. After full feedback a group's
+worlds all reach one node set R, no live edge leaves it, and the future
+reads only the untouched edges leaving nodes outside R: one memo entry
+per (R, picks left) serves every group, rescaled to its weight. It is
+a referee for the policies, not a scalable solver.
 
 Sampled evaluation runs world-major (`_sampled_sweep`): world w of a
 base seed has the same realization and policy seed in every config, so
@@ -51,6 +54,8 @@ from .policies import (BudgetError, PolicyConfig, PolicyRun, _GreedyCore, _greed
 from .reach import closure_masks, closure_union, mask_nodes
 
 ENUMERATION_EDGE_LIMIT = 22          # 2^|E| realizations
+# the live flags of edges 8j to 8j + 7 from byte j of a world's live bits
+_BYTE_FLAGS = [tuple(bool(b >> k & 1) for k in range(8)) for b in range(256)]
 
 
 @dataclass(frozen=True)
@@ -96,8 +101,8 @@ def _enumerate_worlds(graph: DirectedGraph) -> list:
                 v, target = by_edge[k]
                 out.setdefault(v, []).append(target)
             closure_masks(closures, out)
-            r = FullRealization(tuple(bool(bits >> k & 1) for k in range(m)))
-            table.append((r, w, closures, bits))
+            flags = sum(map(_BYTE_FLAGS.__getitem__, bits.to_bytes(-(-m // 8), "little")), ())
+            table.append((FullRealization(flags[:m]), w, closures, bits))
     return _WORLDS.store(None, table)
 
 
@@ -312,9 +317,13 @@ def evaluate_policy_sampled(graph: DirectedGraph, config: PolicyConfig,
 
 def optimal_full_feedback_adaptive(graph: DirectedGraph, budget) -> float:
     """Optimal adaptive value when each selection sees the previous
-    cascade completely. Backward induction over observation states;
-    guarded to very small instances (n <= 6, |E| <= 12, B <= 3) and
-    uniform unit costs."""
+    cascade completely (Golovin and Krause, JAIR 2011), by backward
+    induction over reached sets (module docstring): a group's value is its
+    weight times a function of (R, picks left). A memo hit takes the
+    stored value times the ratio of the weights, exact as both carry b for
+    every edge leaving a node outside R; a remainder raises. Candidates are
+    the nodes outside R: a node of R adds nothing. Guarded to very small
+    instances (n <= 6, |E| <= 12, B <= 3) and uniform unit costs."""
     frac_budget = _as_fraction(budget)
     if frac_budget < 1:
         raise ValueError("budget must allow at least one selection")
@@ -328,50 +337,31 @@ def optimal_full_feedback_adaptive(graph: DirectedGraph, budget) -> float:
     picks = min(n, int(frac_budget))
     if picks == 0:
         return 0.0
-    worlds = _enumerate_worlds(graph)
-    out_masks = [sum(1 << k for k in graph.out_edges[v]) for v in range(n)]
-    # per node mask, then per world and node: the edges leaving every node
-    # in the mask, or that the node reaches
-    leaving = [closure_union(out_masks, mask_nodes(mask)) for mask in range(1 << n)]
-    out_closures = [[leaving[c] for c in closures] for _, _, closures, _ in worlds]
-    memo: dict = {}
+    memo: dict[tuple[int, int], tuple[int, int]] = {}
 
-    def value(seed_mask: int, view: tuple[int, int], indices: list[int]) -> int:
-        # unnormalized and exact: sum over these worlds of weight * eventual
-        # cascade. A seed set's full-feedback view is (the edges leaving
-        # every node its cascade reaches, their live bits); the worlds
-        # showing it are exactly `indices`, so the view keys the memo.
-        # Both selection orders of a two-seed set reach it with the same
-        # view, and no other path does: the second order takes the value
-        # that the first memoized, and drops it.
-        key = (seed_mask, view)
-        pair = seed_mask.bit_count() == 2
-        if pair:
-            hit = memo.pop(key, None)
-            if hit is not None:
-                return hit
-        if seed_mask.bit_count() + 1 == picks:
-            # the last pick sees nothing more: sum weight * |R(S + v)|. The
-            # view holds every edge leaving R(S), so R(S) is one set here
-            reached = closure_union(worlds[indices[0]][2], mask_nodes(seed_mask))
-            rows = [worlds[i][1:3] for i in indices]
-            best = max(sum(w * (reached | closures[v]).bit_count() for w, closures in rows)
-                       for v in range(n) if not seed_mask >> v & 1)
-        else:
-            reach_edges = view[0]
-            best = 0
-            for v in range(n):
-                if seed_mask >> v & 1:
-                    continue
-                parts: dict[tuple[int, int], list[int]] = {}
-                for i in indices:
-                    edges = reach_edges | out_closures[i][v]
-                    parts.setdefault((edges, worlds[i][3] & edges), []).append(i)
-                best = max(best, sum(value(seed_mask | 1 << v, sub_view, sub)
-                                     for sub_view, sub in parts.items()))
-        if pair:
-            memo[key] = best
+    def value(reached: int, left: int, rows: list) -> int:
+        # unnormalized and exact: the sum over the group's (weight,
+        # closures) rows of weight * eventual cascade, at least weight * |R|
+        weight = sum(w for w, _ in rows)
+        if (hit := memo.get((reached, left))) is not None:
+            scaled, rest = divmod(hit[0] * weight, hit[1])
+            if rest:
+                raise AssertionError(f"memo entry {hit} does not scale to weight {weight}")
+            return scaled
+        best = weight * reached.bit_count()
+        for v in range(n):
+            if reached >> v & 1:
+                continue
+            if left == 1:
+                best = max(best, sum(w * (reached | closures[v]).bit_count()
+                                     for w, closures in rows))
+                continue
+            parts: dict[int, list] = {}
+            for row in rows:
+                parts.setdefault(reached | row[1][v], []).append(row)
+            best = max(best, sum(value(r, left - 1, sub) for r, sub in parts.items()))
+        memo[reached, left] = best, weight
         return best
 
-    total = sum(w for _, w, _, _ in worlds)
-    return value(0, (0, 0), list(range(len(worlds)))) / total
+    rows = [(w, closures) for _, w, closures, _ in _enumerate_worlds(graph)]
+    return value(0, picks, rows) / sum(w for w, _ in rows)

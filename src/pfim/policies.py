@@ -162,13 +162,11 @@ class _GreedyCore:
         self.budget = config.budget
         self.estimator = estimator
         self._bounds: tuple[bytes, frozenset[int], dict[int, float]] | None = None
-        # a uniform-cost graph has every cost 1, so a score is the gain itself
-        self._float_costs = [float(c) for c in graph.costs]
 
     def _best(self, gains: dict[int, float]) -> tuple[int | None, float]:
         """The largest score (gain per unit cost), smallest id on ties,
         and that score."""
-        cost = self._float_costs
+        cost = self.graph._float_costs
         best, top = None, 0.0
         for v, g in gains.items():
             score = g / cost[v]
@@ -195,7 +193,7 @@ class _GreedyCore:
         gains = dict(zip(ask, self.estimator.gains(self.graph, seeds, partial, ask)))
         best, top = self._best(gains)
         if stale:
-            cost = self._float_costs
+            cost = self.graph._float_costs
             ask = [v for v, g in stale.items() if g / cost[v] >= top and v not in gains]
             if ask:
                 gains.update(zip(ask, self.estimator.gains(self.graph, seeds, partial, ask)))
@@ -231,8 +229,10 @@ class _GreedyCore:
                 return RoundLog(round_index, slot, "wait", None, None, None,
                                 cond_value, zero_size)
 
+        # only the first round leaves out nodes above the remaining budget
+        unfiltered = seeds or graph._max_cost <= remaining
         candidates = [v for v in range(graph.node_count) if v not in seeded and (
-            seeds or graph.costs[v] <= remaining)]
+            unfiltered or graph.costs[v] <= remaining)]
         best, best_gain = self._argmax(seeds, seeded, partial, candidates)
         if graph.costs[best] > remaining:
             return None
@@ -332,7 +332,7 @@ def _policy_runs(graph: DirectedGraph, configs: list[PolicyConfig],
         coin = random.Random(derive_seed(rng_seed, "arm-coin")).random() < 0.5
         # The greedy arm needs the best single node only to reject it when
         # it is unaffordable, which cannot happen if every node fits every budget.
-        if coin or max(graph.costs) > min(enhanced_budgets):
+        if coin or graph._max_cost > min(enhanced_budgets):
             est_single = estimator.reseeded(derive_seed(rng_seed, "estimation", "single"))
             star, star_value = best_single_node(graph, est_single)
         if coin:

@@ -437,6 +437,15 @@ class TestAdaptiveOptimum:
         assert optimal_full_feedback_adaptive(g, Fraction(2)) == \
             pytest.approx(2.5, abs=1e-12)
 
+    def test_memo_hit_rescales_to_the_group_weight(self):
+        # the worlds weigh 2 * 4 * 2 = 16 in all. First pick 0 reaches
+        # {0, 1} in worlds of weight 8, first pick 1 in worlds of weight 4,
+        # which hit the ({0, 1}, 1 pick left) entry the former stored. Scaled
+        # by 4/8, pick 1 is worth 2.75 and picks 0 and 2 are worth 3;
+        # returned unscaled, pick 1 would read 3.625
+        g = load_graph("0 1 0.5\n1 0 0.25\n2 3 0.5\n")
+        assert optimal_full_feedback_adaptive(g, Fraction(2)) == 3.0
+
     def test_dominates_nonadaptive(self):
         for g in tiny_instances(5, 900, max_edges=7):
             if g.node_count > 6 or g.edge_count > 12:
